@@ -18,15 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .corpus import (Role, Utterance, corpus_stats, handoff_position_hist,
-                     load_corpus, load_embeddings, parse_utterance, save_corpus)
+from .corpus import (Role, corpus_stats, handoff_position_hist, load_corpus,
+                     load_embeddings, parse_utterance, save_corpus)
 from .errors import (CheckpointError, ConfigError, ContractError, CorpusError,
                      HandsatError, UnimplementedParameterError)
 from .metrics import SECTIONS, evaluate_model
 from .model import Model
 from .synth import GeneratorSpec, load_generator_spec, synthesize_corpus
-from .training import (TrainConfig, handoff_loss, joint_loss, load_checkpoint,
-                       satisfaction_loss, save_checkpoint, train)
+from .training import (TrainConfig, load_checkpoint, objective, save_checkpoint,
+                       train)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,13 +58,20 @@ class RunConfig:
             raise ConfigError(f"config file not found: {path}")
         try:
             obj = json.loads(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError:
+            raise ConfigError("config is not valid UTF-8") from None
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e.msg}")
+        if not isinstance(obj, dict):
+            raise ConfigError("config must be a JSON object")
         unknown = set(obj) - {"train", "paths"}
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
         train_cfg = TrainConfig.from_json(obj.get("train", {}))
         paths = obj.get("paths", {})
+        if not isinstance(paths, dict) or \
+                not all(isinstance(v, str) for v in paths.values()):
+            raise ConfigError("paths must be a JSON object of path strings")
         known_paths = {"train_corpus", "dev_corpus", "test_corpus",
                        "embeddings", "checkpoint_dir"}
         unknown = set(paths) - known_paths
@@ -152,7 +159,8 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     model, vocab, _ = load_checkpoint(args.checkpoint)
     stream = open(args.input, "r", encoding="utf-8") if args.input else sys.stdin
-    utterances: list[Utterance] = []
+    ids: list[list[int]] = []
+    roles: list[Role] = []
     try:
         for line_no, line in enumerate(stream, start=1):
             line = line.strip()
@@ -162,36 +170,35 @@ def cmd_predict(args) -> int:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise CorpusError(f"malformed utterance on line {line_no}: {e.msg}")
-            utterances.append(parse_utterance(obj, line_no, require_handoff=False))
-            if len(utterances) > model.config.max_dialogue_len:
+            utterance = parse_utterance(obj, line_no, require_handoff=False)
+            ids.append(vocab.encode(utterance.tokens))
+            roles.append(utterance.role)
+            if len(ids) > model.config.max_dialogue_len:
                 raise CorpusError(
                     f"stream exceeds max dialogue length "
                     f"{model.config.max_dialogue_len}")
-            ids = [vocab.encode(u.tokens) for u in utterances]
-            roles = [u.role for u in utterances]
             out = model.forward(ids, roles, require_customer=False)
-            has_customer = any(r is Role.CUSTOMER for r in roles)
+            has_customer = Role.CUSTOMER in roles
             _emit({
-                "position": len(utterances),
+                "position": len(ids),
                 "handoff_probs": out.handoff_probs.data[-1].tolist(),
                 "satisfaction_estimate": (out.satisfaction_probs.data.tolist()
                                           if has_customer else None),
             })
+    except UnicodeDecodeError:
+        raise CorpusError("predict stream is not valid UTF-8") from None
     finally:
         if args.input:
             stream.close()
-    if not utterances:
+    if not ids:
         return EXIT_OK
-    roles = [u.role for u in utterances]
-    if not any(r is Role.CUSTOMER for r in roles):
+    if Role.CUSTOMER not in roles:
         raise CorpusError("stream contained no customer utterance; "
                           "satisfaction is undefined")
-    ids = [vocab.encode(u.tokens) for u in utterances]
     out = model.forward(ids, roles)
-    trace = out.trace(roles, model.config.interaction_mode,
-                      model.config.aggregate_mode)
     _emit({"satisfaction_probs": out.satisfaction_probs.data.tolist(),
-           "trace": trace.to_json()})
+           "trace": out.trace(roles, model.config.interaction_mode,
+                              model.config.aggregate_mode)})
     return EXIT_OK
 
 
@@ -226,22 +233,9 @@ def cmd_gradcheck(args) -> int:
                       batch_size=2, seed=args.seed)
     model = Model.build(cfg.model_config(len(vocab)),
                         np.random.default_rng(args.seed))
-    encoded = [([vocab.encode(u.tokens) for u in d.utterances], d.roles,
-                [u.handoff for u in d.utterances], d.satisfaction)
-               for d in dialogues]
 
     def loss():
-        total = None
-        for ids, roles, handoffs, satisfaction in encoded:
-            out = model.forward(ids, roles, train=False)
-            piece = nm.scale(
-                nm.add(handoff_loss(out.handoff_probs, handoffs),
-                       nm.scale(satisfaction_loss(out.satisfaction_probs,
-                                                  satisfaction), cfg.eta)),
-                1.0 / len(encoded))
-            total = piece if total is None else nm.add(total, piece)
-        return joint_loss(total, nm.constant(np.array(0.0)), model.blocks,
-                          eta=0.0, delta=cfg.delta)
+        return objective(model, vocab, dialogues, cfg.eta, cfg.delta)
 
     report = nm.grad_check(loss, model.blocks, eps=1e-5, tol=args.tol,
                            samples_per_block=args.samples,

@@ -1,0 +1,37 @@
+"""Decoding of JSON config objects into the package's config dataclasses."""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+
+from .errors import ConfigError
+
+# field annotation -> (what the value must be, check); a JSON bool is never
+# accepted, although Python counts it as an int
+_KINDS = {
+    "int": ("an integer", lambda v: isinstance(v, int)),
+    "float": ("a finite number",
+              lambda v: isinstance(v, (int, float)) and math.isfinite(v)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def decode_config(cls, obj, what: str):
+    """Build and validate dataclass `cls` from a JSON object; missing keys
+    take the field defaults. Input that is not an object, unknown keys and
+    values that do not match the field's annotation raise ConfigError."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    kinds = {f.name: _KINDS[f.type] for f in dataclasses.fields(cls)}
+    unknown = set(obj) - set(kinds)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    for name, value in obj.items():
+        expected, check = kinds[name]
+        if isinstance(value, bool) or not check(value):
+            raise ConfigError(f"{what} key {name!r} must be {expected}, "
+                              f"got {value!r}")
+    cfg = cls(**obj)
+    cfg.validate()
+    return cfg

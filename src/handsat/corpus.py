@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,14 +49,11 @@ class SatisfactionLabel(str, Enum):
 
     @property
     def index(self) -> int:
-        return _SATISFACTION_ORDER.index(self)
+        return SATISFACTION_CLASSES.index(self)
 
 
-_SATISFACTION_ORDER = (SatisfactionLabel.WELL_SATISFIED, SatisfactionLabel.MET,
-                       SatisfactionLabel.UNSATISFIED)
-SATISFACTION_CLASSES = _SATISFACTION_ORDER
-NUM_SATISFACTION = 3
-NUM_HANDOFF = 2
+SATISFACTION_CLASSES = (SatisfactionLabel.WELL_SATISFIED, SatisfactionLabel.MET,
+                        SatisfactionLabel.UNSATISFIED)
 
 
 class SentimentLabel(str, Enum):
@@ -181,6 +178,18 @@ def dialogue_to_json(d: Dialogue) -> dict:
     }
 
 
+def _utf8_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """(line number, text) for each line of a file; a line that is not
+    valid UTF-8 raises CorpusError."""
+    with path.open("rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                yield line_no, raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise CorpusError(
+                    f"{path}: line {line_no} is not valid UTF-8") from None
+
+
 def load_corpus(path: str | Path, max_dialogue_len: int) -> list[Dialogue]:
     """Parse a JSONL corpus. Over-length dialogues are rejected (not silently
     truncated: truncation would corrupt the dialogue-level supervision)."""
@@ -191,26 +200,25 @@ def load_corpus(path: str | Path, max_dialogue_len: int) -> list[Dialogue]:
     too_long: list[str] = []
     no_customer: list[str] = []
     seen_ids: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusError(f"malformed JSON on line {line_no}: {e.msg}")
-            d = parse_dialogue(obj, line_no)
-            if d.id in seen_ids:
-                raise CorpusError(f"duplicate dialogue id {d.id!r} (line {line_no})")
-            seen_ids.add(d.id)
-            if len(d) > max_dialogue_len:
-                too_long.append(d.id)
-                continue
-            if not any(u.role is Role.CUSTOMER for u in d.utterances):
-                no_customer.append(d.id)
-                continue
-            dialogues.append(d)
+    for line_no, line in _utf8_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise CorpusError(f"malformed JSON on line {line_no}: {e.msg}")
+        d = parse_dialogue(obj, line_no)
+        if d.id in seen_ids:
+            raise CorpusError(f"duplicate dialogue id {d.id!r} (line {line_no})")
+        seen_ids.add(d.id)
+        if len(d) > max_dialogue_len:
+            too_long.append(d.id)
+            continue
+        if not any(u.role is Role.CUSTOMER for u in d.utterances):
+            no_customer.append(d.id)
+            continue
+        dialogues.append(d)
     if too_long:
         raise CorpusError(
             f"{len(too_long)} dialogue(s) exceed max length {max_dialogue_len}: "
@@ -343,12 +351,19 @@ class Vocabulary:
     def encode(self, tokens: Sequence[str]) -> list[int]:
         return [self.lookup(t) for t in tokens]
 
+    def encode_dialogue(self, dialogue: Dialogue) -> list[list[int]]:
+        """One id list per utterance, the input Model.forward takes."""
+        return [self.encode(u.tokens) for u in dialogue.utterances]
+
     def to_json(self) -> dict:
         return {"tokens": sorted(self.token_to_index, key=self.token_to_index.get)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Vocabulary":
-        return cls({tok: i for i, tok in enumerate(obj["tokens"])})
+        tokens = obj.get("tokens") if isinstance(obj, dict) else None
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise ValueError("vocabulary must be an object with a list of tokens")
+        return cls({tok: i for i, tok in enumerate(tokens)})
 
 
 def build_vocab(train: Sequence[Dialogue], min_freq: int = 1) -> Vocabulary:
@@ -382,30 +397,38 @@ def init_embeddings(vocab: Vocabulary, dim: int, rng: np.random.Generator) -> np
 def load_embeddings(path: str | Path, vocab: Vocabulary, dim: int,
                     rng: np.random.Generator | None = None) -> EmbeddingLoad:
     """Read word2vec text format ("count dim" header then "token v1 .. vn"
-    lines); vocabulary tokens not in the file are random-initialized."""
+    lines); vocabulary tokens not in the file are random-initialized. The
+    values of vocabulary tokens must be finite numbers."""
     rng = rng or np.random.default_rng(0)
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"embedding file not found: {path}")
     table = init_embeddings(vocab, dim, rng)
     covered = 0
-    with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or not all(p.isdigit() for p in header):
-            raise CorpusError("embedding file missing 'count dim' header")
-        file_dim = int(header[1])
-        if file_dim != dim:
-            raise CorpusError(
-                f"embedding dimension {file_dim} does not match configured {dim}")
-        for line_no, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != dim + 1:
-                raise CorpusError(f"malformed embedding line {line_no}")
-            tok = parts[0]
-            idx = vocab.token_to_index.get(tok)
-            if idx is not None and idx not in (PAD_INDEX,):
-                table[idx] = [float(v) for v in parts[1:]]
-                covered += 1
+    lines = _utf8_lines(path)
+    header = next(lines, (1, ""))[1].split()
+    if len(header) != 2 or not all(p.isdigit() for p in header):
+        raise CorpusError("embedding file missing 'count dim' header")
+    file_dim = int(header[1])
+    if file_dim != dim:
+        raise CorpusError(
+            f"embedding dimension {file_dim} does not match configured {dim}")
+    for line_no, line in lines:
+        parts = line.rstrip("\n").split(" ")
+        if len(parts) != dim + 1:
+            raise CorpusError(f"malformed embedding line {line_no}")
+        tok = parts[0]
+        idx = vocab.token_to_index.get(tok)
+        if idx is not None and idx not in (PAD_INDEX,):
+            try:
+                values = [float(v) for v in parts[1:]]
+            except ValueError:
+                raise CorpusError(
+                    f"non-numeric embedding value on line {line_no}") from None
+            if not all(math.isfinite(v) for v in values):
+                raise CorpusError(f"non-finite embedding value on line {line_no}")
+            table[idx] = values
+            covered += 1
     table[PAD_INDEX] = 0.0
     denom = max(len(vocab) - 2, 1)  # pad/unk are not expected in files
     return EmbeddingLoad(table=table, coverage=covered / denom)

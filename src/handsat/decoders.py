@@ -68,26 +68,16 @@ def decode_handoff(fused: Tensor, params: HandoffDecoderParams) -> Tensor:
 
 def transformer_block(x: Tensor, params: TransformerParams, heads: int,
                       eps: float = 1e-5) -> Tensor:
-    """One post-norm block with causal (past-inclusive) self-attention."""
+    """One post-norm block with causal (past-inclusive) self-attention; all
+    heads run at once on a leading head axis."""
     length, width = x.data.shape
-    if width % heads != 0:
-        raise ContractError(f"width {width} not divisible by {heads} heads")
-    head_dim = width // heads
-    q = nm.linear_rows(x, params.wq, params.bq)
-    k = nm.linear_rows_nobias(x, params.wk)
-    v = nm.linear_rows(x, params.wv, params.bv)
-    allowed = np.tril(np.ones((length, length), dtype=bool))
-    contexts = []
-    for h in range(heads):
-        lo, hi = h * head_dim, (h + 1) * head_dim
-        scores = nm.scale(
-            nm.pairwise_scores(nm.slice_cols(q, lo, hi), nm.slice_cols(k, lo, hi)),
-            1.0 / np.sqrt(head_dim))
-        attn = nm.masked_softmax(scores, allowed)
-        contexts.append(nm.attend(attn, nm.slice_cols(v, lo, hi)))
-    ctx = contexts[0]
-    for extra in contexts[1:]:
-        ctx = nm.concat_cols(ctx, extra)
+    q = nm.split_heads(nm.linear_rows(x, params.wq, params.bq), heads)
+    k = nm.split_heads(nm.linear_rows(x, params.wk), heads)
+    v = nm.split_heads(nm.linear_rows(x, params.wv, params.bv), heads)
+    scores = nm.scale(nm.pairwise_scores(q, k), 1.0 / np.sqrt(width // heads))
+    allowed = np.tril(np.ones((heads, length, length), dtype=bool))
+    attn = nm.masked_softmax(scores, allowed)
+    ctx = nm.merge_heads(nm.attend(attn, v))
     attended = nm.linear_rows(ctx, params.wo, params.bo)
     x1 = nm.layer_norm(nm.add(x, attended), params.ln1_gain, params.ln1_bias, eps)
     ff = nm.linear_rows(nm.relu(nm.linear_rows(x1, params.ff1_w, params.ff1_b)),

@@ -30,22 +30,6 @@ class EncoderParams:
         return self.fwd.hidden_size
 
 
-@dataclass
-class SharedRepresentation:
-    """Initial representation handed to both task branches; the two views
-    are one tensor (element-wise identical by construction)."""
-    features: Tensor    # (L, l_max + 2k)
-    max_len: int
-
-    @property
-    def handoff_view(self) -> Tensor:
-        return self.features
-
-    @property
-    def satisfaction_view(self) -> Tensor:
-        return self.features
-
-
 def encode_utterance(token_ids: list[int], params: EncoderParams,
                      dropout: float = 0.0,
                      rng: np.random.Generator | None = None) -> Tensor:
@@ -76,12 +60,13 @@ def matching_features(vectors: Tensor, max_len: int) -> Tensor:
 
 def shared_encode(token_ids: list[list[int]], params: EncoderParams,
                   max_len: int, dropout: float = 0.0,
-                  rng: np.random.Generator | None = None) -> SharedRepresentation:
+                  rng: np.random.Generator | None = None) -> Tensor:
+    """Shared representation (L, max_len + 2k) both task branches start
+    from: matching features, then utterance vectors."""
     if len(token_ids) > max_len:
         raise ContractError(f"dialogue length {len(token_ids)} exceeds max {max_len}")
     vectors = nm.stack_rows([
         encode_utterance(ids, params, dropout=dropout, rng=rng)
         for ids in token_ids])
     matched = matching_features(vectors, max_len)
-    return SharedRepresentation(features=nm.concat_cols(matched, vectors),
-                                max_len=max_len)
+    return nm.concat_cols(matched, vectors)

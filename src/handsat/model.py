@@ -7,19 +7,20 @@ the gradient checker all operate on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import numerics as nm
+from .config import decode_config
 from .corpus import Dialogue, Role, Vocabulary
 from .decoders import (AGGREGATE_MODES, HandoffDecoderParams,
                        SatisfactionDecoderParams, TransformerParams,
                        aggregate_variant, decode_handoff, decode_satisfaction)
 from .encoder import EncoderParams, shared_encode
 from .errors import ConfigError, ContractError
-from .interaction import INTERACTION_MODES, InteractionParams, interact
+from .interaction import ACTIVATIONS, INTERACTION_MODES, InteractionParams, interact
 from .numerics import LstmParams, Tensor
 
 
@@ -48,7 +49,7 @@ class ModelConfig:
             raise ConfigError("vocab_size must cover padding and unknown tokens")
         if self.hidden_size % self.heads != 0:
             raise ConfigError("hidden_size must be divisible by heads")
-        if self.activation not in ("relu", "tanh", "linear"):
+        if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if self.interaction_mode not in INTERACTION_MODES:
             raise ConfigError(f"unknown interaction mode {self.interaction_mode!r}")
@@ -62,12 +63,7 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelConfig":
-        unknown = set(obj) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        cfg = cls(**obj)
-        cfg.validate()
-        return cfg
+        return decode_config(cls, obj, "model config")
 
 
 @dataclass
@@ -87,63 +83,20 @@ class ForwardResult:
     shared: Tensor
 
     def trace(self, roles: Sequence[Role], interaction_mode: str,
-              aggregate_mode: str) -> "ForwardTrace":
-        return ForwardTrace(
-            roles=[r.value for r in roles],
-            interaction_mode=interaction_mode,
-            aggregate_mode=aggregate_mode,
-            handoff_probs=self.handoff_probs.data.copy(),
-            satisfaction_probs=self.satisfaction_probs.data.copy(),
-            local_satisfaction=self.local_satisfaction.data.copy(),
-            importance=self.importance.data.copy(),
-            attn_sat_to_handoff=self.attn_sat_to_handoff.data.copy(),
-            attn_handoff_to_sat=self.attn_handoff_to_sat.data.copy(),
-            position_weights=self.position_weights.copy(),
-        )
-
-
-@dataclass
-class ForwardTrace:
-    """Numpy snapshot of a forward pass, serializable for inspection."""
-    roles: list[str]
-    interaction_mode: str
-    aggregate_mode: str
-    handoff_probs: np.ndarray
-    satisfaction_probs: np.ndarray
-    local_satisfaction: np.ndarray
-    importance: np.ndarray
-    attn_sat_to_handoff: np.ndarray
-    attn_handoff_to_sat: np.ndarray
-    position_weights: np.ndarray
-
-    def to_json(self) -> dict:
+              aggregate_mode: str) -> dict:
+        """JSON-ready snapshot of the outputs and attention matrices."""
         return {
-            "roles": self.roles,
-            "interaction_mode": self.interaction_mode,
-            "aggregate_mode": self.aggregate_mode,
-            "handoff_probs": self.handoff_probs.tolist(),
-            "satisfaction_probs": self.satisfaction_probs.tolist(),
-            "local_satisfaction": self.local_satisfaction.tolist(),
-            "importance": self.importance.tolist(),
-            "attn_sat_to_handoff": self.attn_sat_to_handoff.tolist(),
-            "attn_handoff_to_sat": self.attn_handoff_to_sat.tolist(),
+            "roles": [r.value for r in roles],
+            "interaction_mode": interaction_mode,
+            "aggregate_mode": aggregate_mode,
+            "handoff_probs": self.handoff_probs.data.tolist(),
+            "satisfaction_probs": self.satisfaction_probs.data.tolist(),
+            "local_satisfaction": self.local_satisfaction.data.tolist(),
+            "importance": self.importance.data.tolist(),
+            "attn_sat_to_handoff": self.attn_sat_to_handoff.data.tolist(),
+            "attn_handoff_to_sat": self.attn_handoff_to_sat.data.tolist(),
             "position_weights": self.position_weights.tolist(),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ForwardTrace":
-        return cls(
-            roles=list(obj["roles"]),
-            interaction_mode=obj["interaction_mode"],
-            aggregate_mode=obj["aggregate_mode"],
-            handoff_probs=np.asarray(obj["handoff_probs"]),
-            satisfaction_probs=np.asarray(obj["satisfaction_probs"]),
-            local_satisfaction=np.asarray(obj["local_satisfaction"]),
-            importance=np.asarray(obj["importance"]),
-            attn_sat_to_handoff=np.asarray(obj["attn_sat_to_handoff"]),
-            attn_handoff_to_sat=np.asarray(obj["attn_handoff_to_sat"]),
-            position_weights=np.asarray(obj["position_weights"]),
-        )
 
 
 class Model:
@@ -272,7 +225,7 @@ class Model:
 
         shared = shared_encode(token_ids, self.encoder, cfg.max_dialogue_len,
                                dropout=dropout, rng=rng)
-        inter = interact(shared.features, is_customer, self.interaction,
+        inter = interact(shared, is_customer, self.interaction,
                          mode=cfg.interaction_mode, activation=cfg.activation,
                          eps=cfg.layer_norm_eps)
         handoff_probs = decode_handoff(inter.handoff_fused, self.handoff_decoder)
@@ -295,11 +248,11 @@ class Model:
             satisfaction_view=inter.satisfaction_view,
             handoff_fused=inter.handoff_fused,
             satisfaction_fused=inter.satisfaction_fused,
-            shared=shared.features,
+            shared=shared,
         )
 
     def forward_dialogue(self, dialogue: Dialogue, vocab: Vocabulary,
                          train: bool = False,
                          rng: np.random.Generator | None = None) -> ForwardResult:
-        ids = [vocab.encode(u.tokens) for u in dialogue.utterances]
-        return self.forward(ids, dialogue.roles, train=train, rng=rng)
+        return self.forward(vocab.encode_dialogue(dialogue), dialogue.roles,
+                            train=train, rng=rng)

@@ -11,6 +11,12 @@ reproducible when a dialogue prefix is re-evaluated on its own:
 
 BLAS (whose summation order is shape-dependent) is used only in backward
 closures, where speed matters and bitwise reproducibility does not.
+
+pairwise_scores and attend treat leading axes as batch axes. Multi-head
+attention uses that: split_heads turns (L, heads * h) into (heads, L, h),
+every head runs in one op on that axis, and merge_heads restores
+(L, heads * h). Each head's entries are computed by the same sequential
+reductions as a 2-D call on that head alone, so they are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -27,8 +33,9 @@ Array = np.ndarray
 
 
 def _seqsum(x: Array, axis: int) -> Array:
-    """Left-to-right sequential sum; trailing exact zeros cannot perturb it."""
-    return np.cumsum(x, axis=axis).take(-1, axis=axis)
+    """Left-to-right sequential sum; trailing exact zeros cannot perturb it.
+    Accumulates in place, so x must be a temporary the caller discards."""
+    return np.cumsum(x, axis=axis, out=x).take(-1, axis=axis)
 
 
 class Tensor:
@@ -101,12 +108,8 @@ def _accum(t: Tensor, g: Array) -> None:
         t.grad += g
 
 
-def _needs(*ts: Tensor) -> bool:
-    return any(t.requires_grad for t in ts)
-
-
 def _make(data: Array, parents: tuple[Tensor, ...], backward) -> Tensor:
-    req = _needs(*parents)
+    req = any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=req, parents=parents if req else (),
                   backward=backward if req else None)
 
@@ -142,16 +145,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def back(g: Array) -> None:
         _accum(a, _unbroadcast(g, a.data.shape))
         _accum(b, _unbroadcast(g, b.data.shape))
-
-    return _make(out, (a, b), back)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-
-    def back(g: Array) -> None:
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
 
     return _make(out, (a, b), back)
 
@@ -332,13 +325,32 @@ def slice1d(a: Tensor, lo: int, hi: int) -> Tensor:
     return _make(out, (a,), back)
 
 
-def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
-    out = a.data[:, lo:hi]
+def split_heads(a: Tensor, heads: int) -> Tensor:
+    """(L, heads * h) -> (heads, L, h): column block j becomes head j.
+
+    Gradients leave split_heads and merge_heads as C-ordered copies: BLAS
+    bits depend on memory layout, and these are the layouts that per-head
+    column slices and concatenation produce."""
+    length, width = a.data.shape
+    if width % heads != 0:
+        raise ContractError(f"width {width} not divisible by {heads} heads")
+    out = a.data.reshape(length, heads, width // heads).transpose(1, 0, 2)
 
     def back(g: Array) -> None:
-        full = np.zeros_like(a.data)
-        full[:, lo:hi] = g
-        _accum(a, full)
+        _accum(a, np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(length, width))
+
+    return _make(out, (a,), back)
+
+
+def merge_heads(a: Tensor) -> Tensor:
+    """Inverse of split_heads: (heads, L, h) -> (L, heads * h), C-ordered."""
+    heads, length, head_dim = a.data.shape
+    out = np.ascontiguousarray(a.data.transpose(1, 0, 2)).reshape(
+        length, heads * head_dim)
+
+    def back(g: Array) -> None:
+        _accum(a, np.ascontiguousarray(
+            g.reshape(length, heads, head_dim).transpose(1, 0, 2)))
 
     return _make(out, (a,), back)
 
@@ -383,19 +395,6 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
 # contractions
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Plain BLAS product; not for sequence-shaped forwards (see module doc)."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ContractError(f"matmul shapes {a.data.shape} @ {b.data.shape}")
-    out = a.data @ b.data
-
-    def back(g: Array) -> None:
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
-
-    return _make(out, (a, b), back)
-
-
 def matvec(a: Tensor, x: Tensor) -> Tensor:
     if a.data.ndim != 2 or x.data.ndim != 1 or a.data.shape[1] != x.data.shape[0]:
         raise ContractError(f"matvec shapes {a.data.shape} @ {x.data.shape}")
@@ -408,72 +407,64 @@ def matvec(a: Tensor, x: Tensor) -> Tensor:
     return _make(out, (a, x), back)
 
 
-def linear_rows(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Row-wise affine map x[t] -> w @ x[t] + b.
+def linear_rows(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Row-wise affine map x[t] -> w @ x[t] + b, or w @ x[t] without a bias
+    (e.g. attention key projections, where a key bias would shift every
+    score in a row equally and cancel under softmax).
 
     Forward runs one fixed-shape matvec per row so row t's bits do not
     depend on how many rows follow it.
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
         raise ContractError(f"linear_rows shapes x{x.data.shape} w{w.data.shape}")
-    if b.data.shape != (w.data.shape[0],):
+    if b is not None and b.data.shape != (w.data.shape[0],):
         raise ContractError(f"linear_rows bias shape {b.data.shape}")
-    wd, bd = w.data, b.data
-    out = np.empty((x.data.shape[0], wd.shape[0]))
-    for t in range(x.data.shape[0]):
-        out[t] = wd @ x.data[t] + bd
-
-    def back(g: Array) -> None:
-        _accum(x, g @ wd)
-        _accum(w, g.T @ x.data)
-        _accum(b, g.sum(axis=0))
-
-    return _make(out, (x, w, b), back)
-
-
-def linear_rows_nobias(x: Tensor, w: Tensor) -> Tensor:
-    """linear_rows without the bias term (e.g. attention key projections,
-    where a key bias would shift every score in a row equally and cancel
-    under softmax)."""
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
-        raise ContractError(f"linear_rows shapes x{x.data.shape} w{w.data.shape}")
     wd = w.data
     out = np.empty((x.data.shape[0], wd.shape[0]))
     for t in range(x.data.shape[0]):
         out[t] = wd @ x.data[t]
+    if b is not None:
+        out += b.data
 
     def back(g: Array) -> None:
         _accum(x, g @ wd)
         _accum(w, g.T @ x.data)
+        if b is not None:
+            _accum(b, g.sum(axis=0))
 
-    return _make(out, (x, w), back)
+    return _make(out, (x, w) if b is None else (x, w, b), back)
 
 
 def pairwise_scores(a: Tensor, b: Tensor) -> Tensor:
-    """All-pairs dot products a[i]·b[j] via sequential reduction."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]:
+    """All-pairs dot products a[..., i, :]·b[..., j, :] via sequential
+    reduction; leading axes (e.g. attention heads) are batch axes."""
+    if a.data.ndim < 2 or b.data.ndim != a.data.ndim \
+            or a.data.shape[:-2] != b.data.shape[:-2] \
+            or a.data.shape[-1] != b.data.shape[-1]:
         raise ContractError(f"pairwise_scores shapes {a.data.shape}, {b.data.shape}")
-    out = _seqsum(a.data[:, None, :] * b.data[None, :, :], axis=2)
+    out = _seqsum(a.data[..., :, None, :] * b.data[..., None, :, :], axis=-1)
 
     def back(g: Array) -> None:
         _accum(a, g @ b.data)
-        _accum(b, g.T @ a.data)
+        _accum(b, g.swapaxes(-1, -2) @ a.data)
 
     return _make(out, (a, b), back)
 
 
 def attend(weights: Tensor, values: Tensor) -> Tensor:
     """Weighted row combination weights @ values via sequential reduction,
-    so rows whose weights have an exact-zero tail ignore it bit-for-bit."""
-    if weights.data.ndim != 2 or values.data.ndim != 2 \
-            or weights.data.shape[1] != values.data.shape[0]:
+    so rows whose weights have an exact-zero tail ignore it bit-for-bit.
+    Leading axes are batch axes, as in pairwise_scores."""
+    if weights.data.ndim < 2 or values.data.ndim != weights.data.ndim \
+            or weights.data.shape[:-2] != values.data.shape[:-2] \
+            or weights.data.shape[-1] != values.data.shape[-2]:
         raise ContractError(
             f"attend shapes {weights.data.shape} @ {values.data.shape}")
-    out = np.cumsum(weights.data[:, :, None] * values.data[None, :, :], axis=1)[:, -1, :]
+    out = _seqsum(weights.data[..., :, :, None] * values.data[..., None, :, :], axis=-2)
 
     def back(g: Array) -> None:
-        _accum(weights, g @ values.data.T)
-        _accum(values, weights.data.T @ g)
+        _accum(weights, g @ values.data.swapaxes(-1, -2))
+        _accum(values, weights.data.swapaxes(-1, -2) @ g)
 
     return _make(out, (weights, values), back)
 
@@ -500,7 +491,7 @@ def masked_softmax(scores: Tensor, allowed: Array) -> Tensor:
     rowmax = np.max(masked, axis=-1, keepdims=True)
     rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
     e = np.exp(np.where(allowed, s - rowmax, -np.inf))  # exp(-inf) == 0 exactly
-    denom = _seqsum(e, axis=e.ndim - 1)
+    denom = _seqsum(e.copy(), axis=e.ndim - 1)
     denom_e = np.expand_dims(denom, axis=-1)
     out = np.divide(e, denom_e, out=np.zeros_like(e), where=denom_e > 0)
 

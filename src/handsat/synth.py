@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import decode_config
 from .corpus import (Dialogue, HandoffLabel, Role, SatisfactionLabel,
                      SentimentLabel, Utterance)
 from .errors import ConfigError
@@ -32,7 +33,6 @@ from .errors import ConfigError
 COMPLAINT_TOKEN = "terrible"
 UNHELPFUL_TOKEN = "unhelpful"
 PRAISE_TOKEN = "thanks"
-RESERVED_TOKENS = (COMPLAINT_TOKEN, UNHELPFUL_TOKEN, PRAISE_TOKEN)
 
 LATE_THIRD = 2.0 / 3.0
 
@@ -67,12 +67,7 @@ class GeneratorSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GeneratorSpec":
-        unknown = set(obj) - set(cls().__dict__)
-        if unknown:
-            raise ConfigError(f"unknown generator spec keys: {sorted(unknown)}")
-        spec = cls(**obj)
-        spec.validate()
-        return spec
+        return decode_config(cls, obj, "generator spec")
 
 
 @dataclass

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -19,10 +20,11 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics as nm
+from .config import decode_config
 from .corpus import Dialogue, HandoffLabel, SatisfactionLabel, Vocabulary, build_vocab
 from .errors import CheckpointError, ConfigError, CorpusError
 from .metrics import evaluate_model
-from .model import Model, ModelConfig
+from .model import ForwardResult, Model, ModelConfig
 from .numerics import Tensor
 
 LOG_EPS = 1e-12
@@ -99,12 +101,7 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TrainConfig":
-        unknown = set(obj) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        cfg = cls(**obj)
-        cfg.validate()
-        return cfg
+        return decode_config(cls, obj, "train config")
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +138,25 @@ def regularization(blocks: dict[str, Tensor], delta: float) -> Tensor | None:
     return nm.scale(total, delta)
 
 
-def joint_loss(l1: Tensor, l2: Tensor, blocks: dict[str, Tensor],
-               eta: float, delta: float) -> Tensor:
-    """l1 + eta * l2 + delta * sum of squared parameters."""
-    loss = nm.add(l1, nm.scale(l2, eta))
-    reg = regularization(blocks, delta)
-    return loss if reg is None else nm.add(loss, reg)
+def dialogue_loss(out: ForwardResult, dialogue: Dialogue, eta: float) -> Tensor:
+    """One dialogue's term of the objective: L_handoff + eta * L_sat."""
+    l1 = handoff_loss(out.handoff_probs, [u.handoff for u in dialogue.utterances])
+    l2 = satisfaction_loss(out.satisfaction_probs, dialogue.satisfaction)
+    return nm.add(l1, nm.scale(l2, eta))
+
+
+def objective(model: Model, vocab: Vocabulary, batch: Sequence[Dialogue],
+              eta: float, delta: float) -> Tensor:
+    """The objective on one batch as one tensor: the batch mean of
+    dialogue_loss (dropout off) plus delta times the squared parameter norm.
+    train() backpropagates the same terms one dialogue at a time."""
+    total = None
+    for d in batch:
+        piece = nm.scale(dialogue_loss(model.forward_dialogue(d, vocab), d, eta),
+                         1.0 / len(batch))
+        total = piece if total is None else nm.add(total, piece)
+    reg = regularization(model.blocks, delta)
+    return total if reg is None else nm.add(total, reg)
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +250,7 @@ def train(
         np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(3)]
     model = Model.build(config.model_config(len(vocab)), init_rng,
                         embedding=embedding)
-    encoded = [([vocab.encode(u.tokens) for u in d.utterances], d.roles,
-                [u.handoff for u in d.utterances], d.satisfaction)
-               for d in train_corpus]
+    encoded = [vocab.encode_dialogue(d) for d in train_corpus]
 
     optimizer = Adam(model.blocks, lr=config.learning_rate)
     result = TrainResult(model=model, vocab=vocab)
@@ -257,12 +265,10 @@ def train(
             model.zero_grads()
             batch_total = 0.0
             for idx in batch:
-                ids, roles, handoffs, satisfaction = encoded[idx]
-                out = model.forward(ids, roles, train=True, rng=dropout_rng)
-                l1 = handoff_loss(out.handoff_probs, handoffs)
-                l2 = satisfaction_loss(out.satisfaction_probs, satisfaction)
-                loss = nm.scale(nm.add(l1, nm.scale(l2, config.eta)),
-                                1.0 / len(batch))
+                d = train_corpus[idx]
+                out = model.forward(encoded[idx], d.roles, train=True,
+                                    rng=dropout_rng)
+                loss = nm.scale(dialogue_loss(out, d, config.eta), 1.0 / len(batch))
                 batch_total += loss.item() * len(batch)
                 loss.backward()
             reg = regularization(model.blocks, config.delta)
@@ -366,11 +372,24 @@ def save_checkpoint(model: Model, vocab: Vocabulary, path: str | Path,
     os.replace(tmp, path)
 
 
-def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise CheckpointError("checkpoint truncated")
-    return data
+class _Reader:
+    """Sequential reads from a checkpoint's bytes. Every length is checked
+    against the bytes left before anything is read or allocated."""
+
+    def __init__(self, data: bytes):
+        self.data, self.pos = data, 0
+
+    def take(self, n: int) -> bytes:
+        if n > len(self.data) - self.pos:
+            raise CheckpointError("checkpoint truncated")
+        self.pos += n
+        return self.data[self.pos - n:self.pos]
+
+    def u32(self) -> int:
+        return struct.unpack("<I", self.take(4))[0]
+
+    def u64(self) -> int:
+        return struct.unpack("<Q", self.take(8))[0]
 
 
 def load_checkpoint(path: str | Path,
@@ -382,34 +401,32 @@ def load_checkpoint(path: str | Path,
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
-    with path.open("rb") as fh:
-        if _read_exact(fh, 4) != MAGIC:
-            raise CheckpointError(f"{path} is not a handsat checkpoint "
-                                  "(bad magic bytes)")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != FORMAT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8))
-        try:
-            meta = json.loads(_read_exact(fh, meta_len).decode("utf-8"))
-            config = ModelConfig.from_json(meta["model_config"])
-            vocab = Vocabulary.from_json(meta["vocab"])
-            extra = meta.get("extra", {})
-        except (KeyError, ValueError, ConfigError) as e:
-            raise CheckpointError(f"invalid checkpoint metadata: {e}") from None
-        (count,) = struct.unpack("<I", _read_exact(fh, 4))
-        stored: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
-            name = _read_exact(fh, name_len).decode("utf-8")
-            (dt_len,) = struct.unpack("<I", _read_exact(fh, 4))
-            dtype = np.dtype(_read_exact(fh, dt_len).decode("ascii"))
-            (ndim,) = struct.unpack("<I", _read_exact(fh, 4))
-            shape = tuple(struct.unpack("<Q", _read_exact(fh, 8))[0]
-                          for _ in range(ndim))
-            nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-            stored[name] = np.frombuffer(_read_exact(fh, nbytes),
-                                         dtype=dtype).reshape(shape).copy()
+    reader = _Reader(path.read_bytes())
+    if reader.take(4) != MAGIC:
+        raise CheckpointError(f"{path} is not a handsat checkpoint "
+                              "(bad magic bytes)")
+    version = reader.u32()
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    meta_bytes = reader.take(reader.u64())
+    try:
+        meta = json.loads(meta_bytes.decode("utf-8"))
+        if not isinstance(meta, dict):
+            raise ValueError("metadata is not a JSON object")
+        config = ModelConfig.from_json(meta["model_config"])
+        vocab = Vocabulary.from_json(meta["vocab"])
+        extra = meta.get("extra", {})
+    except (KeyError, ValueError, ConfigError) as e:
+        raise CheckpointError(f"invalid checkpoint metadata: {e}") from None
+    stored: dict[str, np.ndarray] = {}
+    for _ in range(reader.u32()):
+        name = reader.take(reader.u32()).decode("utf-8", "replace")
+        dtype = reader.take(reader.u32())
+        if dtype != b"<f8":
+            raise CheckpointError(f"block {name!r}: unsupported dtype {dtype!r}")
+        shape = tuple(reader.u64() for _ in range(reader.u32()))
+        data = reader.take(math.prod(shape) * 8)
+        stored[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
 
     model = Model.build(config, np.random.default_rng(0))
     missing = set(model.blocks) - set(stored)

@@ -80,22 +80,9 @@ def test_c01_gradient_fidelity():
                          attention_units=8, max_dialogue_len=6, heads=2,
                          batch_size=2, seed=0)
     model = Model.build(cfg.model_config(len(vocab)), np.random.default_rng(0))
-    encoded = [([vocab.encode(u.tokens) for u in d.utterances], d.roles,
-                [u.handoff for u in d.utterances], d.satisfaction)
-               for d in dialogues]
 
     def loss():
-        total = None
-        for ids, roles, handoffs, satisfaction in encoded:
-            out = model.forward(ids, roles, train=False)
-            piece = nm.scale(
-                nm.add(tr.handoff_loss(out.handoff_probs, handoffs),
-                       nm.scale(tr.satisfaction_loss(out.satisfaction_probs,
-                                                     satisfaction), 0.5)),
-                0.5)
-            total = piece if total is None else nm.add(total, piece)
-        return tr.joint_loss(total, nm.constant(np.array(0.0)), model.blocks,
-                             eta=0.0, delta=1e-5)
+        return tr.objective(model, vocab, dialogues, eta=0.5, delta=1e-5)
 
     report = nm.grad_check(loss, model.blocks, eps=1e-5, tol=1e-4,
                            samples_per_block=8, rng=np.random.default_rng(9))
@@ -320,15 +307,25 @@ def test_c09_loss_identities():
     uniform = nm.constant(np.full(3, 1 / 3))
     assert abs(tr.satisfaction_loss(uniform, SatisfactionLabel.MET).item()
                - math.log(3.0)) < 1e-9
-    l1 = nm.constant(np.array(0.731))
-    l2 = nm.constant(np.array(1.279))
-    eta = 0.37
-    joint = tr.joint_loss(l1, l2, {}, eta=eta, delta=0.0)
     # exact decomposition: bit-equal to the identically ordered expression
-    assert joint.item() == l1.item() + eta * l2.item()
-    assert tr.joint_loss(l1, l2, {"w": nm.parameter(np.zeros(3))},
-                         eta=eta, delta=7.0).item() == \
-        l1.item() + eta * l2.item()
+    dialogues, _ = synthesize_corpus(GeneratorSpec(num_dialogues=1, min_len=4,
+                                                   max_len=6), seed=5)
+    d = dialogues[0]
+    vocab = build_vocab(dialogues)
+    cfg = tr.TrainConfig(embed_dim=4, hidden_size=4, dense_size=4,
+                         attention_units=4, max_dialogue_len=6, heads=2)
+    model = Model.build(cfg.model_config(len(vocab)), np.random.default_rng(2))
+    out = model.forward_dialogue(d, vocab)
+    eta, delta = 0.37, 7.0
+    l1 = tr.handoff_loss(out.handoff_probs, [u.handoff for u in d.utterances])
+    l2 = tr.satisfaction_loss(out.satisfaction_probs, d.satisfaction)
+    term = tr.dialogue_loss(out, d, eta).item()
+    assert term == l1.item() + eta * l2.item()
+    assert tr.objective(model, vocab, [d], eta, delta=0.0).item() == term
+    assert tr.objective(model, vocab, [d], eta, delta).item() == \
+        term + tr.regularization(model.blocks, delta).item()
+    # the L2 term of all-zero parameters is exactly zero
+    assert tr.regularization({"w": nm.parameter(np.zeros(3))}, delta).item() == 0.0
     announce("9 loss identities", True)
 
 

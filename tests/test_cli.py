@@ -1,10 +1,14 @@
 import json
+import struct
 
+import numpy as np
 import pytest
 
 from handsat import cli
-from handsat.corpus import dialogue_to_json, save_corpus
+from handsat.corpus import Vocabulary, dialogue_to_json, save_corpus
+from handsat.model import Model
 from handsat.synth import GeneratorSpec, synthesize_corpus
+from handsat.training import TrainConfig, save_checkpoint
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +123,25 @@ def test_train_unknown_config_key(workspace, tmp_path, capsys):
     assert "mystery" in err
 
 
+@pytest.mark.parametrize("train, named", [
+    (None, "JSON object"),
+    ([], "train config"),
+    ({"hidden_size": "x"}, "hidden_size"),
+    ({"hidden_size": True, "heads": 1}, "hidden_size"),
+    ({"learning_rate": float("inf")}, "learning_rate"),
+])
+def test_train_rejects_malformed_config(tmp_path, capsys, train, named):
+    paths = {"train_corpus": str(tmp_path / "absent.jsonl"),
+             "dev_corpus": str(tmp_path / "absent.jsonl")}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([] if train is None else {"train": train,
+                                                          "paths": paths}))
+    code, _, err = run_cli(capsys, "train", str(bad))
+    assert code == 2
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert named in err
+
+
 def test_eval_sections_and_aggregate(workspace, capsys):
     root, _, train_path, dev_path = workspace
     ckpt = root / "run" / "model.ckpt"
@@ -213,3 +236,58 @@ def test_predict_malformed_line(workspace, tmp_path, capsys):
     code, _, err = run_cli(capsys, "predict", str(ckpt), "--input", str(stream))
     assert code == 3
     assert "line 1" in err
+
+
+def test_predict_non_utf8_stream(tmp_path, capsys):
+    vocab = Vocabulary({"<pad>": 0, "<unk>": 1})
+    model = Model.build(TrainConfig(embed_dim=4, hidden_size=4, dense_size=4,
+                                    attention_units=4, heads=2).model_config(2),
+                        np.random.default_rng(0))
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(model, vocab, ckpt)
+    stream = tmp_path / "latin1.jsonl"
+    stream.write_bytes(b'{"role": "customer", "tokens": ["caf\xe9"]}\n')
+    code, _, err = run_cli(capsys, "predict", str(ckpt), "--input", str(stream))
+    assert code == 3
+    assert "UTF-8" in err
+
+
+def test_stats_non_utf8_corpus(tmp_path, capsys):
+    corpus = tmp_path / "latin1.jsonl"
+    corpus.write_bytes(b'{"id": "caf\xe9"}\n')
+    code, _, err = run_cli(capsys, "stats", str(corpus))
+    assert code == 3
+    assert "line 1 is not valid UTF-8" in err
+
+
+def checkpoint_bytes(meta=None, meta_len=None, dtype=b"<f8", dims=(2,)):
+    """A one-block HSAT container with the given fields."""
+    if meta is None:
+        meta = {"model_config": {"vocab_size": 2},
+                "vocab": {"tokens": ["<pad>", "<unk>"]}, "extra": {}}
+    raw = json.dumps(meta).encode()
+    out = b"HSAT" + struct.pack("<IQ", 1, len(raw) if meta_len is None else meta_len)
+    out += raw + struct.pack("<II", 1, 1) + b"w"
+    out += struct.pack("<I", len(dtype)) + dtype + struct.pack("<I", len(dims))
+    return out + b"".join(struct.pack("<Q", d) for d in dims) + bytes(16)
+
+
+@pytest.mark.parametrize("data", [
+    checkpoint_bytes(meta_len=2 ** 62),
+    checkpoint_bytes(meta=[1, 2]),
+    checkpoint_bytes(dtype=b"zzz"),
+    checkpoint_bytes(dtype=b"|O8"),
+    checkpoint_bytes(dims=(2 ** 32, 2 ** 32)),
+    checkpoint_bytes(meta={"model_config": {"vocab_size": 2, "hidden_size": "x"},
+                           "vocab": {"tokens": ["<pad>", "<unk>"]}}),
+    checkpoint_bytes(meta={"model_config": {"vocab_size": 2}, "vocab": [1]}),
+], ids=["meta_len", "meta_list", "dtype_zzz", "dtype_object", "dims_2_32",
+        "config_type", "vocab_list"])
+def test_corrupt_checkpoint_is_data_error(tmp_path, capsys, data):
+    ckpt = tmp_path / "corrupt.ckpt"
+    ckpt.write_bytes(data)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    code, _, err = run_cli(capsys, "predict", str(ckpt), "--input", str(empty))
+    assert code == 3
+    assert err.startswith("data error:") and err.count("\n") == 1

@@ -259,6 +259,24 @@ def test_load_embeddings_empty_file(tmp_path):
     assert np.any(loaded.table[vocab.lookup("a")] != 0.0)
 
 
+@pytest.mark.parametrize("value, message", [
+    ("abc", "non-numeric"), ("nan", "non-finite"), ("inf", "non-finite")])
+def test_load_embeddings_rejects_bad_values(tmp_path, value, message):
+    vocab = cp.Vocabulary({cp.PAD_TOKEN: 0, cp.UNK_TOKEN: 1, "a": 2})
+    p = tmp_path / "emb.txt"
+    write_embeddings(p, [("a", [1.0, value])], dim=2)
+    with pytest.raises(CorpusError, match=f"{message} embedding value on line 2"):
+        cp.load_embeddings(p, vocab, dim=2)
+
+
+def test_load_embeddings_non_utf8(tmp_path):
+    vocab = cp.Vocabulary({cp.PAD_TOKEN: 0, cp.UNK_TOKEN: 1, "a": 2})
+    p = tmp_path / "emb.txt"
+    p.write_bytes(b"1 2\ncaf\xe9 1.0 2.0\n")
+    with pytest.raises(CorpusError, match="line 2 is not valid UTF-8"):
+        cp.load_embeddings(p, vocab, dim=2)
+
+
 def test_load_embeddings_dim_mismatch(tmp_path):
     d = cp.Dialogue(
         id="e", satisfaction=cp.SatisfactionLabel.MET,

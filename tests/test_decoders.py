@@ -121,6 +121,68 @@ def test_transformer_block_causal_rows():
     np.testing.assert_array_equal(full[:3], prefix)
 
 
+def _slice_cols(a, lo, hi):
+    """Column slice as a tape op, as the per-head reference cuts heads."""
+    def back(g):
+        full = np.zeros_like(a.data)
+        full[:, lo:hi] = g
+        nm._accum(a, full)
+
+    return nm._make(a.data[:, lo:hi], (a,), back)
+
+
+def reference_transformer_block(x, params, heads, eps=1e-5):
+    """transformer_block with one Python iteration per head: each head cut
+    out by column slices, the contexts joined by concat_cols."""
+    length, width = x.data.shape
+    head_dim = width // heads
+    q = nm.linear_rows(x, params.wq, params.bq)
+    k = nm.linear_rows(x, params.wk)
+    v = nm.linear_rows(x, params.wv, params.bv)
+    allowed = np.tril(np.ones((length, length), dtype=bool))
+    contexts = []
+    for h in range(heads):
+        lo, hi = h * head_dim, (h + 1) * head_dim
+        scores = nm.scale(
+            nm.pairwise_scores(_slice_cols(q, lo, hi), _slice_cols(k, lo, hi)),
+            1.0 / np.sqrt(head_dim))
+        attn = nm.masked_softmax(scores, allowed)
+        contexts.append(nm.attend(attn, _slice_cols(v, lo, hi)))
+    ctx = contexts[0]
+    for extra in contexts[1:]:
+        ctx = nm.concat_cols(ctx, extra)
+    attended = nm.linear_rows(ctx, params.wo, params.bo)
+    x1 = nm.layer_norm(nm.add(x, attended), params.ln1_gain, params.ln1_bias, eps)
+    ff = nm.linear_rows(nm.relu(nm.linear_rows(x1, params.ff1_w, params.ff1_b)),
+                        params.ff2_w, params.ff2_b)
+    return nm.layer_norm(nm.add(x1, ff), params.ln2_gain, params.ln2_bias, eps)
+
+
+def test_transformer_block_matches_per_head_reference():
+    """The head-axis block is bit-identical to the per-head loop, forward
+    and backward, over random lengths, head counts and head widths."""
+    rng = np.random.default_rng(41)
+    for _ in range(100):
+        heads = int(rng.choice([1, 2, 4]))
+        width = heads * int(rng.integers(1, 9))
+        length = int(rng.integers(1, 65))
+        params = satisfaction_params(3, width, 2, rng).transformer
+        leaves = [nm.parameter(rng.standard_normal((length, width)))]
+        leaves += list(vars(params).values())
+        for t in leaves:
+            t.data = rng.standard_normal(t.data.shape)
+        weights = nm.constant(rng.standard_normal((length, width)))
+        results = []
+        for block in (dec.transformer_block, reference_transformer_block):
+            for t in leaves:
+                t.grad = None
+            out = block(leaves[0], params, heads)
+            nm.sum_all(nm.mul(out, weights)).backward()
+            results.append([out.data] + [t.grad for t in leaves])
+        for new, ref in zip(*results):
+            np.testing.assert_array_equal(new, ref)
+
+
 def test_map_sentiment_cases():
     roles = [Role.CUSTOMER, Role.AGENT, Role.CUSTOMER]
     local = np.array([[0.2, 0.5, 0.3],

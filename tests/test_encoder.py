@@ -98,20 +98,18 @@ def test_shared_encode_single_utterance():
     rng = np.random.default_rng(2)
     p = make_params(9, 3, k=2, rng=rng)
     rep = enc.shared_encode([[1, 2]], p, max_len=6)
-    assert rep.features.shape == (1, 6 + 4)
-    np.testing.assert_array_equal(rep.features.data[0, :6], np.zeros(6))
-    # the two task views are the same tensor by construction
-    assert rep.handoff_view is rep.satisfaction_view
+    assert rep.shape == (1, 6 + 4)
+    np.testing.assert_array_equal(rep.data[0, :6], np.zeros(6))
 
 
 def test_shared_encode_causal_rows():
     rng = np.random.default_rng(3)
     p = make_params(12, 3, k=2, rng=rng)
     base = [[1, 2, 3], [4, 5], [6, 7], [8, 9]]
-    full = enc.shared_encode(base, p, max_len=6).features.data
+    full = enc.shared_encode(base, p, max_len=6).data
     perturbed = [row[:] for row in base]
     perturbed[2] = [10, 11]
-    alt = enc.shared_encode(perturbed, p, max_len=6).features.data
+    alt = enc.shared_encode(perturbed, p, max_len=6).data
     np.testing.assert_array_equal(full[:2], alt[:2])
     assert not np.array_equal(full[2], alt[2])
 
@@ -122,7 +120,7 @@ def test_encoder_grad_check():
     ids = [[1, 2, 3], [4, 5], [6]]
 
     def loss():
-        return nm.mean_all(nm.square(enc.shared_encode(ids, p, max_len=5).features))
+        return nm.mean_all(nm.square(enc.shared_encode(ids, p, max_len=5)))
 
     blocks = {"emb": p.embedding,
               "fw": p.fwd.w, "fu": p.fwd.u, "fb": p.fwd.b,

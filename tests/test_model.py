@@ -1,11 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
 from handsat import numerics as nm
 from handsat import training as tr
 from handsat.corpus import Role, build_vocab
+from handsat.encoder import shared_encode
 from handsat.errors import ConfigError
-from handsat.model import ForwardTrace, Model, ModelConfig
+from handsat.interaction import task_projections
+from handsat.model import Model, ModelConfig
 from handsat.synth import GeneratorSpec, synthesize_corpus
 
 
@@ -82,12 +86,29 @@ def test_forward_deterministic_in_eval_mode(setup):
 def test_trace_json_roundtrip(setup):
     model, vocab, dialogues = setup
     d = dialogues[0]
-    trace = model.forward_dialogue(d, vocab).trace(
-        d.roles, model.config.interaction_mode, model.config.aggregate_mode)
-    back = ForwardTrace.from_json(trace.to_json())
-    np.testing.assert_array_equal(trace.handoff_probs, back.handoff_probs)
-    np.testing.assert_array_equal(trace.position_weights, back.position_weights)
-    assert back.roles == [r.value for r in d.roles]
+    out = model.forward_dialogue(d, vocab)
+    trace = out.trace(d.roles, model.config.interaction_mode,
+                      model.config.aggregate_mode)
+    back = json.loads(json.dumps(trace))
+    assert back == trace
+    np.testing.assert_array_equal(np.asarray(back["handoff_probs"]),
+                                  out.handoff_probs.data)
+    np.testing.assert_array_equal(np.asarray(back["position_weights"]),
+                                  out.position_weights)
+    assert back["roles"] == [r.value for r in d.roles]
+
+
+def test_task_views_project_one_shared_tensor(setup):
+    model, vocab, dialogues = setup
+    d = dialogues[0]
+    out = model.forward_dialogue(d, vocab)
+    shared = shared_encode(vocab.encode_dialogue(d), model.encoder,
+                           model.config.max_dialogue_len)
+    np.testing.assert_array_equal(out.shared.data, shared.data)
+    handoff, satisfaction = task_projections(out.shared, model.interaction,
+                                             model.config.activation)
+    np.testing.assert_array_equal(handoff.data, out.handoff_view.data)
+    np.testing.assert_array_equal(satisfaction.data, out.satisfaction_view.data)
 
 
 def test_ablation_no_interact_exact_passthrough(setup):
@@ -102,21 +123,9 @@ def test_ablation_no_interact_exact_passthrough(setup):
 
 def test_full_model_grad_check(setup):
     model, vocab, dialogues = setup
-    batch = dialogues[:2]
-    encoded = [([vocab.encode(u.tokens) for u in d.utterances], d.roles,
-                [u.handoff for u in d.utterances], d.satisfaction)
-               for d in batch]
 
     def loss():
-        total = None
-        for ids, roles, handoffs, satisfaction in encoded:
-            out = model.forward(ids, roles, train=False)
-            l1 = tr.handoff_loss(out.handoff_probs, handoffs)
-            l2 = tr.satisfaction_loss(out.satisfaction_probs, satisfaction)
-            piece = nm.scale(nm.add(l1, nm.scale(l2, 0.5)), 1.0 / len(encoded))
-            total = piece if total is None else nm.add(total, piece)
-        return tr.joint_loss(total, nm.constant(np.array(0.0)), model.blocks,
-                             eta=0.5, delta=1e-4)
+        return tr.objective(model, vocab, dialogues[:2], eta=0.5, delta=1e-4)
 
     report = nm.grad_check(loss, model.blocks, samples_per_block=4,
                            rng=np.random.default_rng(5))

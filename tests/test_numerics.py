@@ -255,13 +255,41 @@ def test_grad_check_aborts_on_nan():
 # assorted ops
 # ---------------------------------------------------------------------------
 
-def test_linear_rows_matches_matmul():
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+def test_linear_rows_matches_matmul(bias):
     rng = np.random.default_rng(17)
     x = rng.standard_normal((6, 5))
     w = rng.standard_normal((4, 5))
-    b = rng.standard_normal(4)
-    out = nm.linear_rows(nm.constant(x), nm.constant(w), nm.constant(b))
+    b = rng.standard_normal(4) if bias else np.zeros(4)
+    out = nm.linear_rows(nm.constant(x), nm.constant(w),
+                         nm.constant(b) if bias else None)
     np.testing.assert_allclose(out.data, x @ w.T + b, atol=1e-12)
+
+
+def test_batched_pairwise_scores_and_attend_match_2d_slices():
+    """Leading batch axes give, slice by slice, the bits of the 2-D call on
+    that slice alone, forward and backward."""
+    rng = np.random.default_rng(29)
+    for shape in [(3,), (2, 3), (1,)]:
+        a = rand_param(shape + (5, 4), rng)
+        b = rand_param(shape + (7, 4), rng)
+        p = rand_param(shape + (5, 7), rng)
+        g_scores = rng.standard_normal(shape + (5, 7))
+        g_ctx = rng.standard_normal(shape + (5, 4))
+        scores = nm.pairwise_scores(a, b)
+        ctx = nm.attend(p, b)
+        nm.add(nm.sum_all(nm.mul(scores, nm.constant(g_scores))),
+               nm.sum_all(nm.mul(ctx, nm.constant(g_ctx)))).backward()
+        for idx in np.ndindex(*shape):
+            a2, b2, p2 = (nm.parameter(t.data[idx]) for t in (a, b, p))
+            s2 = nm.pairwise_scores(a2, b2)
+            c2 = nm.attend(p2, b2)
+            np.testing.assert_array_equal(scores.data[idx], s2.data)
+            np.testing.assert_array_equal(ctx.data[idx], c2.data)
+            nm.add(nm.sum_all(nm.mul(s2, nm.constant(g_scores[idx]))),
+                   nm.sum_all(nm.mul(c2, nm.constant(g_ctx[idx])))).backward()
+            for batched, sliced in ((a, a2), (b, b2), (p, p2)):
+                np.testing.assert_array_equal(batched.grad[idx], sliced.grad)
 
 
 def test_pairwise_scores_and_attend_match_blas():

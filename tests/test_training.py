@@ -1,12 +1,15 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from handsat import numerics as nm
 from handsat import training as tr
-from handsat.corpus import HandoffLabel, SatisfactionLabel, split_corpus
+from handsat.corpus import (Dialogue, HandoffLabel, Role, SatisfactionLabel,
+                            Utterance, build_vocab, split_corpus)
 from handsat.errors import CheckpointError, ConfigError
+from handsat.model import Model
 from handsat.synth import GeneratorSpec, synthesize_corpus
 
 T, N = HandoffLabel.TRANSFERABLE, HandoffLabel.NORMAL
@@ -78,35 +81,40 @@ def test_satisfaction_loss_clamped_no_nan():
     assert loss.item() > 20  # -ln(1e-12)
 
 
-def test_joint_loss_identity():
-    l1 = nm.constant(np.array(1.0))
-    l2 = nm.constant(np.array(2.0))
-    joint = tr.joint_loss(l1, l2, {}, eta=0.5, delta=0.0)
-    assert joint.item() == 2.0
+def test_dialogue_loss_identity():
+    d = Dialogue("d", tuple(Utterance(("w",), Role.CUSTOMER, handoff=h)
+                            for h in (N, T)), SatisfactionLabel.MET)
+    out = SimpleNamespace(handoff_probs=nm.constant(np.full((2, 2), 0.5)),
+                          satisfaction_probs=nm.constant(np.array([0.25, 0.5, 0.25])))
+    assert tr.dialogue_loss(out, d, eta=0.0).item() == pytest.approx(math.log(2.0))
     # bit-exact decomposition against the identically ordered expression
-    l1b = nm.constant(np.array(0.917))
-    l2b = nm.constant(np.array(2.003))
-    jb = tr.joint_loss(l1b, l2b, {}, eta=0.31, delta=0.0)
-    assert jb.item() == l1b.item() + 0.31 * l2b.item()
+    l1 = tr.handoff_loss(out.handoff_probs, [N, T]).item()
+    l2 = tr.satisfaction_loss(out.satisfaction_probs, d.satisfaction).item()
+    assert tr.dialogue_loss(out, d, eta=0.31).item() == l1 + 0.31 * l2
 
 
-def test_joint_loss_delta_scaling():
-    l1 = nm.constant(np.array(0.3))
-    l2 = nm.constant(np.array(0.7))
+def test_regularization_delta_scaling():
     theta = {"w": nm.parameter(np.array([1.0, 2.0]))}
-    base = tr.joint_loss(l1, l2, theta, eta=0.25, delta=0.0).item()
-    d1 = tr.joint_loss(l1, l2, theta, eta=0.25, delta=0.1).item()
-    d2 = tr.joint_loss(l1, l2, theta, eta=0.25, delta=0.2).item()
-    assert d1 - base == pytest.approx(0.1 * 5.0, rel=1e-12)
-    assert d2 - base == pytest.approx(2 * (d1 - base), rel=1e-12)
+    assert tr.regularization(theta, 0.0) is None
+    d1 = tr.regularization(theta, 0.1).item()
+    d2 = tr.regularization(theta, 0.2).item()
+    assert d1 == pytest.approx(0.1 * 5.0, rel=1e-12)
+    assert d2 == pytest.approx(2 * d1, rel=1e-12)
 
 
-def test_joint_loss_zero_params_ignores_delta():
-    l1 = nm.constant(np.array(1.0))
-    l2 = nm.constant(np.array(1.0))
+def test_regularization_zero_params_ignores_delta():
     theta = {"w": nm.parameter(np.zeros(4))}
-    with_reg = tr.joint_loss(l1, l2, theta, eta=0.5, delta=3.0).item()
-    assert with_reg == pytest.approx(1.5, rel=1e-12)
+    assert tr.regularization(theta, 3.0).item() == 0.0
+
+
+def test_objective_adds_regularization(tiny_corpus):
+    train_set = tiny_corpus[0][:3]
+    vocab = build_vocab(train_set)
+    model = Model.build(small_config().model_config(len(vocab)),
+                        np.random.default_rng(4))
+    base = tr.objective(model, vocab, train_set, eta=0.25, delta=0.0).item()
+    with_reg = tr.objective(model, vocab, train_set, eta=0.25, delta=0.1).item()
+    assert with_reg == base + tr.regularization(model.blocks, 0.1).item()
 
 
 # ---------------------------------------------------------------------------
