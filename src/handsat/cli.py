@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
+from .config import read_json
 from .corpus import (Role, corpus_stats, handoff_position_hist, load_corpus,
                      load_embeddings, parse_utterance, save_corpus)
 from .errors import (CheckpointError, ConfigError, ContractError, CorpusError,
@@ -53,15 +54,7 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
-        except UnicodeDecodeError:
-            raise ConfigError("config is not valid UTF-8") from None
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config is not valid JSON: {e.msg}")
+        obj = read_json(path, "config")
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
         unknown = set(obj) - {"train", "paths"}

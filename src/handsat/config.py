@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 from .errors import ConfigError
 
@@ -35,3 +37,20 @@ def decode_config(cls, obj, what: str):
     cfg = cls(**obj)
     cfg.validate()
     return cfg
+
+
+def read_json(path: str | Path, what: str):
+    """Parse the JSON file at `path`. A missing or unreadable file, bytes
+    that are not UTF-8 and malformed JSON raise ConfigError naming `what`."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_bytes().decode("utf-8"))
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}") from None
+    except OSError as e:
+        raise ConfigError(f"{what} file {path} cannot be read: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{what} file {path} is not valid UTF-8") from None
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{what} file {path} is not valid JSON: {e.msg} "
+                          f"(line {e.lineno})") from None

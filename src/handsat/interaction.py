@@ -109,13 +109,14 @@ def positional_weights(length: int, t: int) -> np.ndarray:
     over positions 1..t, zero beyond. Strictly increasing on its support."""
     if not 1 <= t <= length:
         raise ContractError(f"position {t} outside 1..{length}")
-    raw = np.arange(1, length + 1) / length
-    allowed = np.arange(length) < t
-    return nm.masked_softmax(nm.constant(raw), allowed).data
+    return position_matrix(length)[t - 1]
 
 
 def position_matrix(length: int) -> np.ndarray:
-    return np.stack([positional_weights(length, t) for t in range(1, length + 1)])
+    """Every query position's positional_weights row, from one row-wise
+    masked softmax."""
+    raw = np.broadcast_to(np.arange(1, length + 1) / length, (length, length))
+    return nm.masked_softmax(nm.constant(raw), past_inclusive_mask(length)).data
 
 
 def handoff_to_satisfaction(

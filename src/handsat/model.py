@@ -124,29 +124,51 @@ class Model:
         explicit embedding table (e.g. externally loaded vectors) overrides
         the random one; its padding row must be zero."""
         config.validate()
+        shape = (config.vocab_size, config.embed_dim)
+        if embedding is None:
+            table = nm.glorot_uniform(shape, rng)
+            table[0] = 0.0
+        else:
+            table = np.asarray(embedding, dtype=np.float64)
+            if table.shape != shape:
+                raise ConfigError(f"embedding shape {table.shape} != {shape}")
+        return cls._assemble(config, table,
+                             lambda shape: nm.glorot_uniform(shape, rng), np.full)
+
+    @classmethod
+    def skeleton(cls, config: ModelConfig) -> "Model":
+        """The blocks of `build` as read-only zero-stride arrays: every name
+        and shape, with no memory allocated for the values."""
+        config.validate()
+
+        def zeros(shape, value=0.0):
+            return np.broadcast_to(value, shape)
+
+        return cls._assemble(config, zeros((config.vocab_size, config.embed_dim)),
+                             zeros, zeros)
+
+    @classmethod
+    def _assemble(cls, config: ModelConfig, table: np.ndarray, weight,
+                  fill) -> "Model":
+        """The one place block shapes are written down. weight(shape) gives
+        a weight matrix, fill(shape, value) a bias (0) or a gain (1)."""
         n, k, d, z = (config.embed_dim, config.hidden_size, config.dense_size,
                       config.attention_units)
         shared_width = config.max_dialogue_len + 2 * k
         ff = config.ff_mult * k
 
         def w(shape):
-            return nm.parameter(nm.glorot_uniform(shape, rng))
+            return nm.parameter(weight(shape))
 
         def b(size):
-            return nm.parameter(np.zeros(size))
+            return nm.parameter(fill(size, 0.0))
+
+        def gain(size):
+            return nm.parameter(fill(size, 1.0))
 
         def lstm(input_size, hidden):
             return LstmParams(w=w((4 * hidden, input_size)),
                               u=w((4 * hidden, hidden)), b=b(4 * hidden))
-
-        if embedding is None:
-            table = nm.glorot_uniform((config.vocab_size, n), rng)
-            table[0] = 0.0
-        else:
-            table = np.asarray(embedding, dtype=np.float64)
-            if table.shape != (config.vocab_size, n):
-                raise ConfigError(
-                    f"embedding shape {table.shape} != {(config.vocab_size, n)}")
 
         encoder = EncoderParams(embedding=nm.parameter(table),
                                 fwd=lstm(n, k), bwd=lstm(n, k))
@@ -154,7 +176,7 @@ class Model:
             handoff_w=w((d, shared_width)), handoff_b=b(d),
             satisfaction_w=w((d, shared_width)), satisfaction_b=b(d),
             fusion_w=w((d, 2 * d)), fusion_b=b(d),
-            norm_gain=nm.parameter(np.ones(d)), norm_bias=b(d),
+            norm_gain=gain(d), norm_bias=b(d),
         )
         handoff_dec = HandoffDecoderParams(cell=lstm(d, k), out_w=w((2, k)),
                                            out_b=b(2))
@@ -162,8 +184,8 @@ class Model:
             wq=w((k, k)), bq=b(k), wk=w((k, k)),
             wv=w((k, k)), bv=b(k), wo=w((k, k)), bo=b(k),
             ff1_w=w((ff, k)), ff1_b=b(ff), ff2_w=w((k, ff)), ff2_b=b(k),
-            ln1_gain=nm.parameter(np.ones(k)), ln1_bias=b(k),
-            ln2_gain=nm.parameter(np.ones(k)), ln2_bias=b(k),
+            ln1_gain=gain(k), ln1_bias=b(k),
+            ln2_gain=gain(k), ln2_bias=b(k),
         )
         sat_dec = SatisfactionDecoderParams(
             proj_w=w((k, d)), proj_b=b(k), transformer=trans,

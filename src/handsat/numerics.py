@@ -6,11 +6,23 @@ reproducible when a dialogue prefix is re-evaluated on its own:
 
   * reductions along sequence-indexed axes use strictly sequential
     (cumsum-based) summation, so exact trailing zeros are no-ops;
-  * matrix products whose shape would depend on the sequence length are
-    computed as fixed-shape matrix-vector products per row.
+  * matrix products whose row count depends on the dialogue go through
+    rows_matmul, which computes them in zero-padded blocks of ROW_BLOCK
+    rows, so every product BLAS sees has one fixed shape.
 
-BLAS (whose summation order is shape-dependent) is used only in backward
-closures, where speed matters and bitwise reproducibility does not.
+The second rule is batch invariance by fixed shapes (He et al., 2025,
+"Defeating Nondeterminism in LLM Inference"), not avoidance of BLAS.
+Measured with numpy 2.4.6 / OpenBLAS 0.3.31 (Haswell kernels) at 1 and 2
+threads: an unpadded GEMM over the first B of 64 rows gives rows that differ
+in bits from the same rows of the full GEMM for 46 of the 64 values of B in
+a 64 -> 2 product, 37 in a 32 -> 32 one and 9 (every B <= 9) in a 32 -> 128
+one. In padded 64-row blocks a row's bits depend neither on the row count,
+nor on the other rows' contents, nor on its position within the block, and
+one stacked (blocks, 64, in) product matches the per-block GEMMs
+(tests/test_numerics.py checks the first three on the machine it runs on).
+
+Backward closures use plain BLAS products, where speed matters and bitwise
+prefix reproducibility does not.
 
 pairwise_scores and attend treat leading axes as batch axes. Multi-head
 attention uses that: split_heads turns (L, heads * h) into (heads, L, h),
@@ -23,13 +35,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ContractError
 
 Array = np.ndarray
+
+
+ROW_BLOCK = 64
+
+
+def rows_matmul(x: Array, w: Array) -> Array:
+    """x @ w.T for x of shape (rows, in), computed in zero-padded blocks of
+    ROW_BLOCK rows so a row's bits do not depend on how many rows there are
+    (see the module docstring)."""
+    rows, width = x.shape
+    padded = np.zeros((-(-rows // ROW_BLOCK), ROW_BLOCK, width))
+    padded.reshape(-1, width)[:rows] = x
+    return (padded @ w.T).reshape(-1, w.shape[0])[:rows]
 
 
 def _seqsum(x: Array, axis: int) -> Array:
@@ -187,13 +212,9 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def _sigmoid(x: Array) -> Array:
-    # branch on sign for overflow safety
-    pos = x >= 0
-    z = np.empty_like(x)
-    z[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    z[~pos] = ex / (1.0 + ex)
-    return z
+    # exp(-|x|) never overflows; the sign picks the numerator
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -267,18 +288,6 @@ def transpose(a: Tensor) -> Tensor:
     return _make(out, (a,), back)
 
 
-def concat1d(parts: Sequence[Tensor]) -> Tensor:
-    parts = list(parts)
-    out = np.concatenate([p.data for p in parts])
-    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
-
-    def back(g: Array) -> None:
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[lo:hi])
-
-    return _make(out, tuple(parts), back)
-
-
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[0] != b.data.shape[0]:
         raise ContractError("concat_cols row mismatch")
@@ -290,17 +299,6 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, g[:, na:])
 
     return _make(out, (a, b), back)
-
-
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    rows = list(rows)
-    out = np.stack([r.data for r in rows])
-
-    def back(g: Array) -> None:
-        for i, r in enumerate(rows):
-            _accum(r, g[i])
-
-    return _make(out, tuple(rows), back)
 
 
 def row(a: Tensor, i: int) -> Tensor:
@@ -355,15 +353,6 @@ def merge_heads(a: Tensor) -> Tensor:
     return _make(out, (a,), back)
 
 
-def flip_rows(a: Tensor) -> Tensor:
-    out = a.data[::-1].copy()
-
-    def back(g: Array) -> None:
-        _accum(a, g[::-1])
-
-    return _make(out, (a,), back)
-
-
 def pad_cols(a: Tensor, width: int) -> Tensor:
     rows, cols = a.data.shape
     if width < cols:
@@ -377,7 +366,9 @@ def pad_cols(a: Tensor, width: int) -> Tensor:
     return _make(out, (a,), back)
 
 
-def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
+def gather_rows(table: Tensor, ids: Sequence[int] | Array) -> Tensor:
+    """table[ids] for an id array of any shape; the result has the id
+    array's shape plus the table's trailing axes."""
     idx = np.asarray(ids, dtype=np.intp)
     if idx.size == 0:
         raise ContractError("gather_rows requires at least one index")
@@ -412,17 +403,15 @@ def linear_rows(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     (e.g. attention key projections, where a key bias would shift every
     score in a row equally and cancel under softmax).
 
-    Forward runs one fixed-shape matvec per row so row t's bits do not
-    depend on how many rows follow it.
+    Forward goes through rows_matmul, so row t's bits do not depend on how
+    many rows follow it.
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
         raise ContractError(f"linear_rows shapes x{x.data.shape} w{w.data.shape}")
     if b is not None and b.data.shape != (w.data.shape[0],):
         raise ContractError(f"linear_rows bias shape {b.data.shape}")
     wd = w.data
-    out = np.empty((x.data.shape[0], wd.shape[0]))
-    for t in range(x.data.shape[0]):
-        out[t] = wd @ x.data[t]
+    out = rows_matmul(x.data, wd)
     if b is not None:
         out += b.data
 
@@ -578,67 +567,91 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor,
     return h, c
 
 
-def lstm_sequence(x: Tensor, params: LstmParams) -> Tensor:
-    """Run the cell over the rows of x from a zero initial state and return
-    every hidden state (T, k). Forward recurrence uses fixed-shape matvecs;
-    backward is hand-written truncated backprop through time.
-    """
-    if x.data.ndim != 2:
-        raise ContractError("lstm_sequence expects a (T, in) matrix")
-    params.check(x.data.shape[1])
-    k = params.hidden_size
-    T = x.data.shape[0]
-    wd, ud, bd = params.w.data, params.u.data, params.b.data
+def lstm_sequence(x: Tensor, params: LstmParams,
+                  lengths: Sequence[int] | None = None) -> Tensor:
+    """Run the cell from a zero initial state and return every hidden state.
 
-    hs = np.zeros((T, k))
-    cs = np.zeros((T, k))
-    gi = np.empty((T, k)); gf = np.empty((T, k))
-    gg = np.empty((T, k)); go = np.empty((T, k))
-    tc = np.empty((T, k))
-    h = np.zeros(k)
-    c = np.zeros(k)
+    x is (T, in) for one sequence, giving (T, k); or (T, B, in) for B
+    sequences with their lengths, giving (T, B, k). Sequence b's state
+    freezes after its lengths[b]-th step, so row T - 1 holds every
+    sequence's last state and inputs past a sequence's end are ignored.
+
+    The input projection of all steps is one rows_matmul. The B-sequence
+    recurrence also goes through rows_matmul, so a sequence's bits do not
+    depend on how many sequences run beside it; the one-sequence recurrence
+    is a fixed-shape matvec. Backward is hand-written backprop through time
+    that ends in one GEMM each for dW, dU and dx.
+    """
+    batched = x.data.ndim == 3 and lengths is not None
+    if batched:
+        T, B, n = x.data.shape
+        lengths = np.asarray(lengths, dtype=np.intp)
+        if lengths.shape != (B,) or np.any(lengths < 1) or np.any(lengths > T):
+            raise ContractError(f"lstm_sequence lengths must be {B} values in [1, {T}]")
+        recur = rows_matmul
+    elif x.data.ndim == 2 and lengths is None:
+        (T, n), B = x.data.shape, 1
+        lengths = np.array([T])
+
+        def recur(h: Array, u: Array) -> Array:
+            return (u @ h[0])[None]
+    else:
+        raise ContractError("lstm_sequence expects (T, in), or (T, B, in) with lengths")
+    params.check(n)
+    k = params.hidden_size
+    wd, ud, bd = params.w.data, params.u.data, params.b.data
+    xs = x.data.reshape(T * B, n)
+    pre_x = (rows_matmul(xs, wd) + bd).reshape(T, B, 4 * k)
+    live = (np.arange(T)[:, None] < lengths)[:, :, None]     # (T, B, 1)
+
+    gates = np.empty((T, B, 4 * k))   # i, f, g, o after their nonlinearity
+    tcs = np.empty((T, B, k))         # tanh of the new cell state
+    hs = np.empty((T, B, k))
+    cs = np.empty((T, B, k))
+    h = np.zeros((B, k))
+    c = np.zeros((B, k))
     for t in range(T):
-        pre = wd @ x.data[t] + ud @ h + bd
-        i = _sigmoid(pre[:k]); f = _sigmoid(pre[k:2 * k])
-        g = np.tanh(pre[2 * k:3 * k]); o = _sigmoid(pre[3 * k:])
-        c = f * c + i * g
-        th = np.tanh(c)
-        h = o * th
-        gi[t], gf[t], gg[t], go[t], tc[t] = i, f, g, o, th
-        hs[t], cs[t] = h, c
+        pre = pre_x[t] + recur(h, ud)
+        act = gates[t]
+        act[:] = _sigmoid(pre)
+        act[:, 2 * k:3 * k] = np.tanh(pre[:, 2 * k:3 * k])
+        i, f, g, o = act[:, :k], act[:, k:2 * k], act[:, 2 * k:3 * k], act[:, 3 * k:]
+        c_new = f * c + i * g
+        tcs[t] = np.tanh(c_new)
+        c = cs[t] = np.where(live[t], c_new, c)
+        h = hs[t] = np.where(live[t], o * tcs[t], h)
 
     def back(grad_h: Array) -> None:
-        dx = np.zeros_like(x.data)
-        dw = np.zeros_like(wd); du = np.zeros_like(ud); db = np.zeros_like(bd)
-        dh_next = np.zeros(k)
-        dc_next = np.zeros(k)
+        # step-local derivatives for all steps at once: d pre / d c per gate
+        # (output gate: d pre / d h), zero past each sequence's end, where
+        # the state passes through unchanged (forget factor 1)
+        i, f, g, o = (gates[..., j * k:(j + 1) * k] for j in range(4))
+        c_prev = np.concatenate([np.zeros((1, B, k)), cs[:-1]])
+        dgate = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f),
+                          i * (1.0 - g * g), tcs * o * (1.0 - o)], axis=2)
+        dgate *= live[..., None]
+        dc_dh = o * (1.0 - tcs * tcs) * live
+        carry = np.where(live, f, 1.0)
+        grad_h = grad_h.reshape(T, B, k)
+        dpre = np.empty((T, B, 4, k))
+        dh = np.zeros((B, k))
+        dc = np.zeros((B, k))
         for t in range(T - 1, -1, -1):
-            dh = grad_h[t] + dh_next
-            do = dh * tc[t]
-            dc = dc_next + dh * go[t] * (1.0 - tc[t] * tc[t])
-            c_prev = cs[t - 1] if t > 0 else np.zeros(k)
-            h_prev = hs[t - 1] if t > 0 else np.zeros(k)
-            di = dc * gg[t]
-            dg = dc * gi[t]
-            df = dc * c_prev
-            dc_next = dc * gf[t]
-            dpre = np.concatenate([
-                di * gi[t] * (1.0 - gi[t]),
-                df * gf[t] * (1.0 - gf[t]),
-                dg * (1.0 - gg[t] * gg[t]),
-                do * go[t] * (1.0 - go[t]),
-            ])
-            db += dpre
-            dw += np.outer(dpre, x.data[t])
-            du += np.outer(dpre, h_prev)
-            dx[t] = wd.T @ dpre
-            dh_next = ud.T @ dpre
-        _accum(x, dx)
-        _accum(params.w, dw)
-        _accum(params.u, du)
-        _accum(params.b, db)
+            dh = dh + grad_h[t]
+            dc = dc + dh * dc_dh[t]
+            np.multiply(dgate[t, :, :3], dc[:, None], out=dpre[t, :, :3])
+            np.multiply(dgate[t, :, 3], dh, out=dpre[t, :, 3])
+            dh = np.where(live[t], dpre[t].reshape(B, 4 * k) @ ud, dh)
+            dc *= carry[t]
+        flat = dpre.reshape(T * B, 4 * k)
+        h_prev = np.concatenate([np.zeros((1, B, k)), hs[:-1]]).reshape(T * B, k)
+        _accum(x, (flat @ wd).reshape(x.data.shape))
+        _accum(params.w, flat.T @ xs)
+        _accum(params.u, flat.T @ h_prev)
+        _accum(params.b, flat.sum(axis=0))
 
-    return _make(hs, (x, params.w, params.u, params.b), back)
+    out = hs if batched else hs[:, 0]
+    return _make(out, (x, params.w, params.u, params.b), back)
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,12 @@ is built to exploit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .config import decode_config
+from .config import decode_config, read_json
 from .corpus import (Dialogue, HandoffLabel, Role, SatisfactionLabel,
                      SentimentLabel, Utterance)
 from .errors import ConfigError
@@ -193,5 +192,4 @@ def verify_planted_rules(corpus: list[Dialogue]) -> list[str]:
 
 
 def load_generator_spec(path: str | Path) -> GeneratorSpec:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        return GeneratorSpec.from_json(json.load(fh))
+    return GeneratorSpec.from_json(read_json(path, "generator spec"))

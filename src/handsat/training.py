@@ -395,9 +395,11 @@ class _Reader:
 def load_checkpoint(path: str | Path,
                     expected: ModelConfig | None = None
                     ) -> tuple[Model, Vocabulary, dict]:
-    """Rebuild the model from a container; shapes are validated block by
-    block. A caller-supplied expected config must match the stored one's
-    shapes exactly (the first offending block is named)."""
+    """Rebuild the model from a container. The stored block names and
+    shapes are checked against those the stored config implies before the
+    model takes the stored arrays, so no config can make loading allocate
+    more than the file holds. A caller-supplied expected config must match
+    the stored one's shapes exactly (the first offending block is named)."""
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
@@ -416,6 +418,7 @@ def load_checkpoint(path: str | Path,
         config = ModelConfig.from_json(meta["model_config"])
         vocab = Vocabulary.from_json(meta["vocab"])
         extra = meta.get("extra", {})
+        model = Model.skeleton(config)
     except (KeyError, ValueError, ConfigError) as e:
         raise CheckpointError(f"invalid checkpoint metadata: {e}") from None
     stored: dict[str, np.ndarray] = {}
@@ -428,7 +431,6 @@ def load_checkpoint(path: str | Path,
         data = reader.take(math.prod(shape) * 8)
         stored[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
 
-    model = Model.build(config, np.random.default_rng(0))
     missing = set(model.blocks) - set(stored)
     surplus = set(stored) - set(model.blocks)
     if missing or surplus:
@@ -441,7 +443,7 @@ def load_checkpoint(path: str | Path,
                 f"configured {tensor.data.shape}")
         tensor.data = stored[name]
     if expected is not None:
-        reference = Model.build(expected, np.random.default_rng(0))
+        reference = Model.skeleton(expected)
         for name, tensor in reference.blocks.items():
             if name not in model.blocks or \
                     model.blocks[name].data.shape != tensor.data.shape:

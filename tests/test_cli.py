@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +41,21 @@ def workspace(tmp_path_factory):
     return root, config_path, train_path, dev_path
 
 
+@pytest.fixture(scope="module")
+def trained_run(workspace):
+    """A run trained once per module from the workspace config, in a
+    directory of its own, so each test that reads it can also run alone."""
+    root, config_path, _, _ = workspace
+    cfg = json.loads(config_path.read_text())
+    cfg["paths"]["checkpoint_dir"] = str(root / "fixture_run")
+    fixture_config = root / "fixture_config.json"
+    fixture_config.write_text(json.dumps(cfg))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["train", str(fixture_config)]) == 0
+    return root / "fixture_run"
+
+
 def test_synth_deterministic(tmp_path, capsys):
     out1 = tmp_path / "a.jsonl"
     out2 = tmp_path / "b.jsonl"
@@ -56,6 +74,26 @@ def test_synth_with_spec_file(tmp_path, capsys):
     assert code == 0
     assert json.loads(report)["num_dialogues"] == 7
     assert len(out.read_text().splitlines()) == 7
+
+
+@pytest.mark.parametrize("content, named", [
+    (None, "not found"),
+    ("directory", "cannot be read"),
+    (b'{"num_dialogues": 7, "note": "caf\xe9"}', "not valid UTF-8"),
+    (b'{"num_dialogues": 7,', "not valid JSON"),
+], ids=["missing", "directory", "non_utf8", "malformed"])
+def test_synth_bad_spec_file_is_config_error(tmp_path, capsys, content, named):
+    spec_path = tmp_path / "spec.json"
+    if content == "directory":
+        spec_path.mkdir()
+    elif content is not None:
+        spec_path.write_bytes(content)
+    out = tmp_path / "c.jsonl"
+    code, _, err = run_cli(capsys, "synth", str(out), "--spec", str(spec_path))
+    assert code == 2
+    assert err.startswith("config error: generator spec") and err.count("\n") == 1
+    assert named in err
+    assert not out.exists()
 
 
 def test_stats_reports_counts(workspace, capsys):
@@ -88,15 +126,15 @@ def test_train_writes_checkpoint_and_history(workspace, capsys):
     assert "resolved config" in err
 
 
-def test_train_same_seed_identical_history(workspace, tmp_path, capsys):
-    root, config_path, train_path, dev_path = workspace
+def test_train_same_seed_identical_history(workspace, trained_run, tmp_path, capsys):
+    _, config_path, _, _ = workspace
     cfg = json.loads(config_path.read_text())
     cfg["paths"]["checkpoint_dir"] = str(tmp_path / "run2")
     second = tmp_path / "config2.json"
     second.write_text(json.dumps(cfg))
     code, _, _ = run_cli(capsys, "train", str(second))
     assert code == 0
-    assert ((root / "run" / "history.jsonl").read_text()
+    assert ((trained_run / "history.jsonl").read_text()
             == (tmp_path / "run2" / "history.jsonl").read_text())
 
 
@@ -142,9 +180,9 @@ def test_train_rejects_malformed_config(tmp_path, capsys, train, named):
     assert named in err
 
 
-def test_eval_sections_and_aggregate(workspace, capsys):
-    root, _, train_path, dev_path = workspace
-    ckpt = root / "run" / "model.ckpt"
+def test_eval_sections_and_aggregate(workspace, trained_run, capsys):
+    _, _, _, dev_path = workspace
+    ckpt = trained_run / "model.ckpt"
 
     code, out, _ = run_cli(capsys, "eval", str(ckpt), str(dev_path),
                            "--sections", "mhch")
@@ -160,9 +198,9 @@ def test_eval_sections_and_aggregate(workspace, capsys):
     assert att["mhch"] == last["mhch"]  # aggregation touches only ssa
 
 
-def test_eval_sentiment_without_labels_errors(workspace, tmp_path, capsys):
-    root, _, _, dev_path = workspace
-    ckpt = root / "run" / "model.ckpt"
+def test_eval_sentiment_without_labels_errors(workspace, trained_run, tmp_path, capsys):
+    _, _, _, dev_path = workspace
+    ckpt = trained_run / "model.ckpt"
     from handsat.corpus import load_corpus
     stripped = [d.strip_sentiment() for d in load_corpus(dev_path, 64)]
     bare = tmp_path / "bare.jsonl"
@@ -173,9 +211,9 @@ def test_eval_sentiment_without_labels_errors(workspace, tmp_path, capsys):
     assert "sentiment" in err
 
 
-def test_predict_streaming_matches_prefixes(workspace, tmp_path, capsys):
-    root, _, train_path, _ = workspace
-    ckpt = root / "run" / "model.ckpt"
+def test_predict_streaming_matches_prefixes(workspace, trained_run, tmp_path, capsys):
+    _, _, train_path, _ = workspace
+    ckpt = trained_run / "model.ckpt"
     from handsat.corpus import load_corpus
     dialogue = load_corpus(train_path, 64)[0]
     lines = [json.dumps(u) for u in dialogue_to_json(dialogue)["utterances"]]
@@ -206,9 +244,8 @@ def test_predict_streaming_matches_prefixes(workspace, tmp_path, capsys):
         assert row["handoff_probs"] == batch.handoff_probs.data[t].tolist()
 
 
-def test_predict_empty_stream(workspace, tmp_path, capsys):
-    root, _, _, _ = workspace
-    ckpt = root / "run" / "model.ckpt"
+def test_predict_empty_stream(trained_run, tmp_path, capsys):
+    ckpt = trained_run / "model.ckpt"
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     code, out, _ = run_cli(capsys, "predict", str(ckpt), "--input", str(empty))
@@ -216,9 +253,8 @@ def test_predict_empty_stream(workspace, tmp_path, capsys):
     assert out == ""
 
 
-def test_predict_agent_only_errors(workspace, tmp_path, capsys):
-    root, _, _, _ = workspace
-    ckpt = root / "run" / "model.ckpt"
+def test_predict_agent_only_errors(trained_run, tmp_path, capsys):
+    ckpt = trained_run / "model.ckpt"
     stream = tmp_path / "agents.jsonl"
     stream.write_text(json.dumps({"role": "agent", "tokens": ["hello"]}) + "\n")
     code, out, err = run_cli(capsys, "predict", str(ckpt), "--input", str(stream))
@@ -228,9 +264,8 @@ def test_predict_agent_only_errors(workspace, tmp_path, capsys):
     assert rows[0]["satisfaction_estimate"] is None
 
 
-def test_predict_malformed_line(workspace, tmp_path, capsys):
-    root, _, _, _ = workspace
-    ckpt = root / "run" / "model.ckpt"
+def test_predict_malformed_line(trained_run, tmp_path, capsys):
+    ckpt = trained_run / "model.ckpt"
     stream = tmp_path / "badline.jsonl"
     stream.write_text("{broken\n")
     code, _, err = run_cli(capsys, "predict", str(ckpt), "--input", str(stream))
@@ -291,3 +326,23 @@ def test_corrupt_checkpoint_is_data_error(tmp_path, capsys, data):
     code, _, err = run_cli(capsys, "predict", str(ckpt), "--input", str(empty))
     assert code == 3
     assert err.startswith("data error:") and err.count("\n") == 1
+
+
+def test_huge_checkpoint_config_is_rejected_before_allocation(tmp_path, capsys):
+    """A valid but huge model_config (about 7 GB of parameters) is compared
+    with the stored blocks before anything of that size is allocated."""
+    ckpt = tmp_path / "huge.ckpt"
+    ckpt.write_bytes(checkpoint_bytes(meta={
+        "model_config": {"vocab_size": 2, "hidden_size": 10 ** 6},
+        "vocab": {"tokens": ["<pad>", "<unk>"]}}))
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, "predict", str(ckpt), "--input", str(empty))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert err.startswith("data error: block mismatch") and err.count("\n") == 1
+    assert peak < 16 * 2 ** 20

@@ -24,44 +24,45 @@ def make_params(vocab, n, k, rng=None, zero=False):
 
 def test_zero_params_zero_vector():
     p = make_params(5, 3, k=2, zero=True)
-    v = enc.encode_utterance([2, 3, 4], p)
-    np.testing.assert_array_equal(v.data, np.zeros(4))
+    rep = enc.shared_encode([[2, 3, 4], [1]], p, max_len=2)
+    np.testing.assert_array_equal(rep.data[:, 2:], np.zeros((2, 4)))
 
 
 def test_utterance_vector_length_2k():
     rng = np.random.default_rng(0)
     p = make_params(6, 3, k=2, rng=rng)
-    v = enc.encode_utterance([1], p)
-    assert v.shape == (4,)
+    rep = enc.shared_encode([[1], [2, 3]], p, max_len=3)
+    assert rep.shape == (2, 3 + 4)
 
 
 def test_empty_utterance_rejected():
     p = make_params(5, 3, k=2, zero=True)
     with pytest.raises(ContractError):
-        enc.encode_utterance([], p)
+        enc.shared_encode([[2], []], p, max_len=4)
 
 
 def test_encode_matches_unrolled_cells():
-    # oracle: step the cells by hand over two tokens, both directions
+    # oracle: step the cells by hand over each utterance, both directions;
+    # the utterances have different lengths, so the batch is ragged
     rng = np.random.default_rng(42)
-    n, k = 3, 2
+    n, k, max_len = 3, 2, 4
     p = make_params(7, n, k, rng=rng)
-    ids = [2, 5]
-    got = enc.encode_utterance(ids, p)
+    dialogue = [[2, 5], [3], [6, 1, 4]]
+    got = enc.shared_encode(dialogue, p, max_len=max_len).data[:, max_len:]
 
     emb = p.embedding.data
     zero = nm.constant(np.zeros(k))
-    h = c = zero
-    for i in ids:
-        h, c = nm.lstm_step(nm.constant(emb[i]), h, c, p.fwd)
-    fwd_last = h.data
-    h = c = zero
-    for i in reversed(ids):
-        h, c = nm.lstm_step(nm.constant(emb[i]), h, c, p.bwd)
-    bwd_last = h.data
-
-    np.testing.assert_allclose(got.data, np.concatenate([fwd_last, bwd_last]),
-                               atol=1e-12)
+    for row, ids in zip(got, dialogue):
+        h = c = zero
+        for i in ids:
+            h, c = nm.lstm_step(nm.constant(emb[i]), h, c, p.fwd)
+        fwd_last = h.data
+        h = c = zero
+        for i in reversed(ids):
+            h, c = nm.lstm_step(nm.constant(emb[i]), h, c, p.bwd)
+        bwd_last = h.data
+        np.testing.assert_allclose(row, np.concatenate([fwd_last, bwd_last]),
+                                   atol=1e-12)
 
 
 def test_matching_features_hand_case():
@@ -127,3 +128,18 @@ def test_encoder_grad_check():
               "bw": p.bwd.w, "bu": p.bwd.u, "bb": p.bwd.b}
     report = nm.grad_check(loss, blocks, samples_per_block=8)
     assert report.passed, report.to_json()
+
+
+def test_shared_encode_prefixes_are_bit_identical():
+    # every prefix re-encoded on its own gives the first rows of the full
+    # dialogue; the last utterance is the longest, so prefixes run fewer steps
+    rng = np.random.default_rng(5)
+    p = make_params(30, 8, k=6, rng=rng)
+    lengths = list(rng.integers(1, 9, size=23)) + [12]
+    dialogue = [list(rng.integers(1, 30, size=n)) for n in lengths]
+    max_len = 64
+    full = enc.shared_encode(dialogue, p, max_len=max_len).data
+    for cut in range(1, len(dialogue) + 1):
+        prefix = enc.shared_encode(dialogue[:cut], p, max_len=max_len).data
+        assert prefix[:, max_len:].tobytes() == full[:cut, max_len:].tobytes(), cut
+        np.testing.assert_array_equal(prefix, full[:cut])

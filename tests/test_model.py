@@ -47,6 +47,15 @@ def test_every_block_registered_once(setup):
     assert np.all(model.blocks["embedding"].data[0] == 0.0)  # padding row
 
 
+def test_skeleton_has_the_built_blocks_without_their_memory():
+    config = tiny_config(11)
+    built = Model.build(config, np.random.default_rng(0))
+    skeleton = Model.skeleton(config)
+    assert ({n: t.shape for n, t in skeleton.blocks.items()}
+            == {n: t.shape for n, t in built.blocks.items()})
+    assert all(t.data.strides == (0,) * t.data.ndim for t in skeleton.blocks.values())
+
+
 def test_forward_distributions(setup):
     model, vocab, dialogues = setup
     for d in dialogues[:6]:

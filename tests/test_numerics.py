@@ -202,11 +202,10 @@ def test_lstm_sequence_backward_matches_composed_steps():
 
     h = nm.constant(np.zeros(k))
     c = nm.constant(np.zeros(k))
-    rows = []
+    loss2 = nm.constant(0.0)
     for t in range(T):
         h, c = nm.lstm_step(nm.constant(x[t]), h, c, p2)
-        rows.append(h)
-    loss2 = nm.sum_all(nm.square(nm.stack_rows(rows)))
+        loss2 = nm.add(loss2, nm.sum_all(nm.square(h)))
     loss2.backward()
 
     assert loss1.item() == pytest.approx(loss2.item(), rel=1e-12)
@@ -226,6 +225,64 @@ def test_lstm_sequence_grad_check():
     report = nm.grad_check(loss, {"x": x, "w": p.w, "u": p.u, "b": p.b},
                            samples_per_block=10)
     assert report.passed, report.to_json()
+
+
+def test_batched_lstm_sequence_matches_per_sequence_steps():
+    """Ragged lengths: each column follows lstm_step up to its length, then
+    holds its last state; inputs past a column's end get zero gradient."""
+    rng = np.random.default_rng(23)
+    lengths = [3, 1, 5, 2, 5]
+    T, B, input_size, k = 5, len(lengths), 3, 4
+    weights = rng.standard_normal((T, B, k))
+    p1 = rand_lstm(input_size, k, rng)
+    x1 = rand_param((T, B, input_size), rng)
+    hs = nm.lstm_sequence(x1, p1, lengths)
+    loss1 = nm.sum_all(nm.mul(hs, nm.constant(weights)))
+    loss1.backward()
+
+    p2 = nm.LstmParams(*(nm.parameter(t.data.copy()) for t in (p1.w, p1.u, p1.b)))
+    x2 = nm.parameter(x1.data.copy())
+    loss2 = nm.constant(0.0)
+    for b, length in enumerate(lengths):
+        h = c = nm.constant(np.zeros(k))
+        for t in range(length):
+            h, c = nm.lstm_step(nm.row(nm.row(x2, t), b), h, c, p2)
+            np.testing.assert_allclose(hs.data[t, b], h.data, atol=1e-10)
+            # the last state is also read at every step after the column's end
+            w_t = weights[t:, b].sum(axis=0) if t == length - 1 else weights[t, b]
+            loss2 = nm.add(loss2, nm.sum_all(nm.mul(h, nm.constant(w_t))))
+        np.testing.assert_array_equal(hs.data[length:, b],
+                                      np.broadcast_to(hs.data[length - 1, b],
+                                                      (T - length, k)))
+    loss2.backward()
+
+    assert loss1.item() == pytest.approx(loss2.item(), rel=1e-12)
+    for batched, stepped in ((x1, x2), (p1.w, p2.w), (p1.u, p2.u), (p1.b, p2.b)):
+        np.testing.assert_allclose(batched.grad, stepped.grad, atol=1e-10)
+    for b, length in enumerate(lengths):
+        assert not x1.grad[length:, b].any()
+
+
+def test_batched_lstm_sequence_grad_check():
+    rng = np.random.default_rng(31)
+    p = rand_lstm(3, 4, rng)
+    x = rand_param((4, 3, 3), rng)
+
+    def loss():
+        return nm.sum_all(nm.square(nm.lstm_sequence(x, p, [4, 2, 1])))
+
+    report = nm.grad_check(loss, {"x": x, "w": p.w, "u": p.u, "b": p.b},
+                           samples_per_block=12)
+    assert report.passed, report.to_json()
+
+
+@pytest.mark.parametrize("x_shape, lengths", [
+    ((4, 3), [4]), ((4, 2, 3), None), ((4, 2, 3), [4]), ((4, 2, 3), [5, 1]),
+    ((4, 2, 3), [0, 4]),
+])
+def test_lstm_sequence_rejects_bad_lengths(x_shape, lengths):
+    with pytest.raises(ContractError):
+        nm.lstm_sequence(nm.constant(np.zeros(x_shape)), zero_lstm(3, 2), lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +321,23 @@ def test_linear_rows_matches_matmul(bias):
     out = nm.linear_rows(nm.constant(x), nm.constant(w),
                          nm.constant(b) if bias else None)
     np.testing.assert_allclose(out.data, x @ w.T + b, atol=1e-12)
+
+
+@pytest.mark.parametrize("width, out", [(32, 128), (96, 32), (32, 2), (5, 3)])
+def test_rows_matmul_row_bits_are_fixed(width, out):
+    """A row's bits depend neither on the row count, nor on the other rows'
+    contents, nor on where the row sits in its block."""
+    rng = np.random.default_rng(37)
+    w = rng.standard_normal((out, width))
+    x = rng.standard_normal((130, width))
+    full = nm.rows_matmul(x, w)
+    np.testing.assert_allclose(full, x @ w.T, rtol=1e-12, atol=1e-12)
+    for rows in range(1, 131):
+        assert nm.rows_matmul(x[:rows], w).tobytes() == full[:rows].tobytes(), rows
+    for position in range(nm.ROW_BLOCK + 3):
+        other = rng.standard_normal((position + 1 + int(rng.integers(0, 70)), width))
+        other[position] = x[0]
+        assert nm.rows_matmul(other, w)[position].tobytes() == full[0].tobytes()
 
 
 def test_batched_pairwise_scores_and_attend_match_2d_slices():
