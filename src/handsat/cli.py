@@ -43,6 +43,15 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj), flush=True)
 
 
+def _open(path: str | Path, mode: str, error: type[HandsatError]):
+    """open() a file named on the command line; a path that cannot be
+    opened raises `error` with one line."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as e:
+        raise error(f"cannot open {path}: {e.strerror}") from None
+
+
 @dataclass
 class RunConfig:
     train: TrainConfig
@@ -107,12 +116,17 @@ def cmd_train(args) -> int:
         embedding = loaded.table
         _log(f"embedding coverage: {loaded.coverage:.3f}")
 
+    ckpt_dir = Path(run.checkpoint_dir)
+    try:
+        ckpt_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create checkpoint_dir {ckpt_dir}: "
+                          f"{e.strerror}") from None
+
     result = train(train_set, dev_set, cfg, vocab=vocab, embedding=embedding)
     for line in result.history:
         _emit(line)
 
-    ckpt_dir = Path(run.checkpoint_dir)
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = ckpt_dir / "model.ckpt"
     save_checkpoint(result.model, result.vocab, ckpt_path,
                     extra={"train_config": cfg.to_json(),
@@ -132,6 +146,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     sections = tuple(s.strip() for s in args.sections.split(",") if s.strip())
+    if not sections:
+        raise ConfigError(f"--sections names no section; choose from {SECTIONS}")
     for s in sections:
         if s not in SECTIONS:
             raise ConfigError(f"unknown section {s!r}; choose from {SECTIONS}")
@@ -140,18 +156,18 @@ def cmd_eval(args) -> int:
     report, per_dialogue = evaluate_model(model, vocab, corpus,
                                           sections=sections,
                                           aggregate=args.aggregate)
-    _emit(report.to_json())
     if args.per_dialogue:
-        with open(args.per_dialogue, "w", encoding="utf-8") as fh:
+        with _open(args.per_dialogue, "w", ConfigError) as fh:
             for row in per_dialogue:
                 fh.write(json.dumps(row) + "\n")
         _log(f"per-dialogue breakdown written to {args.per_dialogue}")
+    _emit(report.to_json())
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
     model, vocab, _ = load_checkpoint(args.checkpoint)
-    stream = open(args.input, "r", encoding="utf-8") if args.input else sys.stdin
+    stream = _open(args.input, "r", CorpusError) if args.input else sys.stdin
     ids: list[list[int]] = []
     roles: list[Role] = []
     try:
@@ -198,7 +214,10 @@ def cmd_predict(args) -> int:
 def cmd_synth(args) -> int:
     spec = load_generator_spec(args.spec) if args.spec else GeneratorSpec()
     dialogues, report = synthesize_corpus(spec, seed=args.seed)
-    save_corpus(dialogues, args.out)
+    try:
+        save_corpus(dialogues, args.out)
+    except OSError as e:
+        raise ConfigError(f"cannot write {args.out}: {e.strerror}") from None
     _log(f"wrote {len(dialogues)} dialogues to {args.out}")
     _emit(report.to_json())
     return EXIT_OK
@@ -215,6 +234,10 @@ def cmd_stats(args) -> int:
 def cmd_gradcheck(args) -> int:
     """Full-model gradient fidelity check on a tiny synthetic batch
     (double precision, dropout off)."""
+    if args.samples < 1:
+        raise ConfigError("--samples must be >= 1")
+    if not (np.isfinite(args.tol) and args.tol > 0.0):
+        raise ConfigError("--tol must be a positive finite number")
     spec = GeneratorSpec(num_dialogues=args.dialogues, min_len=3,
                          max_len=args.max_len, complaint_rate=0.4)
     dialogues, _ = synthesize_corpus(spec, seed=args.seed)

@@ -1,25 +1,24 @@
 """Differentiable numeric core: a small reverse-mode tape over numpy arrays.
 
-Only the operations the dialogue model actually needs are provided. Values
-are float64 throughout. Two engineering rules keep the forward pass exactly
-reproducible when a dialogue prefix is re-evaluated on its own:
+Only the operations the dialogue model needs are provided. Values are float64
+throughout. One rule keeps the forward pass exactly reproducible when a
+dialogue prefix is re-evaluated on its own: every product or reduction over
+an axis whose length depends on the dialogue goes through fixed_matmul. It
+zero-pads each such axis to a multiple of ROW_BLOCK and computes rows in
+blocks of ROW_BLOCK, so BLAS sees shapes fixed by the block count and a
+causal row's exact-zero tail meets the same zeros wherever the dialogue ends.
+Model-width axes stay unpadded, except a softmax denominator's summed axis.
 
-  * reductions along sequence-indexed axes use strictly sequential
-    (cumsum-based) summation, so exact trailing zeros are no-ops;
-  * matrix products whose row count depends on the dialogue go through
-    rows_matmul, which computes them in zero-padded blocks of ROW_BLOCK
-    rows, so every product BLAS sees has one fixed shape.
-
-The second rule is batch invariance by fixed shapes (He et al., 2025,
-"Defeating Nondeterminism in LLM Inference"), not avoidance of BLAS.
-Measured with numpy 2.4.6 / OpenBLAS 0.3.31 (Haswell kernels) at 1 and 2
-threads: an unpadded GEMM over the first B of 64 rows gives rows that differ
-in bits from the same rows of the full GEMM for 46 of the 64 values of B in
-a 64 -> 2 product, 37 in a 32 -> 32 one and 9 (every B <= 9) in a 32 -> 128
+This is batch invariance by fixed shapes (He et al., 2025, "Defeating
+Nondeterminism in LLM Inference"), not avoidance of BLAS. Measured with
+numpy 2.4.6 / OpenBLAS 0.3.31 (Haswell kernels) at 1 and 2 threads: an
+unpadded GEMM over the first B of 64 rows gives rows that differ in bits
+from the same rows of the full GEMM for 46 of the 64 values of B in a
+64 -> 2 product, 37 in a 32 -> 32 one and 9 (every B <= 9) in a 32 -> 128
 one. In padded 64-row blocks a row's bits depend neither on the row count,
 nor on the other rows' contents, nor on its position within the block, and
 one stacked (blocks, 64, in) product matches the per-block GEMMs
-(tests/test_numerics.py checks the first three on the machine it runs on).
+(tests/test_numerics.py checks these and causal sums where it runs).
 
 Backward closures use plain BLAS products, where speed matters and bitwise
 prefix reproducibility does not.
@@ -27,8 +26,8 @@ prefix reproducibility does not.
 pairwise_scores and attend treat leading axes as batch axes. Multi-head
 attention uses that: split_heads turns (L, heads * h) into (heads, L, h),
 every head runs in one op on that axis, and merge_heads restores
-(L, heads * h). Each head's entries are computed by the same sequential
-reductions as a 2-D call on that head alone, so they are bit-identical to it.
+(L, heads * h). Each head's entries come from GEMMs of the same shapes and
+layouts as a 2-D call on that head alone, so they are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -47,20 +46,22 @@ Array = np.ndarray
 ROW_BLOCK = 64
 
 
-def rows_matmul(x: Array, w: Array) -> Array:
-    """x @ w.T for x of shape (rows, in), computed in zero-padded blocks of
-    ROW_BLOCK rows so a row's bits do not depend on how many rows there are
-    (see the module docstring)."""
-    rows, width = x.shape
-    padded = np.zeros((-(-rows // ROW_BLOCK), ROW_BLOCK, width))
-    padded.reshape(-1, width)[:rows] = x
-    return (padded @ w.T).reshape(-1, w.shape[0])[:rows]
-
-
-def _seqsum(x: Array, axis: int) -> Array:
-    """Left-to-right sequential sum; trailing exact zeros cannot perturb it.
-    Accumulates in place, so x must be a temporary the caller discards."""
-    return np.cumsum(x, axis=axis, out=x).take(-1, axis=axis)
+def fixed_matmul(a: Array, b: Array, pad_k: bool = False,
+                 pad_n: bool = False) -> Array:
+    """a @ b for a (..., M, K) and b (K, N) or (..., K, N), with M, and K if
+    pad_k and N if pad_n, zero-padded to a multiple of ROW_BLOCK and rows in
+    blocks of ROW_BLOCK; pad the axes whose length depends on the dialogue."""
+    (*batch, m, k), n = a.shape, b.shape[-1]
+    m_pad = -(-m // ROW_BLOCK) * ROW_BLOCK
+    k_pad = -(-k // ROW_BLOCK) * ROW_BLOCK if pad_k else k
+    n_pad = -(-n // ROW_BLOCK) * ROW_BLOCK if pad_n else n
+    padded = np.zeros((*batch, m_pad, k_pad))
+    padded[..., :m, :k] = a
+    if pad_k or pad_n:
+        b, unpadded = np.zeros(b.shape[:-2] + (k_pad, n_pad)), b
+        b[..., :k, :n] = unpadded
+    out = padded.reshape(*batch, -1, ROW_BLOCK, k_pad) @ b[..., None, :, :]
+    return out.reshape(*batch, m_pad, n_pad)[..., :m, :n]
 
 
 class Tensor:
@@ -403,7 +404,7 @@ def linear_rows(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     (e.g. attention key projections, where a key bias would shift every
     score in a row equally and cancel under softmax).
 
-    Forward goes through rows_matmul, so row t's bits do not depend on how
+    Forward goes through fixed_matmul, so row t's bits do not depend on how
     many rows follow it.
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
@@ -411,7 +412,7 @@ def linear_rows(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None and b.data.shape != (w.data.shape[0],):
         raise ContractError(f"linear_rows bias shape {b.data.shape}")
     wd = w.data
-    out = rows_matmul(x.data, wd)
+    out = fixed_matmul(x.data, wd.T)
     if b is not None:
         out += b.data
 
@@ -425,13 +426,13 @@ def linear_rows(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def pairwise_scores(a: Tensor, b: Tensor) -> Tensor:
-    """All-pairs dot products a[..., i, :]·b[..., j, :] via sequential
-    reduction; leading axes (e.g. attention heads) are batch axes."""
+    """All-pairs dot products a[..., i, :]·b[..., j, :] with both operands'
+    rows padded; leading axes (e.g. attention heads) are batch axes."""
     if a.data.ndim < 2 or b.data.ndim != a.data.ndim \
             or a.data.shape[:-2] != b.data.shape[:-2] \
             or a.data.shape[-1] != b.data.shape[-1]:
         raise ContractError(f"pairwise_scores shapes {a.data.shape}, {b.data.shape}")
-    out = _seqsum(a.data[..., :, None, :] * b.data[..., None, :, :], axis=-1)
+    out = fixed_matmul(a.data, b.data.swapaxes(-1, -2), pad_n=True)
 
     def back(g: Array) -> None:
         _accum(a, g @ b.data)
@@ -441,15 +442,14 @@ def pairwise_scores(a: Tensor, b: Tensor) -> Tensor:
 
 
 def attend(weights: Tensor, values: Tensor) -> Tensor:
-    """Weighted row combination weights @ values via sequential reduction,
-    so rows whose weights have an exact-zero tail ignore it bit-for-bit.
-    Leading axes are batch axes, as in pairwise_scores."""
+    """Weighted row sums weights @ values with rows and contraction axis
+    padded, so exact-zero weight tails are no-ops; leading axes are batch."""
     if weights.data.ndim < 2 or values.data.ndim != weights.data.ndim \
             or weights.data.shape[:-2] != values.data.shape[:-2] \
             or weights.data.shape[-1] != values.data.shape[-2]:
         raise ContractError(
             f"attend shapes {weights.data.shape} @ {values.data.shape}")
-    out = _seqsum(weights.data[..., :, :, None] * values.data[..., None, :, :], axis=-2)
+    out = fixed_matmul(weights.data, values.data, pad_k=True)
 
     def back(g: Array) -> None:
         _accum(weights, g @ values.data.swapaxes(-1, -2))
@@ -480,9 +480,9 @@ def masked_softmax(scores: Tensor, allowed: Array) -> Tensor:
     rowmax = np.max(masked, axis=-1, keepdims=True)
     rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
     e = np.exp(np.where(allowed, s - rowmax, -np.inf))  # exp(-inf) == 0 exactly
-    denom = _seqsum(e.copy(), axis=e.ndim - 1)
-    denom_e = np.expand_dims(denom, axis=-1)
-    out = np.divide(e, denom_e, out=np.zeros_like(e), where=denom_e > 0)
+    denom = fixed_matmul(np.atleast_2d(e), np.ones((e.shape[-1], 1)),
+                         pad_k=True).reshape(rowmax.shape)
+    out = np.divide(e, denom, out=np.zeros_like(e), where=denom > 0)
 
     def back(g: Array) -> None:
         inner = np.sum(g * out, axis=-1, keepdims=True)
@@ -576,8 +576,8 @@ def lstm_sequence(x: Tensor, params: LstmParams,
     freezes after its lengths[b]-th step, so row T - 1 holds every
     sequence's last state and inputs past a sequence's end are ignored.
 
-    The input projection of all steps is one rows_matmul. The B-sequence
-    recurrence also goes through rows_matmul, so a sequence's bits do not
+    The input projection of all steps is one fixed_matmul. The B-sequence
+    recurrence also goes through fixed_matmul, so a sequence's bits do not
     depend on how many sequences run beside it; the one-sequence recurrence
     is a fixed-shape matvec. Backward is hand-written backprop through time
     that ends in one GEMM each for dW, dU and dx.
@@ -588,20 +588,20 @@ def lstm_sequence(x: Tensor, params: LstmParams,
         lengths = np.asarray(lengths, dtype=np.intp)
         if lengths.shape != (B,) or np.any(lengths < 1) or np.any(lengths > T):
             raise ContractError(f"lstm_sequence lengths must be {B} values in [1, {T}]")
-        recur = rows_matmul
+        recur = fixed_matmul
     elif x.data.ndim == 2 and lengths is None:
         (T, n), B = x.data.shape, 1
         lengths = np.array([T])
 
-        def recur(h: Array, u: Array) -> Array:
-            return (u @ h[0])[None]
+        def recur(h: Array, ut: Array) -> Array:
+            return (ut.T @ h[0])[None]
     else:
         raise ContractError("lstm_sequence expects (T, in), or (T, B, in) with lengths")
     params.check(n)
     k = params.hidden_size
     wd, ud, bd = params.w.data, params.u.data, params.b.data
     xs = x.data.reshape(T * B, n)
-    pre_x = (rows_matmul(xs, wd) + bd).reshape(T, B, 4 * k)
+    pre_x = (fixed_matmul(xs, wd.T) + bd).reshape(T, B, 4 * k)
     live = (np.arange(T)[:, None] < lengths)[:, :, None]     # (T, B, 1)
 
     gates = np.empty((T, B, 4 * k))   # i, f, g, o after their nonlinearity
@@ -611,7 +611,7 @@ def lstm_sequence(x: Tensor, params: LstmParams,
     h = np.zeros((B, k))
     c = np.zeros((B, k))
     for t in range(T):
-        pre = pre_x[t] + recur(h, ud)
+        pre = pre_x[t] + recur(h, ud.T)
         act = gates[t]
         act[:] = _sigmoid(pre)
         act[:, 2 * k:3 * k] = np.tanh(pre[:, 2 * k:3 * k])

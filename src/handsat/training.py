@@ -13,7 +13,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -81,20 +81,12 @@ class TrainConfig:
         self.model_config(vocab_size=2).validate()
 
     def model_config(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(
-            vocab_size=vocab_size,
-            embed_dim=self.embed_dim,
-            hidden_size=self.hidden_size,
-            dense_size=self.dense_size,
-            attention_units=self.attention_units,
-            max_dialogue_len=self.max_dialogue_len,
-            heads=self.heads,
-            ff_mult=self.ff_mult,
-            activation=self.activation,
-            interaction_mode=self.interaction_mode,
-            aggregate_mode=self.aggregate_mode,
-            dropout=self.dropout,
-        )
+        """The ModelConfig whose fields shared with TrainConfig take this
+        config's values; layer_norm_eps keeps its default."""
+        own = {f.name for f in fields(self)}
+        return ModelConfig(vocab_size=vocab_size, **{
+            f.name: getattr(self, f.name) for f in fields(ModelConfig)
+            if f.name in own})
 
     def to_json(self) -> dict:
         return dict(self.__dict__)

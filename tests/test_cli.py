@@ -76,6 +76,14 @@ def test_synth_with_spec_file(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 7
 
 
+def test_synth_into_missing_directory_is_config_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "corpus.jsonl"
+    code, out, err = run_cli(capsys, "synth", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and str(target) in err
+
+
 @pytest.mark.parametrize("content, named", [
     (None, "not found"),
     ("directory", "cannot be read"),
@@ -115,6 +123,19 @@ def test_gradcheck_passes(capsys):
     assert "PASS" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--samples", "0"], "--samples"),
+    (["--samples", "-1"], "--samples"),
+    (["--tol", "nan"], "--tol"),
+    (["--tol", "0"], "--tol"),
+], ids=["no_samples", "negative_samples", "nan_tol", "zero_tol"])
+def test_gradcheck_rejects_checks_that_check_nothing(capsys, argv, named):
+    code, out, err = run_cli(capsys, "gradcheck", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and named in err
+
+
 def test_train_writes_checkpoint_and_history(workspace, capsys):
     root, config_path, _, _ = workspace
     code, out, err = run_cli(capsys, "train", str(config_path))
@@ -148,6 +169,21 @@ def test_train_missing_corpus_no_checkpoint(workspace, tmp_path, capsys):
     code, _, err = run_cli(capsys, "train", str(bad))
     assert code == 3
     assert not (tmp_path / "run3" / "model.ckpt").exists()
+
+
+def test_train_checkpoint_dir_that_cannot_be_made_is_config_error(
+        workspace, tmp_path, capsys):
+    _, config_path, _, _ = workspace
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    cfg = json.loads(config_path.read_text())
+    cfg["paths"]["checkpoint_dir"] = str(blocker / "run")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "train", str(bad))
+    assert code == 2
+    assert out == ""  # rejected before training
+    assert err.splitlines()[-1].startswith("config error: cannot create checkpoint_dir")
 
 
 def test_train_unknown_config_key(workspace, tmp_path, capsys):
@@ -198,6 +234,27 @@ def test_eval_sections_and_aggregate(workspace, trained_run, capsys):
     assert att["mhch"] == last["mhch"]  # aggregation touches only ssa
 
 
+@pytest.mark.parametrize("sections", ["", " , "])
+def test_eval_no_sections_is_config_error(workspace, trained_run, capsys, sections):
+    _, _, _, dev_path = workspace
+    code, out, err = run_cli(capsys, "eval", str(trained_run / "model.ckpt"),
+                             str(dev_path), "--sections", sections)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--sections" in err
+
+
+def test_eval_per_dialogue_in_missing_directory_is_config_error(
+        workspace, trained_run, tmp_path, capsys):
+    _, _, _, dev_path = workspace
+    target = tmp_path / "missing" / "rows.jsonl"
+    code, out, err = run_cli(capsys, "eval", str(trained_run / "model.ckpt"),
+                             str(dev_path), "--per-dialogue", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and str(target) in err
+
+
 def test_eval_sentiment_without_labels_errors(workspace, trained_run, tmp_path, capsys):
     _, _, _, dev_path = workspace
     ckpt = trained_run / "model.ckpt"
@@ -242,6 +299,15 @@ def test_predict_streaming_matches_prefixes(workspace, trained_run, tmp_path, ca
     batch = model.forward_dialogue(dialogue, vocab)
     for t, row in enumerate(rows[:-1]):
         assert row["handoff_probs"] == batch.handoff_probs.data[t].tolist()
+
+
+@pytest.mark.parametrize("name", ["missing.jsonl", "."], ids=["missing", "directory"])
+def test_predict_unopenable_input_is_data_error(trained_run, tmp_path, capsys, name):
+    code, out, err = run_cli(capsys, "predict", str(trained_run / "model.ckpt"),
+                             "--input", str(tmp_path / name))
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("data error: cannot open")
 
 
 def test_predict_empty_stream(trained_run, tmp_path, capsys):

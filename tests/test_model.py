@@ -82,6 +82,25 @@ def test_prefix_causality_bit_exact(setup):
             assert np.array_equal(full[:t], prefix), (d.id, t)
 
 
+@pytest.mark.parametrize("width", [4, 16])
+def test_prefix_causality_past_one_block(width):
+    """Every prefix of a 70-utterance dialogue, on either side of the
+    ROW_BLOCK edge, gives the bytes of the full dialogue's handoff rows."""
+    length = 70
+    assert length > nm.ROW_BLOCK
+    rng = np.random.default_rng(5)
+    widths = dict(embed_dim=width, hidden_size=width, dense_size=width,
+                  attention_units=width)
+    model = Model.build(tiny_config(12, max_dialogue_len=length, **widths), rng)
+    ids = [[int(i) for i in rng.integers(2, 12, size=rng.integers(1, 6))]
+           for _ in range(length)]
+    roles = [Role.CUSTOMER if c else Role.AGENT for c in rng.random(length) < 0.5]
+    full = model.forward(ids, roles, require_customer=False).handoff_probs.data
+    for t in range(1, length + 1):
+        prefix = model.forward(ids[:t], roles[:t], require_customer=False)
+        assert prefix.handoff_probs.data.tobytes() == full[:t].tobytes(), t
+
+
 def test_forward_deterministic_in_eval_mode(setup):
     model, vocab, dialogues = setup
     d = dialogues[0]

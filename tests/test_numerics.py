@@ -325,19 +325,47 @@ def test_linear_rows_matches_matmul(bias):
 
 @pytest.mark.parametrize("width, out", [(32, 128), (96, 32), (32, 2), (5, 3)])
 def test_rows_matmul_row_bits_are_fixed(width, out):
-    """A row's bits depend neither on the row count, nor on the other rows'
+    """In a row-padded fixed_matmul (as linear_rows and the LSTM use it), a
+    row's bits depend neither on the row count, nor on the other rows'
     contents, nor on where the row sits in its block."""
     rng = np.random.default_rng(37)
     w = rng.standard_normal((out, width))
     x = rng.standard_normal((130, width))
-    full = nm.rows_matmul(x, w)
+    full = nm.fixed_matmul(x, w.T)
     np.testing.assert_allclose(full, x @ w.T, rtol=1e-12, atol=1e-12)
     for rows in range(1, 131):
-        assert nm.rows_matmul(x[:rows], w).tobytes() == full[:rows].tobytes(), rows
+        assert nm.fixed_matmul(x[:rows], w.T).tobytes() == full[:rows].tobytes(), rows
     for position in range(nm.ROW_BLOCK + 3):
         other = rng.standard_normal((position + 1 + int(rng.integers(0, 70)), width))
         other[position] = x[0]
-        assert nm.rows_matmul(other, w)[position].tobytes() == full[0].tobytes()
+        assert nm.fixed_matmul(other, w.T)[position].tobytes() == full[0].tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 8, 32, 96])
+def test_causal_prefix_bits_are_fixed(width):
+    """Scores, causal contexts and causal softmax rows computed on the first
+    rows positions have the bytes of the same rows computed on all 130. The
+    weights have exact-zero tails and all-zero rows (row 0, and rows with no
+    earlier allowed position), where only the sign of zero could differ."""
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal((130, width))
+    b = rng.standard_normal((130, width))
+    causal = np.tril(np.ones((130, 130), dtype=bool), k=-1)
+    causal[:, rng.random(130) < 0.3] = False
+    causal[rng.random(130) < 0.1] = False
+    weights = np.where(causal, rng.random((130, 130)), 0.0)
+    scores = nm.pairwise_scores(nm.constant(a), nm.constant(b)).data
+    ctx = nm.attend(nm.constant(weights), nm.constant(b)).data
+    attn = nm.masked_softmax(nm.constant(scores), causal).data
+    np.testing.assert_allclose(scores, a @ b.T, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(ctx, weights @ b, rtol=1e-12, atol=1e-12)
+    for rows in range(1, 131):
+        s = nm.pairwise_scores(nm.constant(a[:rows]), nm.constant(b[:rows])).data
+        c = nm.attend(nm.constant(weights[:rows, :rows]), nm.constant(b[:rows])).data
+        p = nm.masked_softmax(nm.constant(s), causal[:rows, :rows]).data
+        assert s.tobytes() == scores[:rows, :rows].tobytes(), rows
+        assert c.tobytes() == ctx[:rows].tobytes(), rows
+        assert p.tobytes() == attn[:rows, :rows].tobytes(), rows
 
 
 def test_batched_pairwise_scores_and_attend_match_2d_slices():

@@ -1,3 +1,4 @@
+import json
 import math
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ from handsat import training as tr
 from handsat.corpus import (Dialogue, HandoffLabel, Role, SatisfactionLabel,
                             Utterance, build_vocab, split_corpus)
 from handsat.errors import CheckpointError, ConfigError
-from handsat.model import Model
+from handsat.model import Model, ModelConfig
 from handsat.synth import GeneratorSpec, synthesize_corpus
 
 T, N = HandoffLabel.TRANSFERABLE, HandoffLabel.NORMAL
@@ -139,6 +140,21 @@ def test_config_rejects_unknown_keys():
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
+
+def test_model_config_takes_every_model_field():
+    """Each field TrainConfig shares with ModelConfig reaches the model
+    config, and the default's stored form is the one checkpoints hold."""
+    assert json.dumps(tr.TrainConfig().model_config(50).to_json(), sort_keys=True) == (
+        '{"activation": "relu", "aggregate_mode": "attention", '
+        '"attention_units": 32, "dense_size": 32, "dropout": 0.2, "embed_dim": 32, '
+        '"ff_mult": 2, "heads": 4, "hidden_size": 32, "interaction_mode": "full", '
+        '"layer_norm_eps": 1e-05, "max_dialogue_len": 64, "vocab_size": 50}')
+    changed = dict(embed_dim=5, hidden_size=6, dense_size=7, attention_units=8,
+                   max_dialogue_len=9, heads=3, ff_mult=4, activation="tanh",
+                   interaction_mode="no_select", aggregate_mode="last", dropout=0.3)
+    assert tr.TrainConfig(**changed).model_config(11) == \
+        ModelConfig(vocab_size=11, **changed)
+
 
 def test_train_decreasing_loss_and_determinism(tiny_corpus):
     train, dev, _ = tiny_corpus
