@@ -212,6 +212,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     spec = load_generator_spec(args.spec) if args.spec else GeneratorSpec()
     dialogues, report = synthesize_corpus(spec, seed=args.seed)
     try:
@@ -236,6 +238,8 @@ def cmd_gradcheck(args) -> int:
     (double precision, dropout off)."""
     if args.samples < 1:
         raise ConfigError("--samples must be >= 1")
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     if not (np.isfinite(args.tol) and args.tol > 0.0):
         raise ConfigError("--tol must be a positive finite number")
     spec = GeneratorSpec(num_dialogues=args.dialogues, min_len=3,

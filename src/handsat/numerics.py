@@ -12,13 +12,16 @@ Model-width axes stay unpadded, except a softmax denominator's summed axis.
 This is batch invariance by fixed shapes (He et al., 2025, "Defeating
 Nondeterminism in LLM Inference"), not avoidance of BLAS. Measured with
 numpy 2.4.6 / OpenBLAS 0.3.31 (Haswell kernels) at 1 and 2 threads: an
-unpadded GEMM over the first B of 64 rows gives rows that differ in bits
-from the same rows of the full GEMM for 46 of the 64 values of B in a
-64 -> 2 product, 37 in a 32 -> 32 one and 9 (every B <= 9) in a 32 -> 128
-one. In padded 64-row blocks a row's bits depend neither on the row count,
-nor on the other rows' contents, nor on its position within the block, and
-one stacked (blocks, 64, in) product matches the per-block GEMMs
-(tests/test_numerics.py checks these and causal sums where it runs).
+unpadded GEMM over the first B of 16 rows gives rows that differ in bits
+from the same rows of the full 16-row GEMM for 12 of the 16 values of B in
+a 64 -> 2 product, 1 (B = 1, a GEMV) in a 32 -> 32 one and 9 (every B <= 9)
+in a 32 -> 128 one; over the first B of 64 rows, for 44, 37 and 9 of the 64
+values. In padded 16-row blocks a row's bits depend neither on the row
+count, nor on the other rows' contents, nor on its position within the
+block, and one stacked (blocks, 16, in) product matches the per-block GEMMs
+(tests/test_numerics.py checks these and causal sums where it runs, at 1
+and at 2 BLAS threads). 16-row blocks pad a training dialogue's 8-10 rows
+to 16 instead of 64.
 
 Backward closures use plain BLAS products, where speed matters and bitwise
 prefix reproducibility does not.
@@ -43,7 +46,7 @@ from .errors import ContractError
 Array = np.ndarray
 
 
-ROW_BLOCK = 64
+ROW_BLOCK = 16
 
 
 def fixed_matmul(a: Array, b: Array, pad_k: bool = False,
@@ -579,8 +582,18 @@ def lstm_sequence(x: Tensor, params: LstmParams,
     The input projection of all steps is one fixed_matmul. The B-sequence
     recurrence also goes through fixed_matmul, so a sequence's bits do not
     depend on how many sequences run beside it; the one-sequence recurrence
-    is a fixed-shape matvec. Backward is hand-written backprop through time
-    that ends in one GEMM each for dW, dU and dx.
+    is a fixed-shape matvec.
+
+    Each step takes one tanh for all four gates, as sigmoid(x) =
+    (1 + tanh(x / 2)) / 2: the sigmoid gates' rows of W, U and b are halved
+    up front (exact in binary), and after the tanh their entries are halved
+    and shifted by 1/2. tanh cannot overflow, so no exp guard is needed.
+    Masks cost only in a ragged batch, where some sequence ends before T;
+    the one-sequence form and equal-length batches skip them, and live
+    entries get the same bits either way.
+
+    Backward is hand-written backprop through time that ends in one GEMM
+    each for dW, dU and dx.
     """
     batched = x.data.ndim == 3 and lengths is not None
     if batched:
@@ -588,60 +601,77 @@ def lstm_sequence(x: Tensor, params: LstmParams,
         lengths = np.asarray(lengths, dtype=np.intp)
         if lengths.shape != (B,) or np.any(lengths < 1) or np.any(lengths > T):
             raise ContractError(f"lstm_sequence lengths must be {B} values in [1, {T}]")
-        recur = fixed_matmul
     elif x.data.ndim == 2 and lengths is None:
         (T, n), B = x.data.shape, 1
-        lengths = np.array([T])
-
-        def recur(h: Array, ut: Array) -> Array:
-            return (ut.T @ h[0])[None]
     else:
         raise ContractError("lstm_sequence expects (T, in), or (T, B, in) with lengths")
     params.check(n)
     k = params.hidden_size
     wd, ud, bd = params.w.data, params.u.data, params.b.data
+    half = np.full(4 * k, 0.5)
+    half[2 * k:3 * k] = 1.0           # the candidate gate is a plain tanh
+    shift = 1.0 - half
     xs = x.data.reshape(T * B, n)
-    pre_x = (fixed_matmul(xs, wd.T) + bd).reshape(T, B, 4 * k)
-    live = (np.arange(T)[:, None] < lengths)[:, :, None]     # (T, B, 1)
+    pre_x = fixed_matmul(xs, (wd * half[:, None]).T)
+    pre_x += bd * half
+    pre_x = pre_x.reshape(T, B, 4 * k)
+    u_half = ud * half[:, None]
+    masked = batched and lengths.min() < T
+    if masked:
+        live = (np.arange(T)[:, None] < lengths)[:, :, None]     # (T, B, 1)
+        dead = ~live
 
     gates = np.empty((T, B, 4 * k))   # i, f, g, o after their nonlinearity
+    i, f, g, o = (gates[..., j * k:(j + 1) * k] for j in range(4))
     tcs = np.empty((T, B, k))         # tanh of the new cell state
     hs = np.empty((T, B, k))
     cs = np.empty((T, B, k))
     h = np.zeros((B, k))
     c = np.zeros((B, k))
     for t in range(T):
-        pre = pre_x[t] + recur(h, ud.T)
         act = gates[t]
-        act[:] = _sigmoid(pre)
-        act[:, 2 * k:3 * k] = np.tanh(pre[:, 2 * k:3 * k])
-        i, f, g, o = act[:, :k], act[:, k:2 * k], act[:, 2 * k:3 * k], act[:, 3 * k:]
-        c_new = f * c + i * g
-        tcs[t] = np.tanh(c_new)
-        c = cs[t] = np.where(live[t], c_new, c)
-        h = hs[t] = np.where(live[t], o * tcs[t], h)
+        if batched:
+            act[:] = fixed_matmul(h, u_half.T)
+        else:
+            np.matmul(u_half, h[0], out=act[0])
+        act += pre_x[t]
+        np.tanh(act, out=act)
+        act *= half
+        act += shift
+        np.multiply(f[t], c, out=cs[t])
+        cs[t] += i[t] * g[t]
+        np.tanh(cs[t], out=tcs[t])
+        np.multiply(o[t], tcs[t], out=hs[t])
+        if masked:
+            np.copyto(cs[t], c, where=dead[t])
+            np.copyto(hs[t], h, where=dead[t])
+        h, c = hs[t], cs[t]
 
     def back(grad_h: Array) -> None:
         # step-local derivatives for all steps at once: d pre / d c per gate
-        # (output gate: d pre / d h), zero past each sequence's end, where
-        # the state passes through unchanged (forget factor 1)
-        i, f, g, o = (gates[..., j * k:(j + 1) * k] for j in range(4))
+        # (output gate: d pre / d h); in a ragged batch they are zero past
+        # each sequence's end, where the state passes through unchanged
+        # (forget factor 1)
         c_prev = np.concatenate([np.zeros((1, B, k)), cs[:-1]])
         dgate = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f),
                           i * (1.0 - g * g), tcs * o * (1.0 - o)], axis=2)
-        dgate *= live[..., None]
-        dc_dh = o * (1.0 - tcs * tcs) * live
-        carry = np.where(live, f, 1.0)
+        dc_dh = o * (1.0 - tcs * tcs)
+        carry = f
+        if masked:
+            dgate *= live[..., None]
+            dc_dh *= live
+            carry = np.where(live, f, 1.0)
         grad_h = grad_h.reshape(T, B, k)
         dpre = np.empty((T, B, 4, k))
         dh = np.zeros((B, k))
         dc = np.zeros((B, k))
         for t in range(T - 1, -1, -1):
-            dh = dh + grad_h[t]
-            dc = dc + dh * dc_dh[t]
+            dh += grad_h[t]
+            dc += dh * dc_dh[t]
             np.multiply(dgate[t, :, :3], dc[:, None], out=dpre[t, :, :3])
             np.multiply(dgate[t, :, 3], dh, out=dpre[t, :, 3])
-            dh = np.where(live[t], dpre[t].reshape(B, 4 * k) @ ud, dh)
+            dh_prev = dpre[t].reshape(B, 4 * k) @ ud
+            dh = np.where(live[t], dh_prev, dh) if masked else dh_prev
             dc *= carry[t]
         flat = dpre.reshape(T * B, 4 * k)
         h_prev = np.concatenate([np.zeros((1, B, k)), hs[:-1]]).reshape(T * B, k)

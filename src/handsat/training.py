@@ -71,6 +71,8 @@ class TrainConfig:
         for name in ("batch_size", "max_epochs", "patience", "min_freq"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.grad_clip <= 0.0:
             raise ConfigError("grad_clip must be positive")
         if self.aggregate_mode == "voting":

@@ -84,6 +84,15 @@ def test_synth_into_missing_directory_is_config_error(tmp_path, capsys):
     assert err.count("\n") == 1 and str(target) in err
 
 
+def test_synth_negative_seed_is_config_error(tmp_path, capsys):
+    out = tmp_path / "c.jsonl"
+    code, stdout, err = run_cli(capsys, "synth", str(out), "--seed", "-1")
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1 and "--seed" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("content, named", [
     (None, "not found"),
     ("directory", "cannot be read"),
@@ -128,7 +137,8 @@ def test_gradcheck_passes(capsys):
     (["--samples", "-1"], "--samples"),
     (["--tol", "nan"], "--tol"),
     (["--tol", "0"], "--tol"),
-], ids=["no_samples", "negative_samples", "nan_tol", "zero_tol"])
+    (["--seed", "-1"], "--seed"),
+], ids=["no_samples", "negative_samples", "nan_tol", "zero_tol", "negative_seed"])
 def test_gradcheck_rejects_checks_that_check_nothing(capsys, argv, named):
     code, out, err = run_cli(capsys, "gradcheck", *argv)
     assert code == 2
@@ -203,6 +213,7 @@ def test_train_unknown_config_key(workspace, tmp_path, capsys):
     ({"hidden_size": "x"}, "hidden_size"),
     ({"hidden_size": True, "heads": 1}, "hidden_size"),
     ({"learning_rate": float("inf")}, "learning_rate"),
+    ({"seed": -1}, "seed"),
 ])
 def test_train_rejects_malformed_config(tmp_path, capsys, train, named):
     paths = {"train_corpus": str(tmp_path / "absent.jsonl"),

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,11 +231,13 @@ def test_lstm_sequence_grad_check():
     assert report.passed, report.to_json()
 
 
-def test_batched_lstm_sequence_matches_per_sequence_steps():
-    """Ragged lengths: each column follows lstm_step up to its length, then
-    holds its last state; inputs past a column's end get zero gradient."""
+@pytest.mark.parametrize("lengths", [[3, 1, 5, 2, 5], [5, 5, 5, 5, 5]],
+                         ids=["ragged", "equal"])
+def test_batched_lstm_sequence_matches_per_sequence_steps(lengths):
+    """Each column follows lstm_step up to its length, then holds its last
+    state; inputs past a column's end get zero gradient. Ragged lengths take
+    the masked branch, equal full lengths the mask-free one."""
     rng = np.random.default_rng(23)
-    lengths = [3, 1, 5, 2, 5]
     T, B, input_size, k = 5, len(lengths), 3, 4
     weights = rng.standard_normal((T, B, k))
     p1 = rand_lstm(input_size, k, rng)
@@ -274,6 +280,31 @@ def test_batched_lstm_sequence_grad_check():
     report = nm.grad_check(loss, {"x": x, "w": p.w, "u": p.u, "b": p.b},
                            samples_per_block=12)
     assert report.passed, report.to_json()
+
+
+@pytest.mark.parametrize("lengths", [None, [6, 6, 6], [6, 2, 4]],
+                         ids=["one", "equal", "ragged"])
+def test_lstm_sequence_saturated_gates_stay_finite(lengths):
+    """Pre-activations around +-1e3 give finite states and gradients, and
+    gates of exactly 0 or 1: every state equals lstm_step's, whose guarded
+    sigmoid gives exact 0 and 1 there."""
+    rng = np.random.default_rng(43)
+    T, input_size, k = 6, 3, 4
+    p = rand_lstm(input_size, k, rng)
+    p.b.data[:] = 1e3 * rng.choice([-1.0, 1.0], size=4 * k)
+    shape = (T, input_size) if lengths is None else (T, len(lengths), input_size)
+    x = nm.parameter(rng.standard_normal(shape))
+    hs = nm.lstm_sequence(x, p, lengths)
+    nm.sum_all(nm.mul(hs, nm.constant(rng.standard_normal(hs.shape)))).backward()
+    for leaf in (x, p.w, p.u, p.b):
+        assert np.all(np.isfinite(leaf.grad))
+    xs = x.data.reshape(T, -1, input_size)
+    states = hs.data.reshape(T, -1, k)
+    for b, length in enumerate(lengths or [T]):
+        h = c = nm.constant(np.zeros(k))
+        for t in range(length):
+            h, c = nm.lstm_step(nm.constant(xs[t, b]), h, c, p)
+            np.testing.assert_array_equal(states[t, b], h.data)
 
 
 @pytest.mark.parametrize("x_shape, lengths", [
@@ -472,3 +503,27 @@ def test_finite_outputs_invariant():
               nm.sigmoid(nm.scale(x, 50.0)),
               nm.tanh(nm.scale(x, 50.0))):
         assert np.all(np.isfinite(t.data))
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread count
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_byte_level_checks_hold_at_each_blas_thread_count(threads):
+    """OpenBLAS reads its thread count once, at import, and may split a GEMM
+    differently with more threads; re-run the byte-level row and prefix
+    tests in a fresh interpreter at 1 and at 2 threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    tests = ROOT / "tests"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(tests / "test_numerics.py"), str(tests / "test_encoder.py"),
+         str(tests / "test_model.py"), "-k", "bits or prefix"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:]  # 5 if none selected
