@@ -249,8 +249,7 @@ def cmd_gradcheck(args) -> int:
     vocab = build_vocab(dialogues)
     cfg = TrainConfig(embed_dim=args.size, hidden_size=args.size,
                       dense_size=args.size, attention_units=args.size,
-                      max_dialogue_len=args.max_len, heads=2, dropout=0.1,
-                      batch_size=2, seed=args.seed)
+                      max_dialogue_len=args.max_len, heads=2)
     model = Model.build(cfg.model_config(len(vocab)),
                         np.random.default_rng(args.seed))
 

@@ -21,14 +21,19 @@ _KINDS = {
 
 def decode_config(cls, obj, what: str):
     """Build and validate dataclass `cls` from a JSON object; missing keys
-    take the field defaults. Input that is not an object, unknown keys and
-    values that do not match the field's annotation raise ConfigError."""
+    take the field defaults. Input that is not an object, unknown keys,
+    missing keys of fields without a default and values that do not match
+    the field's annotation raise ConfigError."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} must be a JSON object")
     kinds = {f.name: _KINDS[f.type] for f in dataclasses.fields(cls)}
     unknown = set(obj) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [f.name for f in dataclasses.fields(cls)
+               if f.name not in obj and f.default is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"missing {what} keys: {missing}")
     for name, value in obj.items():
         expected, check = kinds[name]
         if isinstance(value, bool) or not check(value):

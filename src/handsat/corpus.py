@@ -363,6 +363,8 @@ class Vocabulary:
         tokens = obj.get("tokens") if isinstance(obj, dict) else None
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise ValueError("vocabulary must be an object with a list of tokens")
+        if len(set(tokens)) != len(tokens):
+            raise ValueError("vocabulary tokens must be unique")
         return cls({tok: i for i, tok in enumerate(tokens)})
 
 

@@ -66,8 +66,7 @@ def decode_handoff(fused: Tensor, params: HandoffDecoderParams) -> Tensor:
     return nm.softmax_rows(logits)
 
 
-def transformer_block(x: Tensor, params: TransformerParams, heads: int,
-                      eps: float = 1e-5) -> Tensor:
+def transformer_block(x: Tensor, params: TransformerParams, heads: int) -> Tensor:
     """One post-norm block with causal (past-inclusive) self-attention; all
     heads run at once on a leading head axis."""
     length, width = x.data.shape
@@ -79,18 +78,17 @@ def transformer_block(x: Tensor, params: TransformerParams, heads: int,
     attn = nm.masked_softmax(scores, allowed)
     ctx = nm.merge_heads(nm.attend(attn, v))
     attended = nm.linear_rows(ctx, params.wo, params.bo)
-    x1 = nm.layer_norm(nm.add(x, attended), params.ln1_gain, params.ln1_bias, eps)
+    x1 = nm.layer_norm(nm.add(x, attended), params.ln1_gain, params.ln1_bias)
     ff = nm.linear_rows(nm.relu(nm.linear_rows(x1, params.ff1_w, params.ff1_b)),
                         params.ff2_w, params.ff2_b)
-    return nm.layer_norm(nm.add(x1, ff), params.ln2_gain, params.ln2_bias, eps)
+    return nm.layer_norm(nm.add(x1, ff), params.ln2_gain, params.ln2_bias)
 
 
 def decode_satisfaction(
     fused: Tensor,
     is_customer: np.ndarray,
     params: SatisfactionDecoderParams,
-    heads: int = 4,
-    eps: float = 1e-5,
+    heads: int,
     allow_no_customer: bool = False,
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Returns (dialogue distribution (3,), local distributions (L, 3),
@@ -108,7 +106,7 @@ def decode_satisfaction(
         raise ContractError("satisfaction decoding requires >= 1 customer utterance")
     refined = transformer_block(
         nm.linear_rows(fused, params.proj_w, params.proj_b),
-        params.transformer, heads, eps)
+        params.transformer, heads)
     local = nm.softmax_rows(nm.linear_rows(refined, params.local_w, params.local_b))
     keys = nm.tanh(nm.linear_rows(refined, params.attn_w, params.attn_b))
     scores = nm.matvec(keys, params.query)

@@ -60,8 +60,8 @@ def shared_encode(token_ids: list[list[int]], params: EncoderParams,
                   max_len: int, dropout: float = 0.0,
                   rng: np.random.Generator | None = None) -> Tensor:
     """Shared representation (L, max_len + 2k) both task branches start
-    from: matching features, then utterance vectors. Dropout (train only)
-    applies to the embedded tokens."""
+    from: matching features, then utterance vectors. Dropout applies to
+    the embedded tokens when an rng is given."""
     if len(token_ids) > max_len:
         raise ContractError(f"dialogue length {len(token_ids)} exceeds max {max_len}")
     lengths = np.array([len(ids) for ids in token_ids], dtype=np.intp)
@@ -70,9 +70,7 @@ def shared_encode(token_ids: list[list[int]], params: EncoderParams,
     # token table in dialogue order; its last row is the padding row
     table = nm.gather_rows(params.embedding,
                            [i for ids in token_ids for i in ids] + [PAD_INDEX])
-    if dropout > 0.0:
-        if rng is None:
-            raise ContractError("dropout requires an RNG")
+    if rng is not None and dropout > 0.0:
         table = nm.dropout(table, dropout, rng)
     starts = np.cumsum(lengths) - lengths
     step = np.arange(lengths.max())[:, None]

@@ -124,7 +124,6 @@ def handoff_to_satisfaction(
     handoff_view: Tensor,
     position: np.ndarray,
     params: InteractionParams,
-    eps: float = 1e-5,
 ) -> tuple[Tensor, Tensor]:
     """Fuse handoff context into the satisfaction view with position-weighted
     past-inclusive attention, a residual connection, and layer norm."""
@@ -135,7 +134,7 @@ def handoff_to_satisfaction(
                        nm.constant(position))
     attn = nm.masked_softmax(scores, past_inclusive_mask(length))
     mixed = nm.add(nm.attend(attn, handoff_view), satisfaction_view)
-    return nm.layer_norm(mixed, params.norm_gain, params.norm_bias, eps), attn
+    return nm.layer_norm(mixed, params.norm_gain, params.norm_bias), attn
 
 
 def interact(
@@ -144,7 +143,6 @@ def interact(
     params: InteractionParams,
     mode: str = "full",
     activation: str = "relu",
-    eps: float = 1e-5,
 ) -> InteractionOutput:
     if mode not in INTERACTION_MODES:
         raise ContractError(f"unknown interaction mode {mode!r}")
@@ -168,7 +166,7 @@ def interact(
         select_roles=(mode != "no_select"))
     position = np.eye(length) if mode == "no_position" else position_matrix(length)
     fused_s, attn_h2s = handoff_to_satisfaction(
-        satisfaction_view, handoff_view, position, params, eps)
+        satisfaction_view, handoff_view, position, params)
     return InteractionOutput(
         handoff_fused=fused_h,
         satisfaction_fused=fused_s,

@@ -142,7 +142,7 @@ def evaluate_model(
     per_dialogue: list[dict] = []
 
     for d in sorted(corpus, key=lambda d: d.id):
-        result = model.forward_dialogue(d, vocab, train=False)
+        result = model.forward_dialogue(d, vocab)
         probs = result.handoff_probs.data
         pred_labels = [HandoffLabel.TRANSFERABLE if int(np.argmax(row)) == 1
                        else HandoffLabel.NORMAL for row in probs]

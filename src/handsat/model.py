@@ -26,19 +26,20 @@ from .numerics import LstmParams, Tensor
 
 @dataclass
 class ModelConfig:
+    """The model's dimensions and modes. No field has a default: TrainConfig
+    holds them, and a stored config carries every field."""
     vocab_size: int
-    embed_dim: int = 200          # word embedding width
-    hidden_size: int = 64         # LSTM hidden units (k)
-    dense_size: int = 64          # task projection width (d)
-    attention_units: int = 64     # importance scorer width (z)
-    max_dialogue_len: int = 64
-    heads: int = 4                # transformer heads
-    ff_mult: int = 2              # transformer feed-forward width = ff_mult * k
-    activation: str = "relu"
-    interaction_mode: str = "full"
-    aggregate_mode: str = "attention"
-    layer_norm_eps: float = 1e-5
-    dropout: float = 0.1
+    embed_dim: int                # word embedding width
+    hidden_size: int              # LSTM hidden units (k)
+    dense_size: int               # task projection width (d)
+    attention_units: int          # importance scorer width (z)
+    max_dialogue_len: int
+    heads: int                    # transformer heads
+    ff_mult: int                  # transformer feed-forward width = ff_mult * k
+    activation: str
+    interaction_mode: str
+    aggregate_mode: str
+    dropout: float
 
     def validate(self) -> None:
         for name in ("vocab_size", "embed_dim", "hidden_size", "dense_size",
@@ -230,11 +231,10 @@ class Model:
     # -- forward -----------------------------------------------------------
 
     def forward(self, token_ids: list[list[int]], roles: Sequence[Role],
-                train: bool = False,
                 rng: np.random.Generator | None = None,
                 require_customer: bool = True) -> ForwardResult:
         """Run one dialogue. token_ids holds one vocabulary-encoded id list
-        per utterance. Dropout fires only when train=True. With
+        per utterance. Dropout fires exactly when an rng is passed. With
         require_customer=False a customer-free (prefix) dialogue yields an
         all-zero satisfaction distribution instead of an error."""
         cfg = self.config
@@ -243,18 +243,15 @@ class Model:
         if len(token_ids) == 0:
             raise ContractError("cannot run an empty dialogue")
         is_customer = np.array([r is Role.CUSTOMER for r in roles], dtype=bool)
-        dropout = cfg.dropout if train else 0.0
 
         shared = shared_encode(token_ids, self.encoder, cfg.max_dialogue_len,
-                               dropout=dropout, rng=rng)
+                               dropout=cfg.dropout, rng=rng)
         inter = interact(shared, is_customer, self.interaction,
-                         mode=cfg.interaction_mode, activation=cfg.activation,
-                         eps=cfg.layer_norm_eps)
+                         mode=cfg.interaction_mode, activation=cfg.activation)
         handoff_probs = decode_handoff(inter.handoff_fused, self.handoff_decoder)
         overall, local, importance = decode_satisfaction(
             inter.satisfaction_fused, is_customer, self.satisfaction_decoder,
-            heads=cfg.heads, eps=cfg.layer_norm_eps,
-            allow_no_customer=not require_customer)
+            cfg.heads, allow_no_customer=not require_customer)
         if cfg.aggregate_mode != "attention" and is_customer.any():
             overall = aggregate_variant(local, is_customer, cfg.aggregate_mode,
                                         importance=importance)
@@ -273,8 +270,6 @@ class Model:
             shared=shared,
         )
 
-    def forward_dialogue(self, dialogue: Dialogue, vocab: Vocabulary,
-                         train: bool = False,
-                         rng: np.random.Generator | None = None) -> ForwardResult:
-        return self.forward(vocab.encode_dialogue(dialogue), dialogue.roles,
-                            train=train, rng=rng)
+    def forward_dialogue(self, dialogue: Dialogue, vocab: Vocabulary) -> ForwardResult:
+        """forward() of a corpus dialogue, without dropout."""
+        return self.forward(vocab.encode_dialogue(dialogue), dialogue.roles)

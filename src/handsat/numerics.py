@@ -35,6 +35,8 @@ layouts as a 2-D call on that head alone, so they are bit-identical to it.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -47,6 +49,8 @@ Array = np.ndarray
 
 
 ROW_BLOCK = 16
+
+_creation = itertools.count()  # Tensor._seq: a parent is older than its consumers
 
 
 def fixed_matmul(a: Array, b: Array, pad_k: bool = False,
@@ -74,7 +78,7 @@ class Tensor:
     (parents + backward closures) is confined to one thread of execution.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_seq")
 
     def __init__(
         self,
@@ -88,6 +92,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = parents
         self._backward = backward
+        self._seq = next(_creation)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -102,30 +107,24 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def backward(self) -> None:
-        """Reverse-mode accumulation from a scalar output."""
+        """Reverse-mode accumulation from a scalar output. A node's consumers
+        are newer than it, so taking the newest waiting node first runs each
+        closure on a complete gradient. Intermediate grads are then freed."""
         if self.data.size != 1:
             raise ContractError("backward() requires a scalar tensor")
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen and p.requires_grad:
-                    stack.append((p, False))
         _accum(self, np.ones_like(self.data))
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                if node._parents:  # free intermediate grads, keep leaves
-                    node.grad = None
+        waiting = [(-self._seq, self)] if self._backward is not None else []
+        queued = {self._seq}
+        while waiting:
+            node = heapq.heappop(waiting)[1]
+            if node.grad is None:
+                continue
+            node._backward(node.grad)
+            node.grad = None
+            for p in node._parents:
+                if p._backward is not None and p._seq not in queued:
+                    queued.add(p._seq)
+                    heapq.heappush(waiting, (-p._seq, p))
 
 
 def _accum(t: Tensor, g: Array) -> None:
@@ -239,13 +238,13 @@ def relu(a: Tensor) -> Tensor:
     return _make(out, (a,), back)
 
 
-def log_clamped(a: Tensor, eps: float = 1e-12) -> Tensor:
-    """log(max(x, eps)); zero gradient in the clamped region."""
-    clamped = np.maximum(a.data, eps)
+def log_clamped(a: Tensor) -> Tensor:
+    """log(max(x, 1e-12)); zero gradient in the clamped region."""
+    clamped = np.maximum(a.data, 1e-12)
     out = np.log(clamped)
 
     def back(g: Array) -> None:
-        _accum(a, g * np.where(a.data >= eps, 1.0 / clamped, 0.0))
+        _accum(a, g * np.where(a.data >= 1e-12, 1.0 / clamped, 0.0))
 
     return _make(out, (a,), back)
 

@@ -27,13 +27,11 @@ from .metrics import evaluate_model
 from .model import ForwardResult, Model, ModelConfig
 from .numerics import Tensor
 
-LOG_EPS = 1e-12
-
 
 @dataclass
 class TrainConfig:
     """Model dimensions plus optimization settings; one flat record so a run
-    is fully described by one file.
+    is fully described by one file. ModelConfig takes its values from here.
 
     embed_dim defaults to a desk-scale width; corpora with external word
     vectors conventionally use 200 (set embed_dim to the vector file's
@@ -83,12 +81,10 @@ class TrainConfig:
         self.model_config(vocab_size=2).validate()
 
     def model_config(self, vocab_size: int) -> ModelConfig:
-        """The ModelConfig whose fields shared with TrainConfig take this
-        config's values; layer_norm_eps keeps its default."""
-        own = {f.name for f in fields(self)}
+        """The ModelConfig with this config's value for every other field."""
         return ModelConfig(vocab_size=vocab_size, **{
             f.name: getattr(self, f.name) for f in fields(ModelConfig)
-            if f.name in own})
+            if f.name != "vocab_size"})
 
     def to_json(self) -> dict:
         return dict(self.__dict__)
@@ -110,7 +106,7 @@ def handoff_loss(probs: Tensor, golds: Sequence[HandoffLabel]) -> Tensor:
     onehot = np.zeros((length, 2))
     for t, lab in enumerate(golds):
         onehot[t, 1 if lab is HandoffLabel.TRANSFERABLE else 0] = 1.0
-    ce = nm.mul(nm.constant(onehot), nm.log_clamped(probs, LOG_EPS))
+    ce = nm.mul(nm.constant(onehot), nm.log_clamped(probs))
     return nm.scale(nm.sum_all(ce), -1.0 / length)
 
 
@@ -118,7 +114,7 @@ def satisfaction_loss(probs: Tensor, gold: SatisfactionLabel) -> Tensor:
     """Dialogue-level cross-entropy; log clamped at 1e-12."""
     onehot = np.zeros(3)
     onehot[gold.index] = 1.0
-    ce = nm.mul(nm.constant(onehot), nm.log_clamped(probs, LOG_EPS))
+    ce = nm.mul(nm.constant(onehot), nm.log_clamped(probs))
     return nm.scale(nm.sum_all(ce), -1.0)
 
 
@@ -143,7 +139,12 @@ def objective(model: Model, vocab: Vocabulary, batch: Sequence[Dialogue],
               eta: float, delta: float) -> Tensor:
     """The objective on one batch as one tensor: the batch mean of
     dialogue_loss (dropout off) plus delta times the squared parameter norm.
-    train() backpropagates the same terms one dialogue at a time."""
+
+    train() backpropagates the same terms one dialogue at a time: on the
+    perfbench train workload (2 vCPUs, 3 alternating 30 s pairs), one
+    backward of this 16-dialogue objective per batch raised peak_rss_mb from
+    44.9 to 59.0 MB, past the 10% bound, and the per-batch tracemalloc peak
+    from 1.41 to 9.04 MB."""
     total = None
     for d in batch:
         piece = nm.scale(dialogue_loss(model.forward_dialogue(d, vocab), d, eta),
@@ -158,14 +159,14 @@ def objective(model: Model, vocab: Vocabulary, batch: Sequence[Dialogue],
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Standard defaults (beta1 0.9, beta2 0.999, eps 1e-8); missing grads
-    count as zero, so untouched blocks stay put."""
+    """Standard settings; missing grads count as zero, so untouched blocks
+    stay put."""
 
-    def __init__(self, blocks: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, blocks: dict[str, Tensor], lr: float):
         self.blocks = blocks
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(t.data) for k, t in blocks.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in blocks.items()}
         self.t = 0
@@ -226,7 +227,8 @@ def train(
     and patience-based early stopping on the summed macro F1 of both tasks.
 
     Sentiment labels are stripped before anything else touches the data;
-    they are evaluation-only.
+    they are evaluation-only. Each history entry also records the epoch's
+    largest gradient norm before clipping and the number of clipped batches.
     """
     config.validate()
     if not train_corpus or not dev_corpus:
@@ -254,14 +256,14 @@ def train(
     for epoch in range(config.max_epochs):
         order = order_rng.permutation(len(encoded))
         epoch_losses: list[float] = []
+        grad_norm_preclip, clipped = 0.0, 0
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
             model.zero_grads()
             batch_total = 0.0
             for idx in batch:
                 d = train_corpus[idx]
-                out = model.forward(encoded[idx], d.roles, train=True,
-                                    rng=dropout_rng)
+                out = model.forward(encoded[idx], d.roles, rng=dropout_rng)
                 loss = nm.scale(dialogue_loss(out, d, config.eta), 1.0 / len(batch))
                 batch_total += loss.item() * len(batch)
                 loss.backward()
@@ -279,7 +281,9 @@ def train(
                                   f"restored best checkpoint")
                 return result
             epoch_losses.append(batch_loss)
-            optimizer.clip_grads(config.grad_clip)
+            norm = optimizer.clip_grads(config.grad_clip)
+            grad_norm_preclip = max(grad_norm_preclip, norm)
+            clipped += int(norm > config.grad_clip)
             optimizer.step()
 
         report, _ = evaluate_model(model, vocab, dev_corpus, sections=("mhch", "ssa"))
@@ -287,6 +291,8 @@ def train(
         result.history.append({
             "epoch": epoch,
             "train_loss": float(np.mean(epoch_losses)),
+            "grad_norm_preclip": grad_norm_preclip,
+            "clipped": clipped,
             "dev_handoff_macro_f1": report.mhch["macro_f1"],
             "dev_handoff_f1": report.mhch["f1_transferable"],
             "dev_satisfaction_macro_f1": report.ssa["macro_f1"],
@@ -319,7 +325,7 @@ def _restore(model: Model, snapshot: dict[str, np.ndarray]) -> None:
 #
 # Byte layout (little-endian):
 #   magic   4 bytes  b"HSAT"
-#   version u32      currently 1
+#   version u32      currently 2 (1 stored layer_norm_eps in model_config)
 #   meta    u64 length + UTF-8 JSON:
 #           {"model_config": {...}, "vocab": [...], "extra": {...}}
 #   count   u32      number of parameter blocks
@@ -332,7 +338,7 @@ def _restore(model: Model, snapshot: dict[str, np.ndarray]) -> None:
 # Round-trips are bit-exact: values are written as raw float64.
 
 MAGIC = b"HSAT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def save_checkpoint(model: Model, vocab: Vocabulary, path: str | Path,
@@ -386,18 +392,18 @@ class _Reader:
         return struct.unpack("<Q", self.take(8))[0]
 
 
-def load_checkpoint(path: str | Path,
-                    expected: ModelConfig | None = None
-                    ) -> tuple[Model, Vocabulary, dict]:
-    """Rebuild the model from a container. The stored block names and
-    shapes are checked against those the stored config implies before the
-    model takes the stored arrays, so no config can make loading allocate
-    more than the file holds. A caller-supplied expected config must match
-    the stored one's shapes exactly (the first offending block is named)."""
+def load_checkpoint(path: str | Path) -> tuple[Model, Vocabulary, dict]:
+    """Rebuild the model from a container. The stored config must name
+    every ModelConfig field, and the vocabulary must hold vocab_size
+    distinct tokens. The stored block names and shapes are checked against
+    those the stored config implies before the model takes the stored
+    arrays, so no config can make loading allocate more than the file
+    holds."""
     path = Path(path)
-    if not path.exists():
-        raise CheckpointError(f"checkpoint not found: {path}")
-    reader = _Reader(path.read_bytes())
+    try:
+        reader = _Reader(path.read_bytes())
+    except OSError as e:
+        raise CheckpointError(f"cannot read checkpoint {path}: {e.strerror}") from None
     if reader.take(4) != MAGIC:
         raise CheckpointError(f"{path} is not a handsat checkpoint "
                               "(bad magic bytes)")
@@ -411,11 +417,14 @@ def load_checkpoint(path: str | Path,
             raise ValueError("metadata is not a JSON object")
         config = ModelConfig.from_json(meta["model_config"])
         vocab = Vocabulary.from_json(meta["vocab"])
+        if len(vocab) != config.vocab_size:
+            raise ValueError(f"{len(vocab)} vocabulary tokens for "
+                             f"vocab_size {config.vocab_size}")
         extra = meta.get("extra", {})
         model = Model.skeleton(config)
     except (KeyError, ValueError, ConfigError) as e:
         raise CheckpointError(f"invalid checkpoint metadata: {e}") from None
-    stored: dict[str, np.ndarray] = {}
+    stored: dict[str, tuple[int, ...]] = {}  # name -> shape
     for _ in range(reader.u32()):
         name = reader.take(reader.u32()).decode("utf-8", "replace")
         dtype = reader.take(reader.u32())
@@ -423,7 +432,10 @@ def load_checkpoint(path: str | Path,
             raise CheckpointError(f"block {name!r}: unsupported dtype {dtype!r}")
         shape = tuple(reader.u64() for _ in range(reader.u32()))
         data = reader.take(math.prod(shape) * 8)
-        stored[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+        stored[name] = shape
+        # only configured shapes are built (a stored one may have 65 axes)
+        if name in model.blocks and shape == model.blocks[name].data.shape:
+            model.blocks[name].data = np.frombuffer(data, "<f8").reshape(shape).copy()
 
     missing = set(model.blocks) - set(stored)
     surplus = set(stored) - set(model.blocks)
@@ -431,16 +443,8 @@ def load_checkpoint(path: str | Path,
         raise CheckpointError(
             f"block mismatch: missing {sorted(missing)}, surplus {sorted(surplus)}")
     for name, tensor in model.blocks.items():
-        if stored[name].shape != tensor.data.shape:
+        if stored[name] != tensor.data.shape:
             raise CheckpointError(
-                f"block {name!r}: stored shape {stored[name].shape} != "
+                f"block {name!r}: stored shape {stored[name]} != "
                 f"configured {tensor.data.shape}")
-        tensor.data = stored[name]
-    if expected is not None:
-        reference = Model.skeleton(expected)
-        for name, tensor in reference.blocks.items():
-            if name not in model.blocks or \
-                    model.blocks[name].data.shape != tensor.data.shape:
-                raise CheckpointError(
-                    f"block {name!r} does not match the requested configuration")
     return model, vocab, extra

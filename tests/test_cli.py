@@ -11,7 +11,7 @@ from handsat import cli
 from handsat.corpus import Vocabulary, dialogue_to_json, save_corpus
 from handsat.model import Model
 from handsat.synth import GeneratorSpec, synthesize_corpus
-from handsat.training import TrainConfig, save_checkpoint
+from handsat.training import FORMAT_VERSION, TrainConfig, save_checkpoint
 
 
 def run_cli(capsys, *argv):
@@ -372,13 +372,19 @@ def test_stats_non_utf8_corpus(tmp_path, capsys):
     assert "line 1 is not valid UTF-8" in err
 
 
+def stored_config(**changes):
+    """A complete stored model config for a two-token vocabulary."""
+    return {**TrainConfig().model_config(2).to_json(), **changes}
+
+
 def checkpoint_bytes(meta=None, meta_len=None, dtype=b"<f8", dims=(2,)):
     """A one-block HSAT container with the given fields."""
     if meta is None:
-        meta = {"model_config": {"vocab_size": 2},
+        meta = {"model_config": stored_config(),
                 "vocab": {"tokens": ["<pad>", "<unk>"]}, "extra": {}}
     raw = json.dumps(meta).encode()
-    out = b"HSAT" + struct.pack("<IQ", 1, len(raw) if meta_len is None else meta_len)
+    out = b"HSAT" + struct.pack("<IQ", FORMAT_VERSION,
+                                len(raw) if meta_len is None else meta_len)
     out += raw + struct.pack("<II", 1, 1) + b"w"
     out += struct.pack("<I", len(dtype)) + dtype + struct.pack("<I", len(dims))
     return out + b"".join(struct.pack("<Q", d) for d in dims) + bytes(16)
@@ -390,11 +396,13 @@ def checkpoint_bytes(meta=None, meta_len=None, dtype=b"<f8", dims=(2,)):
     checkpoint_bytes(dtype=b"zzz"),
     checkpoint_bytes(dtype=b"|O8"),
     checkpoint_bytes(dims=(2 ** 32, 2 ** 32)),
-    checkpoint_bytes(meta={"model_config": {"vocab_size": 2, "hidden_size": "x"},
+    checkpoint_bytes(dims=(0,) * 65),
+    checkpoint_bytes(dims=(2 ** 40, 2 ** 40, 0)),
+    checkpoint_bytes(meta={"model_config": stored_config(hidden_size="x"),
                            "vocab": {"tokens": ["<pad>", "<unk>"]}}),
-    checkpoint_bytes(meta={"model_config": {"vocab_size": 2}, "vocab": [1]}),
+    checkpoint_bytes(meta={"model_config": stored_config(), "vocab": [1]}),
 ], ids=["meta_len", "meta_list", "dtype_zzz", "dtype_object", "dims_2_32",
-        "config_type", "vocab_list"])
+        "dims_65_zeros", "dims_huge_with_zero", "config_type", "vocab_list"])
 def test_corrupt_checkpoint_is_data_error(tmp_path, capsys, data):
     ckpt = tmp_path / "corrupt.ckpt"
     ckpt.write_bytes(data)
@@ -405,12 +413,56 @@ def test_corrupt_checkpoint_is_data_error(tmp_path, capsys, data):
     assert err.startswith("data error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("directory", [False, True], ids=["missing", "directory"])
+def test_unreadable_checkpoint_is_data_error(tmp_path, capsys, directory):
+    ckpt = tmp_path / "model.ckpt"
+    if directory:
+        ckpt.mkdir()
+    code, _, err = run_cli(capsys, "predict", str(ckpt))
+    assert code == 3
+    assert err.startswith("data error: cannot read checkpoint")
+    assert err.count("\n") == 1
+
+
+def rewrite_meta(data: bytes, edit) -> bytes:
+    """Checkpoint bytes with edit(meta) applied to the stored metadata."""
+    (length,) = struct.unpack("<Q", data[8:16])
+    meta = json.loads(data[16:16 + length])
+    edit(meta)
+    raw = json.dumps(meta).encode()
+    return data[:8] + struct.pack("<Q", len(raw)) + raw + data[16 + length:]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda meta: meta["model_config"].pop("vocab_size"),
+    lambda meta: meta["model_config"].pop("activation"),
+    lambda meta: meta["vocab"]["tokens"].append("zz"),
+    lambda meta: meta["vocab"]["tokens"].append("a"),
+], ids=["no_vocab_size", "no_activation", "vocab_longer", "vocab_duplicate"])
+def test_inconsistent_checkpoint_metadata_is_data_error(tmp_path, capsys, edit):
+    """Stored configs must name every field, and the stored vocabulary must
+    map vocab_size distinct tokens to the embedding's rows."""
+    vocab = Vocabulary({"<pad>": 0, "<unk>": 1, "a": 2})
+    model = Model.build(TrainConfig(embed_dim=4, hidden_size=4, dense_size=4,
+                                    attention_units=4, heads=2).model_config(3),
+                        np.random.default_rng(0))
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(model, vocab, ckpt)
+    ckpt.write_bytes(rewrite_meta(ckpt.read_bytes(), edit))
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text('{"role": "customer", "tokens": ["a", "zz"]}\n')
+    code, _, err = run_cli(capsys, "predict", str(ckpt), "--input", str(stream))
+    assert code == 3
+    assert err.startswith("data error: invalid checkpoint metadata")
+    assert err.count("\n") == 1
+
+
 def test_huge_checkpoint_config_is_rejected_before_allocation(tmp_path, capsys):
     """A valid but huge model_config (about 7 GB of parameters) is compared
     with the stored blocks before anything of that size is allocated."""
     ckpt = tmp_path / "huge.ckpt"
     ckpt.write_bytes(checkpoint_bytes(meta={
-        "model_config": {"vocab_size": 2, "hidden_size": 10 ** 6},
+        "model_config": stored_config(hidden_size=10 ** 6),
         "vocab": {"tokens": ["<pad>", "<unk>"]}}))
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

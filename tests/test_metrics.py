@@ -134,7 +134,7 @@ class _StubModel:
     def __init__(self, predict):
         self._predict = predict
 
-    def forward_dialogue(self, dialogue, vocab, train=False, rng=None):
+    def forward_dialogue(self, dialogue, vocab):
         import handsat.numerics as nm
         handoff, satisfaction, local = self._predict(dialogue)
         length = len(dialogue)

@@ -14,10 +14,10 @@ from handsat.synth import GeneratorSpec, synthesize_corpus
 
 
 def tiny_config(vocab_size, **overrides):
-    base = dict(vocab_size=vocab_size, embed_dim=6, hidden_size=4, dense_size=4,
-                attention_units=4, max_dialogue_len=8, heads=2, dropout=0.0)
+    base = dict(embed_dim=6, hidden_size=4, dense_size=4, attention_units=4,
+                max_dialogue_len=8, heads=2, dropout=0.0)
     base.update(overrides)
-    return ModelConfig(**base)
+    return tr.TrainConfig(**base).model_config(vocab_size)
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +36,10 @@ def test_config_validation():
         tiny_config(10, interaction_mode="bogus").validate()
     with pytest.raises(ConfigError):
         ModelConfig.from_json({"vocab_size": 10, "bad_key": 1})
+    stored = tiny_config(10).to_json()
+    del stored["activation"]
+    with pytest.raises(ConfigError, match=r"missing model config keys: \['activation'\]"):
+        ModelConfig.from_json(stored)
 
 
 def test_every_block_registered_once(setup):

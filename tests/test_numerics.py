@@ -17,6 +17,24 @@ def rand_param(shape, rng, scale=0.5):
     return nm.parameter(rng.standard_normal(shape) * scale)
 
 
+def test_backward_shared_subexpression_exact_and_frees_intermediates():
+    """s = x * y is an operand at three depths, twice of one add:
+    out = sum((s + s) * s + s), so d out / d s = 4s + 1. Every value is
+    exact in binary, so every summation order gives the same bits."""
+    x = nm.parameter([1.0, -2.0, 3.0])
+    y = nm.parameter([0.5, 4.0, -1.0])
+    s = nm.mul(x, y)
+    doubled = nm.add(s, s)
+    product = nm.mul(doubled, s)
+    total = nm.add(product, s)
+    out = nm.sum_all(total)
+    out.backward()
+    ds = 4.0 * s.data + 1.0
+    assert np.array_equal(x.grad, ds * y.data)
+    assert np.array_equal(y.grad, ds * x.data)
+    assert all(t.grad is None for t in (s, doubled, product, total, out))
+
+
 # ---------------------------------------------------------------------------
 # masked softmax
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
+import dataclasses
 import json
 import math
+import struct
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handsat import numerics as nm
 from handsat import training as tr
 from handsat.corpus import (Dialogue, HandoffLabel, Role, SatisfactionLabel,
-                            Utterance, build_vocab, split_corpus)
+                            Utterance, Vocabulary, build_vocab, split_corpus)
 from handsat.errors import CheckpointError, ConfigError
 from handsat.model import Model, ModelConfig
 from handsat.synth import GeneratorSpec, synthesize_corpus
@@ -148,7 +152,7 @@ def test_model_config_takes_every_model_field():
         '{"activation": "relu", "aggregate_mode": "attention", '
         '"attention_units": 32, "dense_size": 32, "dropout": 0.2, "embed_dim": 32, '
         '"ff_mult": 2, "heads": 4, "hidden_size": 32, "interaction_mode": "full", '
-        '"layer_norm_eps": 1e-05, "max_dialogue_len": 64, "vocab_size": 50}')
+        '"max_dialogue_len": 64, "vocab_size": 50}')
     changed = dict(embed_dim=5, hidden_size=6, dense_size=7, attention_units=8,
                    max_dialogue_len=9, heads=3, ff_mult=4, activation="tanh",
                    interaction_mode="no_select", aggregate_mode="last", dropout=0.3)
@@ -165,6 +169,27 @@ def test_train_decreasing_loss_and_determinism(tiny_corpus):
     losses = [h["train_loss"] for h in r1.history]
     assert losses[-1] < losses[0]
     assert not r1.diverged
+
+
+def test_train_history_records_clipping(tiny_corpus, monkeypatch):
+    """grad_norm_preclip is the epoch's largest norm from clip_grads and
+    clipped counts the batches whose norm exceeded grad_clip."""
+    train, dev, _ = tiny_corpus
+    norms = []
+    clip_grads = tr.Adam.clip_grads
+    monkeypatch.setattr(tr.Adam, "clip_grads", lambda self, max_norm: norms.append(
+        clip_grads(self, max_norm)) or norms[-1])
+    batches = math.ceil(len(train) / 8)
+    for clip in (1e-6, 6.0, 1e6):
+        norms.clear()
+        history = tr.train(train, dev, small_config(max_epochs=2,
+                                                    grad_clip=clip)).history
+        per_epoch = [norms[:batches], norms[batches:]]
+        assert len(norms) == 2 * batches
+        assert [h["grad_norm_preclip"] for h in history] == \
+            [max(e) for e in per_epoch]
+        assert [h["clipped"] for h in history] == \
+            [sum(n > clip for n in e) for e in per_epoch]
 
 
 def test_train_restores_best_epoch(tiny_corpus):
@@ -228,16 +253,79 @@ def test_checkpoint_bad_magic(tmp_path):
         tr.load_checkpoint(path)
 
 
-def test_checkpoint_config_mismatch_names_block(tiny_corpus, tmp_path):
-    train, dev, _ = tiny_corpus
-    cfg = small_config(max_epochs=1)
-    r = tr.train(train, dev, cfg)
+def test_checkpoint_config_mismatch_names_block(tmp_path):
+    """Blocks stored for hidden_size 8 under a config that says 16."""
+    model = Model.build(small_config().model_config(2), np.random.default_rng(0))
+    model.config = dataclasses.replace(model.config, hidden_size=16)
     path = tmp_path / "model.ckpt"
-    tr.save_checkpoint(r.model, r.vocab, path)
-    bigger = cfg.model_config(len(r.vocab))
-    bigger.hidden_size = 16
-    with pytest.raises(CheckpointError, match="block"):
-        tr.load_checkpoint(path, expected=bigger)
+    tr.save_checkpoint(model, Vocabulary.from_json({"tokens": ["<pad>", "<unk>"]}),
+                       path)
+    with pytest.raises(CheckpointError, match="block 'enc.fwd.w': stored shape"):
+        tr.load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_file(tmp_path_factory):
+    """A small saved checkpoint: its path and its bytes."""
+    model = Model.build(small_config(embed_dim=4, hidden_size=4, dense_size=4,
+                                     attention_units=4).model_config(3),
+                        np.random.default_rng(0))
+    path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    tr.save_checkpoint(model, Vocabulary({"<pad>": 0, "<unk>": 1, "a": 2}), path,
+                       extra={"best_epoch": 1})
+    return path, path.read_bytes()
+
+
+def header_spans(data: bytes) -> list[tuple[int, int]]:
+    """Byte ranges of the container's header with its metadata, and of each
+    block's name, dtype and shape fields."""
+    u32 = lambda pos: struct.unpack_from("<I", data, pos)[0]
+    pos = 16 + struct.unpack_from("<Q", data, 8)[0]
+    count, pos = u32(pos), pos + 4
+    spans = [(0, pos)]
+    for _ in range(count):
+        start = pos
+        pos += 4 + u32(pos)  # name
+        pos += 4 + u32(pos)  # dtype
+        dims = struct.unpack_from(f"<{u32(pos)}Q", data, pos + 4)
+        pos += 4 + 8 * len(dims)
+        spans.append((start, pos))
+        pos += 8 * math.prod(dims)
+    return spans
+
+
+@st.composite
+def mutation(draw, data: bytes) -> bytes:
+    """One truncation, a few byte flips, or a spliced copy of one span over
+    another. Half the positions fall in the header, metadata and block
+    headers, a fifth of the bytes."""
+    spans = header_spans(data)
+    position = st.one_of(
+        st.sampled_from(spans).flatmap(lambda s: st.integers(s[0], s[1] - 1)),
+        st.integers(0, len(data) - 1))
+    kind = draw(st.sampled_from(["truncate", "flip", "splice"]))
+    if kind == "truncate":
+        return data[:draw(position)]
+    if kind == "flip":
+        out = bytearray(data)
+        for pos, mask in draw(st.lists(st.tuples(position, st.integers(1, 255)),
+                                       min_size=1, max_size=4)):
+            out[pos] ^= mask
+        return bytes(out)
+    a, b = sorted((draw(position), draw(position)))
+    c, d = sorted((draw(position), draw(position)))
+    return data[:c] + data[a:b] + data[d:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_checkpoint_fuzz_loads_or_raises_checkpoint_error(checkpoint_file, data):
+    path, original = checkpoint_file
+    path.write_bytes(data.draw(mutation(original)))
+    try:
+        tr.load_checkpoint(path)
+    except CheckpointError:
+        pass
 
 
 def test_checkpoint_truncated(tiny_corpus, tmp_path):
