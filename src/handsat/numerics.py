@@ -258,6 +258,18 @@ def sum_all(a: Tensor) -> Tensor:
     return _make(out, (a,), back)
 
 
+def sum_squares(tensors: Sequence[Tensor]) -> Tensor:
+    """The summed squares of every entry of every tensor, as one node."""
+    tensors = tuple(tensors)
+    out = np.asarray(sum(float((t.data * t.data).sum()) for t in tensors))
+
+    def back(g: Array) -> None:
+        for t in tensors:
+            _accum(t, g * (2.0 * t.data))
+
+    return _make(out, tensors, back)
+
+
 def mean_all(a: Tensor) -> Tensor:
     return scale(sum_all(a), 1.0 / a.data.size)
 

@@ -8,6 +8,7 @@ per-batch reductions run in a fixed order.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -15,7 +16,7 @@ import os
 import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -119,13 +120,10 @@ def satisfaction_loss(probs: Tensor, gold: SatisfactionLabel) -> Tensor:
 
 
 def regularization(blocks: dict[str, Tensor], delta: float) -> Tensor | None:
+    """delta times the squared parameter norm; None when delta is 0."""
     if delta == 0.0:
         return None
-    total = None
-    for t in blocks.values():
-        term = nm.sum_all(nm.square(t))
-        total = term if total is None else nm.add(total, term)
-    return nm.scale(total, delta)
+    return nm.scale(nm.sum_squares(blocks.values()), delta)
 
 
 def dialogue_loss(out: ForwardResult, dialogue: Dialogue, eta: float) -> Tensor:
@@ -135,23 +133,32 @@ def dialogue_loss(out: ForwardResult, dialogue: Dialogue, eta: float) -> Tensor:
     return nm.add(l1, nm.scale(l2, eta))
 
 
+def objective_terms(model: Model, batch: Sequence[tuple[list[list[int]], Dialogue]],
+                    eta: float, delta: float,
+                    rng: np.random.Generator | None = None) -> Iterator[Tensor]:
+    """The objective on one batch of (token ids, dialogue) pairs as the terms
+    of its sum, in order: each dialogue's dialogue_loss / len(batch), then
+    the penalty. Dropout fires exactly when an rng is passed.
+
+    Each term is built only when the previous one has been consumed, so
+    train() holds one dialogue's tape at a time. On the perfbench train
+    workload (2 vCPUs, 3 alternating 30 s pairs), one backward of the whole
+    16-dialogue sum per batch raised peak_rss_mb from 44.9 to 59.0 MB, past
+    the 10% bound, and the per-batch tracemalloc peak from 1.41 to 9.04 MB."""
+    for token_ids, dialogue in batch:
+        out = model.forward(token_ids, dialogue.roles, rng=rng)
+        yield nm.scale(dialogue_loss(out, dialogue, eta), 1.0 / len(batch))
+    penalty = regularization(model.blocks, delta)
+    if penalty is not None:
+        yield penalty
+
+
 def objective(model: Model, vocab: Vocabulary, batch: Sequence[Dialogue],
               eta: float, delta: float) -> Tensor:
     """The objective on one batch as one tensor: the batch mean of
-    dialogue_loss (dropout off) plus delta times the squared parameter norm.
-
-    train() backpropagates the same terms one dialogue at a time: on the
-    perfbench train workload (2 vCPUs, 3 alternating 30 s pairs), one
-    backward of this 16-dialogue objective per batch raised peak_rss_mb from
-    44.9 to 59.0 MB, past the 10% bound, and the per-batch tracemalloc peak
-    from 1.41 to 9.04 MB."""
-    total = None
-    for d in batch:
-        piece = nm.scale(dialogue_loss(model.forward_dialogue(d, vocab), d, eta),
-                         1.0 / len(batch))
-        total = piece if total is None else nm.add(total, piece)
-    reg = regularization(model.blocks, delta)
-    return total if reg is None else nm.add(total, reg)
+    dialogue_loss (dropout off) plus delta times the squared parameter norm."""
+    pairs = [(vocab.encode_dialogue(d), d) for d in batch]
+    return functools.reduce(nm.add, objective_terms(model, pairs, eta, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +233,8 @@ def train(
     """Mini-batch Adam on the joint objective with per-epoch dev evaluation
     and patience-based early stopping on the summed macro F1 of both tasks.
 
+    Each batch backpropagates the terms of objective_terms one at a time,
+    and its loss is their sum, the value of objective (with dropout).
     Sentiment labels are stripped before anything else touches the data;
     they are evaluation-only. Each history entry also records the epoch's
     largest gradient norm before clipping and the number of clipped batches.
@@ -258,21 +267,14 @@ def train(
         epoch_losses: list[float] = []
         grad_norm_preclip, clipped = 0.0, 0
         for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
+            batch = [(encoded[i], train_corpus[i])
+                     for i in order[start:start + config.batch_size]]
             model.zero_grads()
-            batch_total = 0.0
-            for idx in batch:
-                d = train_corpus[idx]
-                out = model.forward(encoded[idx], d.roles, rng=dropout_rng)
-                loss = nm.scale(dialogue_loss(out, d, config.eta), 1.0 / len(batch))
-                batch_total += loss.item() * len(batch)
-                loss.backward()
-            reg = regularization(model.blocks, config.delta)
-            reg_value = 0.0
-            if reg is not None:
-                reg_value = reg.item()
-                reg.backward()
-            batch_loss = batch_total / len(batch) + reg_value
+            batch_loss = 0.0
+            for term in objective_terms(model, batch, config.eta, config.delta,
+                                        rng=dropout_rng):
+                batch_loss += term.item()
+                term.backward()
             if not np.isfinite(batch_loss):
                 if best_snapshot is not None:
                     _restore(model, best_snapshot)

@@ -171,6 +171,39 @@ def test_train_decreasing_loss_and_determinism(tiny_corpus):
     assert not r1.diverged
 
 
+def test_train_gradient_is_the_objective_gradient(tiny_corpus, monkeypatch):
+    """train()'s first-batch gradient, taken before clipping, is the
+    gradient of objective on the same batch (dropout 0)."""
+    train, dev, _ = tiny_corpus
+    seen = {}
+    objective_terms = tr.objective_terms
+
+    def recording_terms(model, batch, *args, **kwargs):
+        seen.setdefault("model", model)
+        seen.setdefault("batch", [d for _, d in batch])
+        return objective_terms(model, batch, *args, **kwargs)
+
+    class FirstClip(Exception):
+        pass
+
+    def first_clip(self, max_norm):
+        seen["grads"] = {k: t.grad.copy() for k, t in self.blocks.items()}
+        raise FirstClip
+
+    monkeypatch.setattr(tr, "objective_terms", recording_terms)
+    monkeypatch.setattr(tr.Adam, "clip_grads", first_clip)
+    cfg = small_config(dropout=0.0)
+    with pytest.raises(FirstClip):
+        tr.train(train, dev, cfg)
+    model = seen["model"]
+    model.zero_grads()
+    tr.objective(model, build_vocab(train), seen["batch"], cfg.eta,
+                 cfg.delta).backward()
+    for name, tensor in model.blocks.items():
+        difference = np.linalg.norm(seen["grads"][name] - tensor.grad)
+        assert difference <= 1e-12 * np.linalg.norm(tensor.grad), name
+
+
 def test_train_history_records_clipping(tiny_corpus, monkeypatch):
     """grad_norm_preclip is the epoch's largest norm from clip_grads and
     clipped counts the batches whose norm exceeded grad_clip."""
