@@ -259,9 +259,10 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def sum_squares(tensors: Sequence[Tensor]) -> Tensor:
-    """The summed squares of every entry of every tensor, as one node."""
+    """The summed squares of every entry of every tensor, as one node. The
+    per-tensor sums are added exactly (fsum), so their order does not matter."""
     tensors = tuple(tensors)
-    out = np.asarray(sum(float((t.data * t.data).sum()) for t in tensors))
+    out = np.asarray(math.fsum(float((t.data * t.data).sum()) for t in tensors))
 
     def back(g: Array) -> None:
         for t in tensors:

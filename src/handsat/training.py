@@ -179,11 +179,8 @@ class Adam:
         self.t = 0
 
     def clip_grads(self, max_norm: float) -> float:
-        total = 0.0
-        for t in self.blocks.values():
-            if t.grad is not None:
-                total += float((t.grad * t.grad).sum())
-        norm = total ** 0.5
+        norm = math.fsum(float((t.grad * t.grad).sum())
+                         for t in self.blocks.values() if t.grad is not None) ** 0.5
         if norm > max_norm:
             factor = max_norm / norm
             for t in self.blocks.values():

@@ -35,6 +35,21 @@ def test_backward_shared_subexpression_exact_and_frees_intermediates():
     assert all(t.grad is None for t in (s, doubled, product, total, out))
 
 
+def test_sum_squares_is_one_node_whatever_the_order():
+    # 1e16 + 1 + 1 left to right is 1e16; the exact sum is 1e16 + 2
+    blocks = [nm.parameter(np.array([1e8])), nm.parameter(np.ones(1)),
+              nm.parameter(np.ones((1, 1)))]
+    total = nm.sum_squares(blocks)
+    assert total._parents == tuple(blocks)  # one node over the blocks
+    assert total.item() == nm.sum_squares(blocks[::-1]).item() == 1e16 + 2
+    rng = np.random.default_rng(8)
+    blocks = [rand_param(shape, rng) for shape in ((3, 4), (5,))]
+    report = nm.grad_check(lambda: nm.sum_squares(blocks),
+                           {str(i): b for i, b in enumerate(blocks)},
+                           samples_per_block=4)
+    assert report.passed, report.to_json()
+
+
 # ---------------------------------------------------------------------------
 # masked softmax
 # ---------------------------------------------------------------------------
