@@ -1,14 +1,15 @@
 """Full model: configuration, parameter construction, forward pass, trace.
 
-Parameter blocks are registered once under stable dotted names; the flat
+Parameter blocks are named by their field paths in the parameter
+dataclasses the layers read (enc.fwd.w, dec_s.transformer.wq); the flat
 name -> tensor mapping is what the optimizer, the checkpoint container, and
 the gradient checker all operate on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -100,6 +101,17 @@ class ForwardResult:
         }
 
 
+def _field_tensors(prefix: str, params) -> Iterator[tuple[str, Tensor]]:
+    """(dotted field path, tensor) for each tensor in a parameter dataclass,
+    in field order, descending into nested parameter dataclasses."""
+    for f in fields(params):
+        name, value = f"{prefix}.{f.name}", getattr(params, f.name)
+        if isinstance(value, Tensor):
+            yield name, value
+        else:
+            yield from _field_tensors(name, value)
+
+
 class Model:
     """Parameter container plus the forward pass."""
 
@@ -113,8 +125,11 @@ class Model:
         self.interaction = interaction_params
         self.handoff_decoder = handoff_decoder
         self.satisfaction_decoder = satisfaction_decoder
-        self.blocks: dict[str, Tensor] = {}
-        self._register_all()
+        self.blocks: dict[str, Tensor] = {
+            name: t for prefix, params in (
+                ("enc", encoder), ("inter", interaction_params),
+                ("dec_h", handoff_decoder), ("dec_s", satisfaction_decoder))
+            for name, t in _field_tensors(prefix, params)}
 
     # -- construction ------------------------------------------------------
 
@@ -194,35 +209,6 @@ class Model:
             attn_w=w((z, k)), attn_b=b(z), query=w((z,)),
         )
         return cls(config, encoder, inter, handoff_dec, sat_dec)
-
-    def _register_all(self) -> None:
-        reg = self.blocks
-
-        def put(name: str, t: Tensor) -> None:
-            if name in reg:
-                raise ContractError(f"duplicate parameter block {name!r}")
-            reg[name] = t
-
-        put("embedding", self.encoder.embedding)
-        for tag, cell in (("enc.fwd", self.encoder.fwd),
-                          ("enc.bwd", self.encoder.bwd),
-                          ("dec_h.cell", self.handoff_decoder.cell)):
-            put(f"{tag}.w", cell.w)
-            put(f"{tag}.u", cell.u)
-            put(f"{tag}.b", cell.b)
-        for name in ("handoff_w", "handoff_b", "satisfaction_w", "satisfaction_b",
-                     "fusion_w", "fusion_b", "norm_gain", "norm_bias"):
-            put(f"inter.{name}", getattr(self.interaction, name))
-        put("dec_h.out_w", self.handoff_decoder.out_w)
-        put("dec_h.out_b", self.handoff_decoder.out_b)
-        sd = self.satisfaction_decoder
-        for name in ("proj_w", "proj_b", "local_w", "local_b", "attn_w", "attn_b",
-                     "query"):
-            put(f"dec_s.{name}", getattr(sd, name))
-        for name in ("wq", "bq", "wk", "wv", "bv", "wo", "bo",
-                     "ff1_w", "ff1_b", "ff2_w", "ff2_b",
-                     "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias"):
-            put(f"dec_s.tf.{name}", getattr(sd.transformer, name))
 
     def zero_grads(self) -> None:
         for t in self.blocks.values():

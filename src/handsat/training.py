@@ -324,7 +324,8 @@ def _restore(model: Model, snapshot: dict[str, np.ndarray]) -> None:
 #
 # Byte layout (little-endian):
 #   magic   4 bytes  b"HSAT"
-#   version u32      currently 2 (1 stored layer_norm_eps in model_config)
+#   version u32      currently 3 (2 named blocks from a hand-kept list, 1 also
+#                    stored layer_norm_eps in model_config)
 #   meta    u64 length + UTF-8 JSON:
 #           {"model_config": {...}, "vocab": [...], "extra": {...}}
 #   count   u32      number of parameter blocks
@@ -337,7 +338,7 @@ def _restore(model: Model, snapshot: dict[str, np.ndarray]) -> None:
 # Round-trips are bit-exact: values are written as raw float64.
 
 MAGIC = b"HSAT"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def save_checkpoint(model: Model, vocab: Vocabulary, path: str | Path,

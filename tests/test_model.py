@@ -48,7 +48,7 @@ def test_every_block_registered_once(setup):
     assert len(names) == len(set(names))
     ids = [id(t) for t in model.blocks.values()]
     assert len(ids) == len(set(ids))
-    assert np.all(model.blocks["embedding"].data[0] == 0.0)  # padding row
+    assert np.all(model.blocks["enc.embedding"].data[0] == 0.0)  # padding row
 
 
 def test_skeleton_has_the_built_blocks_without_their_memory():
