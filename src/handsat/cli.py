@@ -18,9 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .config import read_json
+from .config import parse_json, read_json
 from .corpus import (Role, corpus_stats, handoff_position_hist, load_corpus,
                      load_embeddings, parse_utterance, save_corpus)
+from .decoders import AGGREGATE_MODES
 from .errors import (CheckpointError, ConfigError, ContractError, CorpusError,
                      HandsatError, UnimplementedParameterError)
 from .metrics import SECTIONS, evaluate_model
@@ -37,6 +38,12 @@ EXIT_NUMERIC = 4
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+def _one_line(error: Exception) -> str:
+    """The message with line breaks and other unprintable characters (from
+    paths or values in the input) escaped, so it stays one line."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(error))
 
 
 def _emit(obj: dict) -> None:
@@ -119,9 +126,9 @@ def cmd_train(args) -> int:
     ckpt_dir = Path(run.checkpoint_dir)
     try:
         ckpt_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
+    except (OSError, ValueError) as e:  # ValueError: NUL or a lone surrogate
         raise ConfigError(f"cannot create checkpoint_dir {ckpt_dir}: "
-                          f"{e.strerror}") from None
+                          f"{getattr(e, 'strerror', None) or e}") from None
 
     result = train(train_set, dev_set, cfg, vocab=vocab, embedding=embedding)
     for line in result.history:
@@ -175,10 +182,7 @@ def cmd_predict(args) -> int:
             line = line.strip()
             if not line:
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusError(f"malformed utterance on line {line_no}: {e.msg}")
+            obj = parse_json(line, CorpusError, f"predict stream line {line_no}")
             utterance = parse_utterance(obj, line_no, require_handoff=False)
             ids.append(vocab.encode(utterance.tokens))
             roles.append(utterance.role)
@@ -289,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sections", default="mhch,ssa",
                    help="comma list from: mhch,ssa,sentiment")
     p.add_argument("--aggregate", default=None,
-                   choices=["attention", "average", "voting", "last"],
+                   choices=AGGREGATE_MODES,
                    help="override the satisfaction aggregation mode")
     p.add_argument("--per-dialogue", default=None,
                    help="optional path for the per-dialogue JSONL breakdown")
@@ -335,13 +339,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (ConfigError, ContractError, UnimplementedParameterError) as e:
-        _log(f"config error: {e}")
+        _log(f"config error: {_one_line(e)}")
         return EXIT_CONFIG
     except (CorpusError, CheckpointError) as e:
-        _log(f"data error: {e}")
+        _log(f"data error: {_one_line(e)}")
         return EXIT_DATA
     except HandsatError as e:
-        _log(f"error: {e}")
+        _log(f"error: {_one_line(e)}")
         return EXIT_NUMERIC
 
 

@@ -1,4 +1,5 @@
-"""Decoding of JSON config objects into the package's config dataclasses."""
+"""JSON decoding at the input boundaries, and of config objects into the
+package's config dataclasses."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import json
 import math
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, HandsatError
 
 # field annotation -> (what the value must be, check); a JSON bool is never
 # accepted, although Python counts it as an int
@@ -44,18 +45,27 @@ def decode_config(cls, obj, what: str):
     return cfg
 
 
+def parse_json(text: str | bytes, error: type[HandsatError], where: str):
+    """json.loads(text). Malformed JSON, and nesting too deep for the
+    parser, raise `error` with one line naming `where`."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise error(f"{where} is not valid JSON: {e}") from None
+    except RecursionError:
+        raise error(f"{where} is not valid JSON: nested too deeply") from None
+
+
 def read_json(path: str | Path, what: str):
     """Parse the JSON file at `path`. A missing or unreadable file, bytes
     that are not UTF-8 and malformed JSON raise ConfigError naming `what`."""
     path = Path(path)
     try:
-        return json.loads(path.read_bytes().decode("utf-8"))
+        text = path.read_bytes().decode("utf-8")
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}") from None
     except OSError as e:
         raise ConfigError(f"{what} file {path} cannot be read: {e.strerror}") from None
     except UnicodeDecodeError:
         raise ConfigError(f"{what} file {path} is not valid UTF-8") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{what} file {path} is not valid JSON: {e.msg} "
-                          f"(line {e.lineno})") from None
+    return parse_json(text, ConfigError, f"{what} file {path}")

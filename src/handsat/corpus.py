@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .config import parse_json
 from .errors import ContractError, CorpusError
 from .numerics import glorot_uniform
 
@@ -179,9 +180,13 @@ def dialogue_to_json(d: Dialogue) -> dict:
 
 
 def _utf8_lines(path: Path) -> Iterator[tuple[int, str]]:
-    """(line number, text) for each line of a file; a line that is not
-    valid UTF-8 raises CorpusError."""
-    with path.open("rb") as fh:
+    """(line number, text) for each line of a file; a file that cannot be
+    opened and a line that is not valid UTF-8 raise CorpusError."""
+    try:
+        fh = path.open("rb")
+    except OSError as e:
+        raise CorpusError(f"cannot open {path}: {e.strerror}") from None
+    with fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
                 yield line_no, raw.decode("utf-8")
@@ -204,11 +209,8 @@ def load_corpus(path: str | Path, max_dialogue_len: int) -> list[Dialogue]:
         line = line.strip()
         if not line:
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise CorpusError(f"malformed JSON on line {line_no}: {e.msg}")
-        d = parse_dialogue(obj, line_no)
+        d = parse_dialogue(parse_json(line, CorpusError, f"corpus line {line_no}"),
+                           line_no)
         if d.id in seen_ids:
             raise CorpusError(f"duplicate dialogue id {d.id!r} (line {line_no})")
         seen_ids.add(d.id)
@@ -251,13 +253,7 @@ class CorpusStats:
     mean_tokens_per_utterance: float
 
     def to_json(self) -> dict:
-        return {
-            "num_dialogues": self.num_dialogues,
-            "satisfaction_counts": self.satisfaction_counts,
-            "handoff_counts": self.handoff_counts,
-            "mean_utterances_per_dialogue": self.mean_utterances_per_dialogue,
-            "mean_tokens_per_utterance": self.mean_tokens_per_utterance,
-        }
+        return asdict(self)
 
 
 def corpus_stats(corpus: Sequence[Dialogue]) -> CorpusStats:

@@ -10,7 +10,7 @@ classes, present or not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -29,9 +29,6 @@ class ClassScores:
     precision: float
     recall: float
     f1: float
-
-    def to_json(self) -> dict:
-        return {"precision": self.precision, "recall": self.recall, "f1": self.f1}
 
 
 def classification_scores(
@@ -97,14 +94,8 @@ class MetricsReport:
     sentiment: dict | None = None
 
     def to_json(self) -> dict:
-        out: dict = {}
-        if self.mhch is not None:
-            out["mhch"] = self.mhch
-        if self.ssa is not None:
-            out["ssa"] = self.ssa
-        if self.sentiment is not None:
-            out["sentiment"] = self.sentiment
-        return out
+        """The requested sections; those not computed are left out."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def evaluate_model(

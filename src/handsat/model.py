@@ -21,7 +21,8 @@ from .decoders import (AGGREGATE_MODES, HandoffDecoderParams,
                        aggregate_variant, decode_handoff, decode_satisfaction)
 from .encoder import EncoderParams, shared_encode
 from .errors import ConfigError, ContractError
-from .interaction import ACTIVATIONS, INTERACTION_MODES, InteractionParams, interact
+from .interaction import (ACTIVATIONS, INTERACTION_MODES, InteractionOutput,
+                          InteractionParams, interact)
 from .numerics import LstmParams, Tensor
 
 
@@ -69,20 +70,14 @@ class ModelConfig:
 
 
 @dataclass
-class ForwardResult:
-    """Everything one dialogue's forward pass produced, still on the tape."""
+class ForwardResult(InteractionOutput):
+    """Everything one dialogue's forward pass produced, still on the tape:
+    the interaction's outputs, plus these."""
     handoff_probs: Tensor         # (L, 2)
     satisfaction_probs: Tensor    # (3,)
     local_satisfaction: Tensor    # (L, 3)
     importance: Tensor            # (L,)
-    attn_sat_to_handoff: Tensor   # (L, L)
-    attn_handoff_to_sat: Tensor   # (L, L)
-    position_weights: np.ndarray  # (L, L)
-    handoff_view: Tensor
-    satisfaction_view: Tensor
-    handoff_fused: Tensor
-    satisfaction_fused: Tensor
-    shared: Tensor
+    shared: Tensor                # (L, l_max + 2k) encoder output
 
     def trace(self, roles: Sequence[Role], interaction_mode: str,
               aggregate_mode: str) -> dict:
@@ -141,15 +136,18 @@ class Model:
         the random one; its padding row must be zero."""
         config.validate()
         shape = (config.vocab_size, config.embed_dim)
-        if embedding is None:
-            table = nm.glorot_uniform(shape, rng)
-            table[0] = 0.0
-        else:
+        if embedding is not None:
             table = np.asarray(embedding, dtype=np.float64)
             if table.shape != shape:
                 raise ConfigError(f"embedding shape {table.shape} != {shape}")
-        return cls._assemble(config, table,
-                             lambda shape: nm.glorot_uniform(shape, rng), np.full)
+        try:
+            if embedding is None:
+                table = nm.glorot_uniform(shape, rng)
+                table[0] = 0.0
+            return cls._assemble(config, table,
+                                 lambda shape: nm.glorot_uniform(shape, rng), np.full)
+        except (MemoryError, ValueError) as e:  # numpy's "cannot allocate" errors
+            raise ConfigError(f"cannot allocate the configured model: {e}") from None
 
     @classmethod
     def skeleton(cls, config: ModelConfig) -> "Model":
@@ -241,20 +239,9 @@ class Model:
         if cfg.aggregate_mode != "attention" and is_customer.any():
             overall = aggregate_variant(local, is_customer, cfg.aggregate_mode,
                                         importance=importance)
-        return ForwardResult(
-            handoff_probs=handoff_probs,
-            satisfaction_probs=overall,
-            local_satisfaction=local,
-            importance=importance,
-            attn_sat_to_handoff=inter.attn_sat_to_handoff,
-            attn_handoff_to_sat=inter.attn_handoff_to_sat,
-            position_weights=inter.position_weights,
-            handoff_view=inter.handoff_view,
-            satisfaction_view=inter.satisfaction_view,
-            handoff_fused=inter.handoff_fused,
-            satisfaction_fused=inter.satisfaction_fused,
-            shared=shared,
-        )
+        return ForwardResult(**vars(inter), handoff_probs=handoff_probs,
+                             satisfaction_probs=overall, local_satisfaction=local,
+                             importance=importance, shared=shared)
 
     def forward_dialogue(self, dialogue: Dialogue, vocab: Vocabulary) -> ForwardResult:
         """forward() of a corpus dialogue, without dropout."""

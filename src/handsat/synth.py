@@ -19,7 +19,7 @@ is built to exploit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -80,13 +80,7 @@ class GeneratorReport:
     complaint_utterances: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "num_dialogues": self.num_dialogues,
-            "satisfaction_counts": self.satisfaction_counts,
-            "transferable_utterances": self.transferable_utterances,
-            "normal_utterances": self.normal_utterances,
-            "complaint_utterances": self.complaint_utterances,
-        }
+        return asdict(self)
 
 
 def _filler(rng: np.random.Generator, spec: GeneratorSpec, n: int) -> list[str]:

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -21,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import numerics as nm
-from .config import decode_config
+from .config import decode_config, parse_json
 from .corpus import Dialogue, HandoffLabel, SatisfactionLabel, Vocabulary, build_vocab
 from .errors import CheckpointError, ConfigError, CorpusError
 from .metrics import evaluate_model
@@ -324,7 +325,7 @@ def _restore(model: Model, snapshot: dict[str, np.ndarray]) -> None:
 #
 # Byte layout (little-endian):
 #   magic   4 bytes  b"HSAT"
-#   version u32      currently 3 (2 named blocks from a hand-kept list, 1 also
+#   version u32      currently 3 (2 had no crc and other block names, 1 also
 #                    stored layer_norm_eps in model_config)
 #   meta    u64 length + UTF-8 JSON:
 #           {"model_config": {...}, "vocab": [...], "extra": {...}}
@@ -334,8 +335,10 @@ def _restore(model: Model, snapshot: dict[str, np.ndarray]) -> None:
 #     dtype u32 length + UTF-8 (numpy dtype string, always "<f8")
 #     ndim  u32, then ndim * u64 dims
 #     data  raw C-order bytes
+#   crc     u32      zlib.crc32 of every byte before it
 #
-# Round-trips are bit-exact: values are written as raw float64.
+# Round-trips are bit-exact: values are written as raw float64. Block names
+# are the dotted field paths of Model.blocks.
 
 MAGIC = b"HSAT"
 FORMAT_VERSION = 3
@@ -367,6 +370,7 @@ def save_checkpoint(model: Model, vocab: Vocabulary, path: str | Path,
         for dim in arr.shape:
             buf.write(struct.pack("<Q", dim))
         buf.write(arr.tobytes())
+    buf.write(struct.pack("<I", zlib.crc32(buf.getvalue())))
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_bytes(buf.getvalue())
     os.replace(tmp, path)
@@ -398,21 +402,27 @@ def load_checkpoint(path: str | Path) -> tuple[Model, Vocabulary, dict]:
     distinct tokens. The stored block names and shapes are checked against
     those the stored config implies before the model takes the stored
     arrays, so no config can make loading allocate more than the file
-    holds."""
+    holds. The CRC32 is checked before the metadata is read, and bytes
+    between the last block and the CRC are refused."""
     path = Path(path)
     try:
-        reader = _Reader(path.read_bytes())
+        data = path.read_bytes()
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e.strerror}") from None
+    reader = _Reader(data[:-4])
     if reader.take(4) != MAGIC:
         raise CheckpointError(f"{path} is not a handsat checkpoint "
                               "(bad magic bytes)")
     version = reader.u32()
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
+    if zlib.crc32(reader.data) != struct.unpack("<I", data[-4:])[0]:
+        raise CheckpointError(f"checkpoint {path} is truncated or corrupt "
+                              "(CRC32 mismatch)")
     meta_bytes = reader.take(reader.u64())
     try:
-        meta = json.loads(meta_bytes.decode("utf-8"))
+        meta = parse_json(meta_bytes.decode("utf-8"), CheckpointError,
+                          "checkpoint metadata")
         if not isinstance(meta, dict):
             raise ValueError("metadata is not a JSON object")
         config = ModelConfig.from_json(meta["model_config"])
@@ -432,11 +442,15 @@ def load_checkpoint(path: str | Path) -> tuple[Model, Vocabulary, dict]:
             raise CheckpointError(f"block {name!r}: unsupported dtype {dtype!r}")
         shape = tuple(reader.u64() for _ in range(reader.u32()))
         data = reader.take(math.prod(shape) * 8)
+        if name in stored:
+            raise CheckpointError(f"block {name!r} stored twice")
         stored[name] = shape
         # only configured shapes are built (a stored one may have 65 axes)
         if name in model.blocks and shape == model.blocks[name].data.shape:
             model.blocks[name].data = np.frombuffer(data, "<f8").reshape(shape).copy()
 
+    if reader.pos != len(reader.data):
+        raise CheckpointError("trailing bytes after the last block")
     missing = set(model.blocks) - set(stored)
     surplus = set(stored) - set(model.blocks)
     if missing or surplus:

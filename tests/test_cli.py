@@ -1,11 +1,15 @@
 import contextlib
 import io
 import json
+import os
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handsat import cli
 from handsat.corpus import Vocabulary, dialogue_to_json, save_corpus
@@ -372,22 +376,34 @@ def test_stats_non_utf8_corpus(tmp_path, capsys):
     assert "line 1 is not valid UTF-8" in err
 
 
+def test_stats_directory_corpus_is_data_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "stats", str(tmp_path))
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("data error: cannot open")
+
+
 def stored_config(**changes):
     """A complete stored model config for a two-token vocabulary."""
     return {**TrainConfig().model_config(2).to_json(), **changes}
 
 
-def checkpoint_bytes(meta=None, meta_len=None, dtype=b"<f8", dims=(2,)):
-    """A one-block HSAT container with the given fields."""
+def seal(body: bytes) -> bytes:
+    """Checkpoint bytes: body followed by its CRC32."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def checkpoint_bytes(meta=None, meta_len=None, dtype=b"<f8", dims=(2,),
+                     version=FORMAT_VERSION):
+    """A sealed one-block HSAT container with the given fields."""
     if meta is None:
         meta = {"model_config": stored_config(),
                 "vocab": {"tokens": ["<pad>", "<unk>"]}, "extra": {}}
-    raw = json.dumps(meta).encode()
-    out = b"HSAT" + struct.pack("<IQ", FORMAT_VERSION,
+    raw = meta.encode() if isinstance(meta, str) else json.dumps(meta).encode()
+    out = b"HSAT" + struct.pack("<IQ", version,
                                 len(raw) if meta_len is None else meta_len)
     out += raw + struct.pack("<II", 1, 1) + b"w"
     out += struct.pack("<I", len(dtype)) + dtype + struct.pack("<I", len(dims))
-    return out + b"".join(struct.pack("<Q", d) for d in dims) + bytes(16)
+    return seal(out + b"".join(struct.pack("<Q", d) for d in dims) + bytes(16))
 
 
 @pytest.mark.parametrize("data", [
@@ -413,6 +429,49 @@ def test_corrupt_checkpoint_is_data_error(tmp_path, capsys, data):
     assert err.startswith("data error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("damage, named", [
+    (lambda data: data + b"garbage", "CRC32"),
+    (lambda data: data[:-1] + bytes([data[-1] ^ 1]), "CRC32"),
+    (lambda data: data[:-5] + bytes([data[-5] ^ 1]) + data[-4:], "CRC32"),
+    (lambda data: seal(data[:-4] + b"garbage"), "trailing bytes"),
+    (lambda data: data[:4] + struct.pack("<I", 2) + data[8:-4], "version 2"),
+], ids=["appended", "crc_flipped", "weight_flipped", "sealed_trailing", "format_2"])
+def test_damaged_checkpoint_is_data_error(trained_run, tmp_path, capsys, damage,
+                                          named):
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(damage((trained_run / "model.ckpt").read_bytes()))
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    code, out, err = run_cli(capsys, "predict", str(ckpt), "--input", str(empty))
+    assert code == 3 and out == ""
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert named in err
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("site", ["corpus", "run_config", "generator_spec",
+                                  "predict_stream", "checkpoint_metadata"])
+def test_deeply_nested_json_is_one_line_error(trained_run, tmp_path, capsys, site):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON + "\n")
+    ckpt = tmp_path / "deep.ckpt"
+    ckpt.write_bytes(checkpoint_bytes(meta=DEEP_JSON))
+    argv, expected = {
+        "corpus": (["stats", str(deep)], 3),
+        "run_config": (["train", str(deep)], 2),
+        "generator_spec": (["synth", str(tmp_path / "out.jsonl"), "--spec",
+                            str(deep)], 2),
+        "predict_stream": (["predict", str(trained_run / "model.ckpt"),
+                            "--input", str(deep)], 3),
+        "checkpoint_metadata": (["predict", str(ckpt), "--input", str(deep)], 3),
+    }[site]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected and out == ""
+    assert err.count("\n") == 1 and "nested too deeply" in err
+
+
 @pytest.mark.parametrize("directory", [False, True], ids=["missing", "directory"])
 def test_unreadable_checkpoint_is_data_error(tmp_path, capsys, directory):
     ckpt = tmp_path / "model.ckpt"
@@ -425,12 +484,13 @@ def test_unreadable_checkpoint_is_data_error(tmp_path, capsys, directory):
 
 
 def rewrite_meta(data: bytes, edit) -> bytes:
-    """Checkpoint bytes with edit(meta) applied to the stored metadata."""
+    """Checkpoint bytes with edit(meta) applied to the stored metadata,
+    sealed with a new CRC."""
     (length,) = struct.unpack("<Q", data[8:16])
     meta = json.loads(data[16:16 + length])
     edit(meta)
     raw = json.dumps(meta).encode()
-    return data[:8] + struct.pack("<Q", len(raw)) + raw + data[16 + length:]
+    return seal(data[:8] + struct.pack("<Q", len(raw)) + raw + data[16 + length:-4])
 
 
 @pytest.mark.parametrize("edit", [
@@ -475,3 +535,149 @@ def test_huge_checkpoint_config_is_rejected_before_allocation(tmp_path, capsys):
     assert code == 3
     assert err.startswith("data error: block mismatch") and err.count("\n") == 1
     assert peak < 16 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the input boundaries
+# ---------------------------------------------------------------------------
+
+# Leaves are boundary values. Mid-size integers are left out on purpose: a
+# valid config with a dimension of 10**4 would allocate gigabytes.
+JSON_LEAVES = (
+    st.none() | st.booleans()
+    | st.sampled_from([-1, 0, 1, 2, 10 ** 30, 0.5, -1.5, 1e300])
+    | st.sampled_from(["customer", "agent", "transferable", "normal", "met",
+                       "unsatisfied", "positive", "tanh", "last", "voting"])
+    | st.text(st.sampled_from("ab.-_ \x00é\ud800"), max_size=6))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(st.sampled_from("abrt_"), max_size=4), inner,
+                      max_size=3),
+    max_leaves=6)
+NESTING_DEPTHS = [1, 2, 900, 1000, 100_000]
+
+
+def _positions(obj, path=()):
+    yield path
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _positions(value, path + (key,))
+
+
+_DELETE = object()
+
+
+def _replace(obj, path, value):
+    """A copy of obj with the value at path replaced, or deleted."""
+    if not path:
+        return value
+    obj = json.loads(json.dumps(obj))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return obj
+
+
+@st.composite
+def mutated_json(draw, obj) -> str:
+    """obj as JSON text with one mutation: a value replaced or deleted, a
+    value wrapped in lists nested up to 100,000 deep, the text truncated, or
+    one character overwritten."""
+    kind = draw(st.sampled_from(["replace", "delete", "nest", "truncate", "flip"]))
+    path = draw(st.sampled_from(list(_positions(obj))))
+    if kind == "replace" or (kind == "delete" and not path):
+        return json.dumps(_replace(obj, path, draw(JSON_VALUES)))
+    if kind == "delete":
+        return json.dumps(_replace(obj, path, _DELETE))
+    if kind == "nest":
+        depth = draw(st.sampled_from(NESTING_DEPTHS))
+        value = obj
+        for key in path:
+            value = value[key]
+        return json.dumps(_replace(obj, path, "\u0001")).replace(
+            '"\\u0001"', "[" * depth + json.dumps(value) + "]" * depth)
+    text = json.dumps(obj)
+    if kind == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    pos = draw(st.integers(0, len(text) - 1))
+    return text[:pos] + draw(st.sampled_from('{}[]",:0\\')) + text[pos + 1:]
+
+
+def run_quietly(*argv):
+    """cli.main without pytest's function-scoped capture: exit code, stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    """An expected exit code, no traceback, and an error as one line, after
+    at most train's progress lines."""
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    if code in (2, 3):
+        *progress, last = err.splitlines()
+        assert last.startswith(("config error: ", "data error: ")), err
+        assert all(line.startswith(("resolved config: ", "embedding coverage: "))
+                   for line in progress), err
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(trained_run, tmp_path_factory):
+    """A directory with a tiny corpus, and valid seeds for the mutations: a
+    run config on that corpus, one dialogue, and one utterance."""
+    root = tmp_path_factory.mktemp("fuzz")
+    dialogues, _ = synthesize_corpus(
+        GeneratorSpec(num_dialogues=6, min_len=2, max_len=3, max_tokens=4), seed=5)
+    save_corpus(dialogues[:4], root / "train.jsonl")
+    save_corpus(dialogues[4:], root / "dev.jsonl")
+    config = {
+        "train": {"embed_dim": 4, "hidden_size": 4, "dense_size": 4,
+                  "attention_units": 4, "max_dialogue_len": 4, "heads": 2,
+                  "batch_size": 4, "max_epochs": 1, "patience": 1, "seed": 0},
+        "paths": {"train_corpus": "train.jsonl", "dev_corpus": "dev.jsonl",
+                  "checkpoint_dir": "run"}}
+    dialogue = dialogue_to_json(dialogues[0])
+    return root, trained_run / "model.ckpt", config, dialogue
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fuzzed_run_config_exits_cleanly(fuzz_inputs, data):
+    root, _, config, _ = fuzz_inputs
+    (root / "config.json").write_text(data.draw(mutated_json(config)))
+    cwd = os.getcwd()
+    os.chdir(root)  # relative paths in the mutated config stay in root
+    try:
+        assert_clean_exit(*run_quietly("train", "config.json"))
+    finally:
+        os.chdir(cwd)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fuzzed_corpus_exits_cleanly(fuzz_inputs, data):
+    root, ckpt, _, dialogue = fuzz_inputs
+    corpus = root / "corpus.jsonl"
+    corpus.write_text(data.draw(mutated_json(dialogue)) + "\n"
+                      + (root / "dev.jsonl").read_text())
+    assert_clean_exit(*run_quietly("stats", str(corpus), "--max-len", "4"))
+    assert_clean_exit(*run_quietly("eval", str(ckpt), str(corpus)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fuzzed_predict_stream_exits_cleanly(fuzz_inputs, data):
+    root, ckpt, _, dialogue = fuzz_inputs
+    lines = [json.dumps(u) for u in dialogue["utterances"]]
+    lines[-1] = data.draw(mutated_json(dialogue["utterances"][-1]))
+    stream = root / "stream.jsonl"
+    stream.write_text("\n".join(lines) + "\n")
+    assert_clean_exit(*run_quietly("predict", str(ckpt), "--input", str(stream)))

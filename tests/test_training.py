@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import struct
+import zlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -353,12 +354,22 @@ def mutation(draw, data: bytes) -> bytes:
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_checkpoint_fuzz_loads_or_raises_checkpoint_error(checkpoint_file, data):
+    """A mutated file loads only if it is the original; half the examples
+    mutate the bytes before the CRC and re-seal them, so that the parser
+    behind the CRC check meets them."""
     path, original = checkpoint_file
-    path.write_bytes(data.draw(mutation(original)))
+    resealed = data.draw(st.booleans())
+    if resealed:
+        body = data.draw(mutation(original[:-4]))
+        mutated = body + struct.pack("<I", zlib.crc32(body))
+    else:
+        mutated = data.draw(mutation(original))
+    path.write_bytes(mutated)
     try:
         tr.load_checkpoint(path)
     except CheckpointError:
-        pass
+        return
+    assert resealed or mutated == original
 
 
 def test_checkpoint_truncated(tiny_corpus, tmp_path):
