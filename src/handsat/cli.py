@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -81,9 +81,7 @@ class RunConfig:
         if not isinstance(paths, dict) or \
                 not all(isinstance(v, str) for v in paths.values()):
             raise ConfigError("paths must be a JSON object of path strings")
-        known_paths = {"train_corpus", "dev_corpus", "test_corpus",
-                       "embeddings", "checkpoint_dir"}
-        unknown = set(paths) - known_paths
+        unknown = set(paths) - {f.name for f in fields(cls) if f.name != "train"}
         if unknown:
             raise ConfigError(f"unknown path keys: {sorted(unknown)}")
         for need in ("train_corpus", "dev_corpus"):
@@ -93,12 +91,8 @@ class RunConfig:
 
     def to_json(self) -> dict:
         return {"train": self.train.to_json(),
-                "paths": {k: v for k, v in (
-                    ("train_corpus", self.train_corpus),
-                    ("dev_corpus", self.dev_corpus),
-                    ("test_corpus", self.test_corpus),
-                    ("embeddings", self.embeddings),
-                    ("checkpoint_dir", self.checkpoint_dir)) if v is not None}}
+                "paths": {f.name: getattr(self, f.name) for f in fields(self)
+                          if f.name != "train" and getattr(self, f.name) is not None}}
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,9 @@ class ModelConfig:
     dropout: float
 
     def validate(self) -> None:
-        for name in ("vocab_size", "embed_dim", "hidden_size", "dense_size",
-                     "attention_units", "max_dialogue_len", "heads", "ff_mult"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be a positive integer")
+        for f in fields(self):
+            if f.type == "int" and getattr(self, f.name) < 1:
+                raise ConfigError(f"{f.name} must be a positive integer")
         if self.vocab_size < 2:
             raise ConfigError("vocab_size must cover padding and unknown tokens")
         if self.hidden_size % self.heads != 0:
