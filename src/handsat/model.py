@@ -135,14 +135,14 @@ class Model:
         the random one; its padding row must be zero."""
         config.validate()
         shape = (config.vocab_size, config.embed_dim)
-        if embedding is not None:
-            table = np.asarray(embedding, dtype=np.float64)
-            if table.shape != shape:
-                raise ConfigError(f"embedding shape {table.shape} != {shape}")
         try:
             if embedding is None:
                 table = nm.glorot_uniform(shape, rng)
                 table[0] = 0.0
+            else:
+                table = np.asarray(embedding, dtype=np.float64)
+                if table.shape != shape:
+                    raise ConfigError(f"embedding shape {table.shape} != {shape}")
             return cls._assemble(config, table,
                                  lambda shape: nm.glorot_uniform(shape, rng), np.full)
         except (MemoryError, ValueError) as e:  # numpy's "cannot allocate" errors

@@ -377,14 +377,15 @@ def save_checkpoint(model: Model, vocab: Vocabulary, path: str | Path,
 
 
 class _Reader:
-    """Sequential reads from a checkpoint's bytes. Every length is checked
-    against the bytes left before anything is read or allocated."""
+    """Sequential reads from a checkpoint's bytes up to `end`. Every length
+    is checked against the bytes left before anything is read or
+    allocated."""
 
-    def __init__(self, data: bytes):
-        self.data, self.pos = data, 0
+    def __init__(self, data: bytes, end: int):
+        self.data, self.pos, self.end = data, 0, end
 
     def take(self, n: int) -> bytes:
-        if n > len(self.data) - self.pos:
+        if n > self.end - self.pos:
             raise CheckpointError("checkpoint truncated")
         self.pos += n
         return self.data[self.pos - n:self.pos]
@@ -406,17 +407,17 @@ def load_checkpoint(path: str | Path) -> tuple[Model, Vocabulary, dict]:
     between the last block and the CRC are refused."""
     path = Path(path)
     try:
-        data = path.read_bytes()
+        content = path.read_bytes()
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e.strerror}") from None
-    reader = _Reader(data[:-4])
+    reader = _Reader(content, end=len(content) - 4)  # the CRC is not read
     if reader.take(4) != MAGIC:
         raise CheckpointError(f"{path} is not a handsat checkpoint "
                               "(bad magic bytes)")
     version = reader.u32()
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    if zlib.crc32(reader.data) != struct.unpack("<I", data[-4:])[0]:
+    if zlib.crc32(memoryview(content)[:-4]) != struct.unpack("<I", content[-4:])[0]:
         raise CheckpointError(f"checkpoint {path} is truncated or corrupt "
                               "(CRC32 mismatch)")
     meta_bytes = reader.take(reader.u64())
@@ -442,14 +443,12 @@ def load_checkpoint(path: str | Path) -> tuple[Model, Vocabulary, dict]:
             raise CheckpointError(f"block {name!r}: unsupported dtype {dtype!r}")
         shape = tuple(reader.u64() for _ in range(reader.u32()))
         data = reader.take(math.prod(shape) * 8)
-        if name in stored:
-            raise CheckpointError(f"block {name!r} stored twice")
         stored[name] = shape
         # only configured shapes are built (a stored one may have 65 axes)
         if name in model.blocks and shape == model.blocks[name].data.shape:
             model.blocks[name].data = np.frombuffer(data, "<f8").reshape(shape).copy()
 
-    if reader.pos != len(reader.data):
+    if reader.pos != reader.end:
         raise CheckpointError("trailing bytes after the last block")
     missing = set(model.blocks) - set(stored)
     surplus = set(stored) - set(model.blocks)

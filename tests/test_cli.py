@@ -392,14 +392,13 @@ def seal(body: bytes) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def checkpoint_bytes(meta=None, meta_len=None, dtype=b"<f8", dims=(2,),
-                     version=FORMAT_VERSION):
+def checkpoint_bytes(meta=None, meta_len=None, dtype=b"<f8", dims=(2,)):
     """A sealed one-block HSAT container with the given fields."""
     if meta is None:
         meta = {"model_config": stored_config(),
                 "vocab": {"tokens": ["<pad>", "<unk>"]}, "extra": {}}
     raw = meta.encode() if isinstance(meta, str) else json.dumps(meta).encode()
-    out = b"HSAT" + struct.pack("<IQ", version,
+    out = b"HSAT" + struct.pack("<IQ", FORMAT_VERSION,
                                 len(raw) if meta_len is None else meta_len)
     out += raw + struct.pack("<II", 1, 1) + b"w"
     out += struct.pack("<I", len(dtype)) + dtype + struct.pack("<I", len(dims))

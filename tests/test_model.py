@@ -49,6 +49,10 @@ def test_every_block_registered_once(setup):
     ids = [id(t) for t in model.blocks.values()]
     assert len(ids) == len(set(ids))
     assert np.all(model.blocks["enc.embedding"].data[0] == 0.0)  # padding row
+    # names are field paths in the parameter dataclasses
+    assert model.blocks["enc.embedding"] is model.encoder.embedding
+    assert model.blocks["dec_s.transformer.wq"] is model.satisfaction_decoder.transformer.wq
+    assert model.blocks["dec_h.cell.u"] is model.handoff_decoder.cell.u
 
 
 def test_skeleton_has_the_built_blocks_without_their_memory():
