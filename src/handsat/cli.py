@@ -19,11 +19,11 @@ import numpy as np
 
 from . import numerics as nm
 from .config import parse_json, read_json
-from .corpus import (Role, corpus_stats, handoff_position_hist, load_corpus,
-                     load_embeddings, parse_utterance, save_corpus)
+from .corpus import (Role, build_vocab, corpus_stats, handoff_position_hist,
+                     load_corpus, load_embeddings, parse_utterance, save_corpus)
 from .decoders import AGGREGATE_MODES
 from .errors import (CheckpointError, ConfigError, ContractError, CorpusError,
-                     HandsatError, UnimplementedParameterError)
+                     HandsatError)
 from .metrics import SECTIONS, evaluate_model
 from .model import Model
 from .synth import GeneratorSpec, load_generator_spec, synthesize_corpus
@@ -101,7 +101,6 @@ class RunConfig:
 
 def cmd_train(args) -> int:
     run = RunConfig.load(args.config)
-    _log("resolved config: " + json.dumps(run.to_json(), sort_keys=True))
     cfg = run.train
     train_set = load_corpus(run.train_corpus, cfg.max_dialogue_len)
     dev_set = load_corpus(run.dev_corpus, cfg.max_dialogue_len)
@@ -109,13 +108,10 @@ def cmd_train(args) -> int:
     vocab = None
     embedding = None
     if run.embeddings:
-        from .corpus import build_vocab
-        vocab = build_vocab([d.strip_sentiment() for d in train_set],
-                            min_freq=cfg.min_freq)
+        vocab = build_vocab(train_set, min_freq=cfg.min_freq)
         loaded = load_embeddings(run.embeddings, vocab, cfg.embed_dim,
                                  rng=np.random.default_rng(cfg.seed))
         embedding = loaded.table
-        _log(f"embedding coverage: {loaded.coverage:.3f}")
 
     ckpt_dir = Path(run.checkpoint_dir)
     try:
@@ -124,6 +120,11 @@ def cmd_train(args) -> int:
         raise ConfigError(f"cannot create checkpoint_dir {ckpt_dir}: "
                           f"{getattr(e, 'strerror', None) or e}") from None
 
+    # progress lines only once every input has loaded, so a run that fails
+    # on its inputs prints its one error line and nothing else
+    _log("resolved config: " + json.dumps(run.to_json(), sort_keys=True))
+    if run.embeddings:
+        _log(f"embedding coverage: {loaded.coverage:.3f}")
     result = train(train_set, dev_set, cfg, vocab=vocab, embedding=embedding)
     for line in result.history:
         _emit(line)
@@ -243,7 +244,6 @@ def cmd_gradcheck(args) -> int:
     spec = GeneratorSpec(num_dialogues=args.dialogues, min_len=3,
                          max_len=args.max_len, complaint_rate=0.4)
     dialogues, _ = synthesize_corpus(spec, seed=args.seed)
-    from .corpus import build_vocab
     vocab = build_vocab(dialogues)
     cfg = TrainConfig(embed_dim=args.size, hidden_size=args.size,
                       dense_size=args.size, attention_units=args.size,
@@ -332,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ContractError, UnimplementedParameterError) as e:
+    except (ConfigError, ContractError) as e:
         _log(f"config error: {_one_line(e)}")
         return EXIT_CONFIG
     except (CorpusError, CheckpointError) as e:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import reprlib
 from pathlib import Path
 
 from .errors import ConfigError, HandsatError
@@ -24,7 +25,8 @@ def decode_config(cls, obj, what: str):
     """Build and validate dataclass `cls` from a JSON object; missing keys
     take the field defaults. Input that is not an object, unknown keys,
     missing keys of fields without a default and values that do not match
-    the field's annotation raise ConfigError."""
+    the field's annotation raise ConfigError; the message shows a rejected
+    value shortened, as nested or long as it may be."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} must be a JSON object")
     kinds = {f.name: _KINDS[f.type] for f in dataclasses.fields(cls)}
@@ -39,7 +41,7 @@ def decode_config(cls, obj, what: str):
         expected, check = kinds[name]
         if isinstance(value, bool) or not check(value):
             raise ConfigError(f"{what} key {name!r} must be {expected}, "
-                              f"got {value!r}")
+                              f"got {reprlib.repr(value)}")
     cfg = cls(**obj)
     cfg.validate()
     return cfg

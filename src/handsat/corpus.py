@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -117,7 +118,8 @@ def _parse_enum(cls, raw, what: str, line_no: int | None = None):
     except ValueError:
         where = f" (line {line_no})" if line_no is not None else ""
         valid = ", ".join(m.value for m in cls)
-        raise CorpusError(f"unknown {what} {raw!r}{where}; expected one of: {valid}")
+        raise CorpusError(f"unknown {what} {reprlib.repr(raw)}{where}; "
+                          f"expected one of: {valid}")
 
 
 def parse_utterance(obj: dict, line_no: int | None = None,
@@ -395,8 +397,9 @@ def init_embeddings(vocab: Vocabulary, dim: int, rng: np.random.Generator) -> np
 def load_embeddings(path: str | Path, vocab: Vocabulary, dim: int,
                     rng: np.random.Generator | None = None) -> EmbeddingLoad:
     """Read word2vec text format ("count dim" header then "token v1 .. vn"
-    lines); vocabulary tokens not in the file are random-initialized. The
-    values of vocabulary tokens must be finite numbers."""
+    lines, which may end in whitespace, as word2vec.c writes them);
+    vocabulary tokens not in the file are random-initialized. The values of
+    vocabulary tokens must be finite numbers."""
     rng = rng or np.random.default_rng(0)
     path = Path(path)
     if not path.exists():
@@ -405,14 +408,14 @@ def load_embeddings(path: str | Path, vocab: Vocabulary, dim: int,
     covered = 0
     lines = _utf8_lines(path)
     header = next(lines, (1, ""))[1].split()
-    if len(header) != 2 or not all(p.isdigit() for p in header):
+    if len(header) != 2 or not all(p.isdecimal() for p in header):
         raise CorpusError("embedding file missing 'count dim' header")
     file_dim = int(header[1])
     if file_dim != dim:
         raise CorpusError(
             f"embedding dimension {file_dim} does not match configured {dim}")
     for line_no, line in lines:
-        parts = line.rstrip("\n").split(" ")
+        parts = line.rstrip().split(" ")
         if len(parts) != dim + 1:
             raise CorpusError(f"malformed embedding line {line_no}")
         tok = parts[0]

@@ -13,12 +13,13 @@ to that table, so both directions see the same dropped tokens. Two (T, N)
 index grids, T the longest utterance's length, pick each direction's inputs
 from it: column n of the forward grid holds utterance n's tokens in order,
 column n of the backward grid holds them reversed, and both hold the padding
-row below the utterance's length. One length-masked lstm_sequence per
-direction then runs all columns at once; a column's state freezes after its
-last token, so row T - 1 holds every utterance's final state. Because the
-batched recurrence computes its rows in fixed-shape blocks, an utterance's
-vector has the same bits whichever utterances run beside it, and a dialogue
-prefix gives the first rows of the full dialogue's vectors bit for bit.
+row below the utterance's length. One lstm_sequence per direction then runs
+all columns for all T steps, and each direction's state is picked at the
+utterance's own last step, row length - 1 of its column; the padded steps
+after it get an exactly zero gradient. Because the batched recurrence
+computes its rows in fixed-shape blocks, an utterance's vector has the same
+bits whichever utterances run beside it, and a dialogue prefix gives the
+first rows of the full dialogue's vectors bit for bit.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ class EncoderParams:
                         # grid positions, whose gradient is exactly zero
     fwd: LstmParams     # word-level cell, input n, hidden k
     bwd: LstmParams
-
-    @property
-    def hidden_size(self) -> int:
-        return self.fwd.hidden_size
 
 
 def matching_features(vectors: Tensor, max_len: int) -> Tensor:
@@ -67,10 +64,11 @@ def shared_encode(token_ids: list[list[int]], params: EncoderParams,
     lengths = np.array([len(ids) for ids in token_ids], dtype=np.intp)
     if lengths.size == 0 or lengths.min() == 0:
         raise ContractError("cannot encode an empty dialogue or utterance")
-    # token table in dialogue order; its last row is the padding row
+    # token table in dialogue order; its last row is the padding row, which
+    # fills the grids past each utterance's end and is part of the dropout draw
     table = nm.gather_rows(params.embedding,
                            [i for ids in token_ids for i in ids] + [PAD_INDEX])
-    if rng is not None and dropout > 0.0:
+    if rng is not None:
         table = nm.dropout(table, dropout, rng)
     starts = np.cumsum(lengths) - lengths
     step = np.arange(lengths.max())[:, None]
@@ -78,8 +76,9 @@ def shared_encode(token_ids: list[list[int]], params: EncoderParams,
     pad = table.data.shape[0] - 1
     fwd = np.where(live, starts + step, pad)
     bwd = np.where(live, starts + lengths - 1 - step, pad)
-    h_fwd = nm.lstm_sequence(nm.gather_rows(table, fwd), params.fwd, lengths)
-    h_bwd = nm.lstm_sequence(nm.gather_rows(table, bwd), params.bwd, lengths)
-    vectors = nm.concat_cols(nm.row(h_fwd, -1), nm.row(h_bwd, -1))
+    h_fwd = nm.lstm_sequence(nm.gather_rows(table, fwd), params.fwd)
+    h_bwd = nm.lstm_sequence(nm.gather_rows(table, bwd), params.bwd)
+    last = (lengths - 1, np.arange(lengths.size))
+    vectors = nm.concat_cols(nm.row(h_fwd, last), nm.row(h_bwd, last))
     matched = matching_features(vectors, max_len)
     return nm.concat_cols(matched, vectors)

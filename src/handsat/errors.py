@@ -20,8 +20,3 @@ class CorpusError(HandsatError):
 
 class CheckpointError(HandsatError):
     """Unreadable, corrupt, or incompatible checkpoint file."""
-
-
-class UnimplementedParameterError(HandsatError):
-    """A reserved parameter was set to a value this implementation
-    deliberately refuses to guess a semantics for."""

@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import (SENTIMENT_CLASSES, SATISFACTION_CLASSES, Dialogue,
                      HandoffLabel, Role)
 from .decoders import aggregate_variant, map_sentiment
-from .errors import ContractError, CorpusError, UnimplementedParameterError
+from .errors import ContractError, CorpusError
 
 GT_TOLERANCES = (1, 2, 3)
 SECTIONS = ("mhch", "ssa", "sentiment")
@@ -56,17 +56,13 @@ def classification_scores(
 
 
 def gtt(pred_positions: Iterable[int], gold_positions: Iterable[int],
-        tolerance: int, lam: float = 0.0) -> float:
+        tolerance: int) -> float:
     """Per-dialogue transfer credit: 1 if some predicted transfer position
     lies within `tolerance` utterances of some gold one (1-based indices).
 
-    Both sets empty scores 1; exactly one empty scores 0. Only the lam=0
-    variant (no early/late bias penalty) is implemented; any other value is
-    refused rather than silently mis-scored.
+    Both sets empty scores 1; exactly one empty scores 0. This is the
+    variant without an early/late bias penalty.
     """
-    if lam != 0.0:
-        raise UnimplementedParameterError(
-            "only the lam=0 tolerance score is implemented")
     if tolerance < 0:
         raise ContractError("tolerance must be >= 0")
     pred = set(int(p) for p in pred_positions)
@@ -81,10 +77,10 @@ def gtt(pred_positions: Iterable[int], gold_positions: Iterable[int],
 
 
 def gtt_corpus(cases: Sequence[tuple[Iterable[int], Iterable[int]]],
-               tolerance: int, lam: float = 0.0) -> float:
+               tolerance: int) -> float:
     if not cases:
         raise ContractError("gtt_corpus needs at least one dialogue")
-    return sum(gtt(p, g, tolerance, lam) for p, g in cases) / len(cases)
+    return sum(gtt(p, g, tolerance) for p, g in cases) / len(cases)
 
 
 @dataclass

@@ -23,6 +23,9 @@ block, and one stacked (blocks, 16, in) product matches the per-block GEMMs
 and at 2 BLAS threads). 16-row blocks pad a training dialogue's 8-10 rows
 to 16 instead of 64.
 
+lstm_sequence runs every sequence of a batch for all T steps; the encoder
+picks each utterance's state at its own last step.
+
 Backward closures use plain BLAS products, where speed matters and bitwise
 prefix reproducibility does not.
 
@@ -317,7 +320,8 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), back)
 
 
-def row(a: Tensor, i: int) -> Tensor:
+def row(a: Tensor, i: int | tuple[Array, ...]) -> Tensor:
+    """a[i]; i may be a tuple of index arrays that name distinct entries."""
     out = a.data[i]
 
     def back(g: Array) -> None:
@@ -528,12 +532,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         m1 = gx.mean(axis=-1, keepdims=True)
         m2 = (gx * xhat).mean(axis=-1, keepdims=True)
         _accum(x, inv * (gx - m1 - xhat * m2))
-        if x.data.ndim == 1:
-            _accum(gain, g * xhat)
-            _accum(bias, g)
-        else:
-            _accum(gain, (g * xhat).sum(axis=0))
-            _accum(bias, g.sum(axis=0))
+        _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
+        _accum(bias, _unbroadcast(g, bias.data.shape))
 
     return _make(out, (x, gain, bias), back)
 
@@ -582,41 +582,35 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor,
     return h, c
 
 
-def lstm_sequence(x: Tensor, params: LstmParams,
-                  lengths: Sequence[int] | None = None) -> Tensor:
+def lstm_sequence(x: Tensor, params: LstmParams) -> Tensor:
     """Run the cell from a zero initial state and return every hidden state.
 
     x is (T, in) for one sequence, giving (T, k); or (T, B, in) for B
-    sequences with their lengths, giving (T, B, k). Sequence b's state
-    freezes after its lengths[b]-th step, so row T - 1 holds every
-    sequence's last state and inputs past a sequence's end are ignored.
+    sequences, giving (T, B, k). Every sequence runs all T steps; a caller
+    with shorter sequences reads each one's state at its own last step, and
+    the steps after it get an exactly zero gradient.
 
     The input projection of all steps is one fixed_matmul. The B-sequence
     recurrence also goes through fixed_matmul, so a sequence's bits do not
-    depend on how many sequences run beside it; the one-sequence recurrence
-    is a fixed-shape matvec.
+    depend on how many sequences run beside it or on their contents; the
+    one-sequence recurrence is a fixed-shape matvec.
 
     Each step takes one tanh for all four gates, as sigmoid(x) =
     (1 + tanh(x / 2)) / 2: the sigmoid gates' rows of W, U and b are halved
     up front (exact in binary), and after the tanh their entries are halved
     and shifted by 1/2. tanh cannot overflow, so no exp guard is needed.
-    Masks cost only in a ragged batch, where some sequence ends before T;
-    the one-sequence form and equal-length batches skip them, and live
-    entries get the same bits either way.
 
     Backward is hand-written backprop through time that ends in one GEMM
     each for dW, dU and dx.
     """
-    batched = x.data.ndim == 3 and lengths is not None
+    batched = x.data.ndim == 3
     if batched:
         T, B, n = x.data.shape
-        lengths = np.asarray(lengths, dtype=np.intp)
-        if lengths.shape != (B,) or np.any(lengths < 1) or np.any(lengths > T):
-            raise ContractError(f"lstm_sequence lengths must be {B} values in [1, {T}]")
-    elif x.data.ndim == 2 and lengths is None:
+    elif x.data.ndim == 2:
         (T, n), B = x.data.shape, 1
     else:
-        raise ContractError("lstm_sequence expects (T, in), or (T, B, in) with lengths")
+        raise ContractError(f"lstm_sequence expects (T, in) or (T, B, in), "
+                            f"got {x.data.shape}")
     params.check(n)
     k = params.hidden_size
     wd, ud, bd = params.w.data, params.u.data, params.b.data
@@ -628,10 +622,6 @@ def lstm_sequence(x: Tensor, params: LstmParams,
     pre_x += bd * half
     pre_x = pre_x.reshape(T, B, 4 * k)
     u_half = ud * half[:, None]
-    masked = batched and lengths.min() < T
-    if masked:
-        live = (np.arange(T)[:, None] < lengths)[:, :, None]     # (T, B, 1)
-        dead = ~live
 
     gates = np.empty((T, B, 4 * k))   # i, f, g, o after their nonlinearity
     i, f, g, o = (gates[..., j * k:(j + 1) * k] for j in range(4))
@@ -654,25 +644,15 @@ def lstm_sequence(x: Tensor, params: LstmParams,
         cs[t] += i[t] * g[t]
         np.tanh(cs[t], out=tcs[t])
         np.multiply(o[t], tcs[t], out=hs[t])
-        if masked:
-            np.copyto(cs[t], c, where=dead[t])
-            np.copyto(hs[t], h, where=dead[t])
         h, c = hs[t], cs[t]
 
     def back(grad_h: Array) -> None:
         # step-local derivatives for all steps at once: d pre / d c per gate
-        # (output gate: d pre / d h); in a ragged batch they are zero past
-        # each sequence's end, where the state passes through unchanged
-        # (forget factor 1)
+        # (output gate: d pre / d h)
         c_prev = np.concatenate([np.zeros((1, B, k)), cs[:-1]])
         dgate = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f),
                           i * (1.0 - g * g), tcs * o * (1.0 - o)], axis=2)
         dc_dh = o * (1.0 - tcs * tcs)
-        carry = f
-        if masked:
-            dgate *= live[..., None]
-            dc_dh *= live
-            carry = np.where(live, f, 1.0)
         grad_h = grad_h.reshape(T, B, k)
         dpre = np.empty((T, B, 4, k))
         dh = np.zeros((B, k))
@@ -682,9 +662,8 @@ def lstm_sequence(x: Tensor, params: LstmParams,
             dc += dh * dc_dh[t]
             np.multiply(dgate[t, :, :3], dc[:, None], out=dpre[t, :, :3])
             np.multiply(dgate[t, :, 3], dh, out=dpre[t, :, 3])
-            dh_prev = dpre[t].reshape(B, 4 * k) @ ud
-            dh = np.where(live[t], dh_prev, dh) if masked else dh_prev
-            dc *= carry[t]
+            dh = dpre[t].reshape(B, 4 * k) @ ud
+            dc *= f[t]
         flat = dpre.reshape(T * B, 4 * k)
         h_prev = np.concatenate([np.zeros((1, B, k)), hs[:-1]]).reshape(T * B, k)
         _accum(x, (flat @ wd).reshape(x.data.shape))

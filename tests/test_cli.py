@@ -3,8 +3,11 @@ import io
 import json
 import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handsat import cli
-from handsat.corpus import Vocabulary, dialogue_to_json, save_corpus
+from handsat.corpus import (Vocabulary, build_vocab, dialogue_to_json, load_corpus,
+                            save_corpus)
 from handsat.model import Model
 from handsat.synth import GeneratorSpec, synthesize_corpus
 from handsat.training import FORMAT_VERSION, TrainConfig, save_checkpoint
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -471,6 +477,31 @@ def test_deeply_nested_json_is_one_line_error(trained_run, tmp_path, capsys, sit
     assert err.count("\n") == 1 and "nested too deeply" in err
 
 
+@pytest.mark.parametrize("site", ["run_config", "corpus"])
+def test_nested_rejected_value_is_echoed_short(workspace, tmp_path, site):
+    """A rejected value nested 980 deep is echoed shortened, so the error
+    stays one short line. The CLI runs in a fresh interpreter, where the
+    JSON parser's recursion limit admits that depth."""
+    _, config_path, _, dev_path = workspace
+    if site == "run_config":
+        obj = json.loads(config_path.read_text())
+        obj["train"]["hidden_size"] = "@"
+        argv, expected = ["train", str(tmp_path / "input.json")], 2
+    else:
+        obj = json.loads(dev_path.read_text().splitlines()[0])
+        obj["utterances"][0]["role"] = "@"
+        argv, expected = ["stats", str(tmp_path / "input.json")], 3
+    (tmp_path / "input.json").write_text(
+        json.dumps(obj).replace('"@"', "[" * 980 + '"x"' + "]" * 980) + "\n")
+    proc = subprocess.run([sys.executable, "-m", "handsat.cli", *argv], env=dict(
+        os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(ROOT / "src"), os.environ.get("PYTHONPATH")]))),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == expected and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and len(proc.stderr) < 200, proc.stderr[:300]
+    assert "nested too deeply" not in proc.stderr
+
+
 @pytest.mark.parametrize("directory", [False, True], ids=["missing", "directory"])
 def test_unreadable_checkpoint_is_data_error(tmp_path, capsys, directory):
     ckpt = tmp_path / "model.ckpt"
@@ -617,15 +648,17 @@ def run_quietly(*argv):
 
 
 def assert_clean_exit(code, err):
-    """An expected exit code, no traceback, and an error as one line, after
-    at most train's progress lines."""
+    """An expected exit code, no traceback, and an error as one line. train
+    logs its progress only once its inputs have loaded, so only a config
+    error raised in training itself (a model too large to allocate) comes
+    after a progress line: the resolved config."""
     assert code in (0, 2, 3, 4), err
     assert "Traceback" not in err
     if code in (2, 3):
         *progress, last = err.splitlines()
         assert last.startswith(("config error: ", "data error: ")), err
-        assert all(line.startswith(("resolved config: ", "embedding coverage: "))
-                   for line in progress), err
+        assert not progress or (code == 2 and len(progress) == 1 and
+                                progress[0].startswith("resolved config: ")), err
 
 
 @pytest.fixture(scope="module")
@@ -680,3 +713,66 @@ def test_fuzzed_predict_stream_exits_cleanly(fuzz_inputs, data):
     stream = root / "stream.jsonl"
     stream.write_text("\n".join(lines) + "\n")
     assert_clean_exit(*run_quietly("predict", str(ckpt), "--input", str(stream)))
+
+
+# Replacement fields for word2vec text: numbers the parser must refuse or
+# accept, Unicode digits (str.isdigit accepts "²", int() does not),
+# separators, and text.
+EMBEDDING_FIELDS = (
+    st.sampled_from(["", "²", "٣", "-1", "0", "4", "3", "1e400", "nan", "-inf",
+                     "1_0", "0x1", "+2", "a", "<pad>", " ", "\t", "\n", "\x00"])
+    | st.text(st.sampled_from("0123456789.-e+ é\n"), max_size=6))
+
+
+@st.composite
+def mutated_text(draw, text: str) -> bytes:
+    """text as UTF-8 with one mutation: a space-separated field replaced, a
+    line deleted, the text truncated, or one byte overwritten (possibly
+    with one that is not UTF-8)."""
+    kind = draw(st.sampled_from(["field", "line", "truncate", "byte"]))
+    lines = text.splitlines(keepends=True)
+    n = draw(st.integers(0, len(lines) - 1))
+    if kind == "field":
+        fields = lines[n].rstrip("\n").split(" ")
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(EMBEDDING_FIELDS)
+        lines[n] = " ".join(fields) + "\n"
+        return "".join(lines).encode()
+    if kind == "line":
+        del lines[n]
+        return "".join(lines).encode()
+    data = text.encode()
+    pos = draw(st.integers(0, len(data) - 1))
+    if kind == "truncate":
+        return data[:pos]
+    return data[:pos] + draw(st.sampled_from([b"\xff", b"\xc3", b" ", b"\n",
+                                              b"0", b"-", b"\x00"])) + data[pos + 1:]
+
+
+@pytest.fixture(scope="module")
+def embeddings_text(fuzz_inputs):
+    """A valid word2vec text file for the fuzz corpus's vocabulary, each
+    vector line ending in a space as word2vec.c writes it."""
+    root, _, config, _ = fuzz_inputs
+    dim = config["train"]["embed_dim"]
+    vocab = build_vocab(load_corpus(root / "train.jsonl", 4))
+    tokens = sorted(vocab.token_to_index)[:6]
+    lines = [f"{len(tokens)} {dim}\n"]
+    for i, token in enumerate(tokens):
+        lines.append(token + " " + "".join(f"{0.01 * (i + j):.6f} "
+                                           for j in range(dim)) + "\n")
+    return "".join(lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fuzzed_embeddings_exits_cleanly(fuzz_inputs, embeddings_text, data):
+    root, _, config, _ = fuzz_inputs
+    (root / "emb.txt").write_bytes(data.draw(mutated_text(embeddings_text)))
+    config = {**config, "paths": {**config["paths"], "embeddings": "emb.txt"}}
+    (root / "emb_config.json").write_text(json.dumps(config))
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        assert_clean_exit(*run_quietly("train", "emb_config.json"))
+    finally:
+        os.chdir(cwd)

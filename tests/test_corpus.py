@@ -269,6 +269,25 @@ def test_load_embeddings_rejects_bad_values(tmp_path, value, message):
         cp.load_embeddings(p, vocab, dim=2)
 
 
+@pytest.mark.parametrize("header", ["1 ²", "1 2.0", "-1 2", "1", ""])
+def test_load_embeddings_rejects_bad_header(tmp_path, header):
+    vocab = cp.Vocabulary({cp.PAD_TOKEN: 0, cp.UNK_TOKEN: 1, "a": 2})
+    p = tmp_path / "emb.txt"
+    p.write_text(header + "\na 1.0 2.0\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match="'count dim' header"):
+        cp.load_embeddings(p, vocab, dim=2)
+
+
+def test_load_embeddings_accepts_trailing_space(tmp_path):
+    """word2vec.c's text output ends each vector line in a space."""
+    vocab = cp.Vocabulary({cp.PAD_TOKEN: 0, cp.UNK_TOKEN: 1, "a": 2})
+    p = tmp_path / "emb.txt"
+    p.write_text("1 2\na 1.000000 -2.500000 \n", encoding="utf-8")
+    loaded = cp.load_embeddings(p, vocab, dim=2)
+    assert loaded.coverage == 1.0
+    np.testing.assert_array_equal(loaded.table[2], [1.0, -2.5])
+
+
 def test_load_embeddings_non_utf8(tmp_path):
     vocab = cp.Vocabulary({cp.PAD_TOKEN: 0, cp.UNK_TOKEN: 1, "a": 2})
     p = tmp_path / "emb.txt"

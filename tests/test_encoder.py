@@ -3,6 +3,7 @@ import pytest
 
 from handsat import encoder as enc
 from handsat import numerics as nm
+from handsat.corpus import PAD_INDEX
 from handsat.errors import ContractError
 from handsat.numerics import LstmParams
 
@@ -143,3 +144,26 @@ def test_shared_encode_prefixes_are_bit_identical():
         prefix = enc.shared_encode(dialogue[:cut], p, max_len=max_len).data
         assert prefix[:, max_len:].tobytes() == full[:cut, max_len:].tobytes(), cut
         np.testing.assert_array_equal(prefix, full[:cut])
+
+
+def test_ragged_utterance_vectors_bits_match_solo_encoding():
+    """Each utterance of a ragged dialogue gets the bits it gets when encoded
+    alone, however far its column runs past its end; those padded steps give
+    the padding row an exactly zero gradient, with dropout on or off."""
+    rng = np.random.default_rng(6)
+    p = make_params(30, 8, k=6, rng=rng)
+    lengths = [1, 9, 3, 17, 2, 6, 17, 4]
+    dialogue = [list(rng.integers(1, 30, size=n)) for n in lengths]
+    max_len = 8
+    full = enc.shared_encode(dialogue, p, max_len=max_len)
+    for t, ids in enumerate(dialogue):
+        solo = enc.shared_encode([ids], p, max_len=max_len).data[0, max_len:]
+        assert solo.tobytes() == full.data[t, max_len:].tobytes(), t
+    for dropout_rng in (None, np.random.default_rng(7)):
+        p.embedding.grad = None
+        rep = enc.shared_encode(dialogue, p, max_len=max_len, dropout=0.3,
+                                rng=dropout_rng)
+        weights = nm.constant(rng.standard_normal(rep.shape))
+        nm.sum_all(nm.mul(rep, weights)).backward()
+        assert not p.embedding.grad[PAD_INDEX].any()
+        assert p.embedding.grad[1:].any()

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from handsat import metrics as mt
 from handsat.corpus import (SATISFACTION_CLASSES, HandoffLabel, Role,
                             SatisfactionLabel, SentimentLabel)
-from handsat.errors import (ContractError, CorpusError,
-                            UnimplementedParameterError)
+from handsat.errors import ContractError, CorpusError
 from handsat.model import ForwardResult
 from handsat.synth import GeneratorSpec, synthesize_corpus
 
@@ -74,11 +73,6 @@ def test_gtt_basic_cases():
     assert mt.gtt(set(), set(), 1) == 1.0
     assert mt.gtt({3}, set(), 1) == 0.0
     assert mt.gtt(set(), {3}, 1) == 0.0
-
-
-def test_gtt_lambda_reserved():
-    with pytest.raises(UnimplementedParameterError):
-        mt.gtt({1}, {1}, 1, lam=0.5)
 
 
 def test_gtt_positions_one_based():

@@ -267,15 +267,16 @@ def test_lstm_sequence_grad_check():
 @pytest.mark.parametrize("lengths", [[3, 1, 5, 2, 5], [5, 5, 5, 5, 5]],
                          ids=["ragged", "equal"])
 def test_batched_lstm_sequence_matches_per_sequence_steps(lengths):
-    """Each column follows lstm_step up to its length, then holds its last
-    state; inputs past a column's end get zero gradient. Ragged lengths take
-    the masked branch, equal full lengths the mask-free one."""
+    """Each column follows lstm_step. A loss that reads column b only up to
+    step lengths[b] - 1, as the encoder does, gives the gradients of the
+    stepped columns, and inputs past the column's end get exactly zero."""
     rng = np.random.default_rng(23)
     T, B, input_size, k = 5, len(lengths), 3, 4
     weights = rng.standard_normal((T, B, k))
+    weights[np.arange(T)[:, None] >= np.array(lengths)] = 0.0
     p1 = rand_lstm(input_size, k, rng)
     x1 = rand_param((T, B, input_size), rng)
-    hs = nm.lstm_sequence(x1, p1, lengths)
+    hs = nm.lstm_sequence(x1, p1)
     loss1 = nm.sum_all(nm.mul(hs, nm.constant(weights)))
     loss1.backward()
 
@@ -287,12 +288,7 @@ def test_batched_lstm_sequence_matches_per_sequence_steps(lengths):
         for t in range(length):
             h, c = nm.lstm_step(nm.row(nm.row(x2, t), b), h, c, p2)
             np.testing.assert_allclose(hs.data[t, b], h.data, atol=1e-10)
-            # the last state is also read at every step after the column's end
-            w_t = weights[t:, b].sum(axis=0) if t == length - 1 else weights[t, b]
-            loss2 = nm.add(loss2, nm.sum_all(nm.mul(h, nm.constant(w_t))))
-        np.testing.assert_array_equal(hs.data[length:, b],
-                                      np.broadcast_to(hs.data[length - 1, b],
-                                                      (T - length, k)))
+            loss2 = nm.add(loss2, nm.sum_all(nm.mul(h, nm.constant(weights[t, b]))))
     loss2.backward()
 
     assert loss1.item() == pytest.approx(loss2.item(), rel=1e-12)
@@ -308,16 +304,15 @@ def test_batched_lstm_sequence_grad_check():
     x = rand_param((4, 3, 3), rng)
 
     def loss():
-        return nm.sum_all(nm.square(nm.lstm_sequence(x, p, [4, 2, 1])))
+        return nm.sum_all(nm.square(nm.lstm_sequence(x, p)))
 
     report = nm.grad_check(loss, {"x": x, "w": p.w, "u": p.u, "b": p.b},
                            samples_per_block=12)
     assert report.passed, report.to_json()
 
 
-@pytest.mark.parametrize("lengths", [None, [6, 6, 6], [6, 2, 4]],
-                         ids=["one", "equal", "ragged"])
-def test_lstm_sequence_saturated_gates_stay_finite(lengths):
+@pytest.mark.parametrize("batch", [None, 3], ids=["one", "equal"])
+def test_lstm_sequence_saturated_gates_stay_finite(batch):
     """Pre-activations around +-1e3 give finite states and gradients, and
     gates of exactly 0 or 1: every state equals lstm_step's, whose guarded
     sigmoid gives exact 0 and 1 there."""
@@ -325,28 +320,26 @@ def test_lstm_sequence_saturated_gates_stay_finite(lengths):
     T, input_size, k = 6, 3, 4
     p = rand_lstm(input_size, k, rng)
     p.b.data[:] = 1e3 * rng.choice([-1.0, 1.0], size=4 * k)
-    shape = (T, input_size) if lengths is None else (T, len(lengths), input_size)
+    shape = (T, input_size) if batch is None else (T, batch, input_size)
     x = nm.parameter(rng.standard_normal(shape))
-    hs = nm.lstm_sequence(x, p, lengths)
+    hs = nm.lstm_sequence(x, p)
     nm.sum_all(nm.mul(hs, nm.constant(rng.standard_normal(hs.shape)))).backward()
     for leaf in (x, p.w, p.u, p.b):
         assert np.all(np.isfinite(leaf.grad))
     xs = x.data.reshape(T, -1, input_size)
     states = hs.data.reshape(T, -1, k)
-    for b, length in enumerate(lengths or [T]):
+    for b in range(states.shape[1]):
         h = c = nm.constant(np.zeros(k))
-        for t in range(length):
+        for t in range(T):
             h, c = nm.lstm_step(nm.constant(xs[t, b]), h, c, p)
             np.testing.assert_array_equal(states[t, b], h.data)
 
 
-@pytest.mark.parametrize("x_shape, lengths", [
-    ((4, 3), [4]), ((4, 2, 3), None), ((4, 2, 3), [4]), ((4, 2, 3), [5, 1]),
-    ((4, 2, 3), [0, 4]),
-])
-def test_lstm_sequence_rejects_bad_lengths(x_shape, lengths):
+@pytest.mark.parametrize("x_shape", [(3,), (4, 1, 2, 3), (4, 2, 5)],
+                         ids=["1d", "4d", "wrong_width"])
+def test_lstm_sequence_rejects_bad_shapes(x_shape):
     with pytest.raises(ContractError):
-        nm.lstm_sequence(nm.constant(np.zeros(x_shape)), zero_lstm(3, 2), lengths)
+        nm.lstm_sequence(nm.constant(np.zeros(x_shape)), zero_lstm(3, 2))
 
 
 # ---------------------------------------------------------------------------
