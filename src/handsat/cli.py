@@ -128,6 +128,8 @@ def cmd_train(args) -> int:
     result = train(train_set, dev_set, cfg, vocab=vocab, embedding=embedding)
     for line in result.history:
         _emit(line)
+    for record in result.timing:
+        _log("epoch timing: " + json.dumps(record))
 
     ckpt_path = ckpt_dir / "model.ckpt"
     save_checkpoint(result.model, result.vocab, ckpt_path,
@@ -185,7 +187,8 @@ def cmd_predict(args) -> int:
                 raise CorpusError(
                     f"stream exceeds max dialogue length "
                     f"{model.config.max_dialogue_len}")
-            out = model.forward(ids, roles, require_customer=False)
+            with model.untaped():
+                out = model.forward(ids, roles, require_customer=False)
             has_customer = Role.CUSTOMER in roles
             _emit({
                 "position": len(ids),
@@ -203,7 +206,8 @@ def cmd_predict(args) -> int:
     if Role.CUSTOMER not in roles:
         raise CorpusError("stream contained no customer utterance; "
                           "satisfaction is undefined")
-    out = model.forward(ids, roles)
+    with model.untaped():
+        out = model.forward(ids, roles)
     _emit({"satisfaction_probs": out.satisfaction_probs.data.tolist(),
            "trace": out.trace(roles, model.config.interaction_mode,
                               model.config.aggregate_mode)})

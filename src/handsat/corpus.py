@@ -385,7 +385,8 @@ def build_vocab(train: Sequence[Dialogue], min_freq: int = 1) -> Vocabulary:
 @dataclass
 class EmbeddingLoad:
     table: np.ndarray  # (|V|, n); padding row zero
-    coverage: float    # fraction of vocabulary rows found in the file
+    coverage: float    # share of vocabulary tokens other than <pad>/<unk>
+                       # found in the file, each counted once
 
 
 def init_embeddings(vocab: Vocabulary, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -405,7 +406,7 @@ def load_embeddings(path: str | Path, vocab: Vocabulary, dim: int,
     if not path.exists():
         raise CorpusError(f"embedding file not found: {path}")
     table = init_embeddings(vocab, dim, rng)
-    covered = 0
+    covered: set[int] = set()  # vocabulary rows other than <pad>/<unk> read
     lines = _utf8_lines(path)
     header = next(lines, (1, ""))[1].split()
     if len(header) != 2 or not all(p.isdecimal() for p in header):
@@ -428,8 +429,9 @@ def load_embeddings(path: str | Path, vocab: Vocabulary, dim: int,
                     f"non-numeric embedding value on line {line_no}") from None
             if not all(math.isfinite(v) for v in values):
                 raise CorpusError(f"non-finite embedding value on line {line_no}")
-            table[idx] = values
-            covered += 1
+            table[idx] = values  # a repeated token's last line wins
+            if idx != UNK_INDEX:
+                covered.add(idx)
     table[PAD_INDEX] = 0.0
     denom = max(len(vocab) - 2, 1)  # pad/unk are not expected in files
-    return EmbeddingLoad(table=table, coverage=covered / denom)
+    return EmbeddingLoad(table=table, coverage=len(covered) / denom)

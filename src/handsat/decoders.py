@@ -10,6 +10,10 @@ learned query scores customer positions to weight those local distributions
 into the dialogue-level estimate. Agent positions receive exactly zero
 importance. Alternative aggregators (average / voting / last) cover the
 ablation variants.
+
+Both decoders take one dialogue's (L, d) rows or a batch's (B, L_max, d)
+rows, zero past each dialogue's end. Every step is causal or row-wise, so
+the padded rows never reach a dialogue's own rows.
 """
 
 from __future__ import annotations
@@ -60,21 +64,25 @@ class SatisfactionDecoderParams:
 
 
 def decode_handoff(fused: Tensor, params: HandoffDecoderParams) -> Tensor:
-    """Row-stochastic (L, 2) handoff distributions."""
-    hidden = nm.lstm_sequence(fused, params.cell)
+    """Row-stochastic handoff distributions, (L, 2) or (B, L_max, 2)."""
+    if fused.data.ndim == 3:  # the recurrence is time-major
+        hidden = nm.transpose(nm.lstm_sequence(nm.transpose(fused, (1, 0, 2)),
+                                               params.cell), (1, 0, 2))
+    else:
+        hidden = nm.lstm_sequence(fused, params.cell)
     logits = nm.linear_rows(hidden, params.out_w, params.out_b)
     return nm.softmax_rows(logits)
 
 
 def transformer_block(x: Tensor, params: TransformerParams, heads: int) -> Tensor:
     """One post-norm block with causal (past-inclusive) self-attention; all
-    heads run at once on a leading head axis."""
-    length, width = x.data.shape
+    heads run at once on a head axis after any batch axes."""
+    length, width = x.data.shape[-2:]
     q = nm.split_heads(nm.linear_rows(x, params.wq, params.bq), heads)
     k = nm.split_heads(nm.linear_rows(x, params.wk), heads)
     v = nm.split_heads(nm.linear_rows(x, params.wv, params.bv), heads)
     scores = nm.scale(nm.pairwise_scores(q, k), 1.0 / np.sqrt(width // heads))
-    allowed = np.tril(np.ones((heads, length, length), dtype=bool))
+    allowed = np.broadcast_to(nm.tril(length), scores.data.shape)
     attn = nm.masked_softmax(scores, allowed)
     ctx = nm.merge_heads(nm.attend(attn, v))
     attended = nm.linear_rows(ctx, params.wo, params.bo)
@@ -92,17 +100,18 @@ def decode_satisfaction(
     allow_no_customer: bool = False,
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Returns (dialogue distribution (3,), local distributions (L, 3),
-    importance weights (L,) with zero mass on agent positions).
+    importance weights (L,) with zero mass on agent positions); for batched
+    rows, is_customer is (B, L_max), False past each dialogue's end, and
+    each output gains the leading B axis.
 
     A dialogue without customer utterances has no defined estimate; that is
     an error unless allow_no_customer is set (streaming prefixes), in which
     case the importance row and the dialogue distribution come back all-zero.
     """
-    length = fused.data.shape[0]
     is_customer = np.asarray(is_customer, dtype=bool)
-    if is_customer.shape != (length,):
+    if is_customer.shape != fused.data.shape[:-1]:
         raise ContractError("role vector length mismatch")
-    if not is_customer.any() and not allow_no_customer:
+    if not is_customer.any(axis=-1).all() and not allow_no_customer:
         raise ContractError("satisfaction decoding requires >= 1 customer utterance")
     refined = transformer_block(
         nm.linear_rows(fused, params.proj_w, params.proj_b),
@@ -111,7 +120,7 @@ def decode_satisfaction(
     keys = nm.tanh(nm.linear_rows(refined, params.attn_w, params.attn_b))
     scores = nm.matvec(keys, params.query)
     importance = nm.masked_softmax(scores, is_customer)
-    overall = nm.matvec(nm.transpose(local), importance)
+    overall = nm.pool(importance, local)
     return overall, local, importance
 
 
@@ -120,36 +129,39 @@ def aggregate_variant(
     is_customer: np.ndarray,
     mode: str,
     importance: Tensor | None = None,
+    allow_no_customer: bool = False,
 ) -> Tensor:
-    """Dialogue-level distribution from the local rows.
+    """Dialogue-level distribution from the local rows, (L, 3) with
+    is_customer (L,), or one per dialogue from (B, L_max, 3) with (B, L_max).
 
-    attention needs the importance weights; average and last stay on the
-    tape; voting (majority argmax, one-hot output) is non-differentiable and
-    returns a constant.
+    attention needs the importance weights; average and last pool the local
+    rows with constant weights (last: one-hot on the last customer, which
+    gives that row exactly); voting (majority argmax, one-hot output) is
+    non-differentiable and returns a constant. A dialogue without customer
+    utterances is an error unless allow_no_customer is set, and then gets
+    the all-zero distribution.
     """
     if mode not in AGGREGATE_MODES:
         raise ContractError(f"unknown aggregation mode {mode!r}")
     is_customer = np.asarray(is_customer, dtype=bool)
-    positions = np.flatnonzero(is_customer)
-    if positions.size == 0:
+    counts = is_customer.sum(axis=-1, keepdims=True)
+    if not counts.all() and not allow_no_customer:
         raise ContractError("aggregation requires >= 1 customer utterance")
     if mode == "attention":
         if importance is None:
             raise ContractError("attention aggregation requires importance weights")
-        return nm.matvec(nm.transpose(local), importance)
+        return nm.pool(importance, local)
     if mode == "average":
-        weights = np.zeros(local.data.shape[0])
-        weights[positions] = 1.0 / positions.size
-        return nm.matvec(nm.transpose(local), nm.constant(weights))
+        return nm.pool(nm.constant(is_customer / np.maximum(counts, 1)), local)
+    positions = np.arange(is_customer.shape[-1])
     if mode == "last":
-        return nm.row(local, int(positions[-1]))
-    # voting
-    votes = np.argmax(local.data[positions], axis=1)
-    counts = np.bincount(votes, minlength=local.data.shape[1])
-    winner = int(np.argmax(counts))  # ties resolve to the lowest class index
-    onehot = np.zeros(local.data.shape[1])
-    onehot[winner] = 1.0
-    return nm.constant(onehot)
+        last = np.max(np.where(is_customer, positions, -1), axis=-1, keepdims=True)
+        return nm.pool(nm.constant((positions == last).astype(float)), local)
+    # voting; ties resolve to the lowest class index
+    classes = np.arange(local.data.shape[-1])
+    votes = (np.argmax(local.data, axis=-1)[..., None] == classes) & is_customer[..., None]
+    winner = np.argmax(votes.sum(axis=-2), axis=-1)[..., None] == classes
+    return nm.constant((winner & (counts > 0)).astype(float))
 
 
 def map_sentiment(local: np.ndarray, roles: Sequence[Role]) -> dict[int, SentimentLabel]:

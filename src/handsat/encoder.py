@@ -20,6 +20,11 @@ after it get an exactly zero gradient. Because the batched recurrence
 computes its rows in fixed-shape blocks, an utterance's vector has the same
 bits whichever utterances run beside it, and a dialogue prefix gives the
 first rows of the full dialogue's vectors bit for bit.
+
+Several dialogues encode as one batch of utterances: their utterances are
+listed back to back and a size per dialogue says where each ends. The
+matching block is then one batched product over a (B, L_max) grid of
+utterance slots, each dialogue in its own slice, zero past its end.
 """
 
 from __future__ import annotations
@@ -44,26 +49,34 @@ class EncoderParams:
 
 def matching_features(vectors: Tensor, max_len: int) -> Tensor:
     """Row t holds dot(v_t, v_j) for j < t, then zeros out to max_len; the
-    support is strictly lower-triangular (row 1 is all zeros)."""
-    length = vectors.data.shape[0]
+    support is strictly lower-triangular (row 1 is all zeros). vectors is
+    (L, w), or (..., L, w) with leading batch axes."""
+    length = vectors.data.shape[-2]
     if length > max_len:
         raise ContractError(f"dialogue length {length} exceeds max {max_len}")
     scores = nm.pairwise_scores(vectors, vectors)
-    strict_past = np.tril(np.ones((length, length)), k=-1)
-    return nm.pad_cols(nm.mul(scores, nm.constant(strict_past)), max_len)
+    strict_past = nm.constant(nm.tril(length, -1))  # as 0.0 / 1.0
+    return nm.pad_cols(nm.mul(scores, strict_past), max_len)
 
 
 def shared_encode(token_ids: list[list[int]], params: EncoderParams,
                   max_len: int, dropout: float = 0.0,
-                  rng: np.random.Generator | None = None) -> Tensor:
-    """Shared representation (L, max_len + 2k) both task branches start
-    from: matching features, then utterance vectors. Dropout applies to
-    the embedded tokens when an rng is given."""
-    if len(token_ids) > max_len:
-        raise ContractError(f"dialogue length {len(token_ids)} exceeds max {max_len}")
+                  rng: np.random.Generator | None = None,
+                  sizes: list[int] | None = None) -> Tensor:
+    """Shared representation both task branches start from, one row per
+    utterance, (N, max_len + 2k): matching features, then utterance
+    vectors. token_ids holds one dialogue's utterances, or those of several
+    dialogues back to back with sizes[b] utterances in dialogue b; a row's
+    matching features cover its own dialogue. Dropout applies to the
+    embedded tokens when an rng is given."""
+    sizes = [len(token_ids)] if sizes is None else list(sizes)
+    if sum(sizes) != len(token_ids):
+        raise ContractError(f"{len(token_ids)} utterances for dialogue sizes {sizes}")
     lengths = np.array([len(ids) for ids in token_ids], dtype=np.intp)
-    if lengths.size == 0 or lengths.min() == 0:
+    if min(sizes, default=0) == 0 or lengths.min() == 0:
         raise ContractError("cannot encode an empty dialogue or utterance")
+    if max(sizes) > max_len:
+        raise ContractError(f"dialogue length {max(sizes)} exceeds max {max_len}")
     # token table in dialogue order; its last row is the padding row, which
     # fills the grids past each utterance's end and is part of the dropout draw
     table = nm.gather_rows(params.embedding,
@@ -80,5 +93,9 @@ def shared_encode(token_ids: list[list[int]], params: EncoderParams,
     h_bwd = nm.lstm_sequence(nm.gather_rows(table, bwd), params.bwd)
     last = (lengths - 1, np.arange(lengths.size))
     vectors = nm.concat_cols(nm.row(h_fwd, last), nm.row(h_bwd, last))
-    matched = matching_features(vectors, max_len)
+    # utterance n's slot: its dialogue and its position there
+    dialogue = np.repeat(np.arange(len(sizes)), sizes)
+    slots = (dialogue, np.arange(lengths.size) - (np.cumsum(sizes) - sizes)[dialogue])
+    grid = nm.scatter(vectors, (len(sizes), max(sizes), vectors.data.shape[1]), slots)
+    matched = nm.row(matching_features(grid, max_len), slots)
     return nm.concat_cols(matched, vectors)

@@ -16,6 +16,7 @@ has no past) contributes nothing rather than a uniform leak.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,14 +58,6 @@ class InteractionOutput:
     position_weights: np.ndarray  # (L, L) constant
 
 
-def strict_past_mask(length: int) -> np.ndarray:
-    return np.tril(np.ones((length, length), dtype=bool), k=-1)
-
-
-def past_inclusive_mask(length: int) -> np.ndarray:
-    return np.tril(np.ones((length, length), dtype=bool), k=0)
-
-
 def customer_columns(is_customer: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(is_customer, dtype=bool),
                            (len(is_customer), len(is_customer)))
@@ -93,7 +86,7 @@ def satisfaction_to_handoff(
     length = handoff_view.data.shape[0]
     if len(is_customer) != length:
         raise ContractError("role vector length mismatch")
-    allowed = strict_past_mask(length)
+    allowed = nm.tril(length, -1)
     if select_roles:
         allowed = allowed & customer_columns(is_customer)
     scores = nm.pairwise_scores(handoff_view, satisfaction_view)
@@ -112,11 +105,15 @@ def positional_weights(length: int, t: int) -> np.ndarray:
     return position_matrix(length)[t - 1]
 
 
+@functools.lru_cache(maxsize=64)
 def position_matrix(length: int) -> np.ndarray:
     """Every query position's positional_weights row, from one row-wise
-    masked softmax."""
+    masked softmax; built once per length (lengths 1-64 hold 0.7 MB) and
+    read only."""
     raw = np.broadcast_to(np.arange(1, length + 1) / length, (length, length))
-    return nm.masked_softmax(nm.constant(raw), past_inclusive_mask(length)).data
+    out = nm.masked_softmax(nm.constant(raw), nm.tril(length)).data
+    out.flags.writeable = False
+    return out
 
 
 def handoff_to_satisfaction(
@@ -132,7 +129,7 @@ def handoff_to_satisfaction(
         raise ContractError("position matrix shape mismatch")
     scores = nm.attend(nm.pairwise_scores(satisfaction_view, handoff_view),
                        nm.constant(position))
-    attn = nm.masked_softmax(scores, past_inclusive_mask(length))
+    attn = nm.masked_softmax(scores, nm.tril(length))
     mixed = nm.add(nm.attend(attn, handoff_view), satisfaction_view)
     return nm.layer_norm(mixed, params.norm_gain, params.norm_bias), attn
 

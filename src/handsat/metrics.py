@@ -101,8 +101,10 @@ def evaluate_model(
     sections: Sequence[str] = ("mhch", "ssa"),
     aggregate: str | None = None,
 ) -> tuple[MetricsReport, list[dict]]:
-    """Forward every dialogue (dropout off) and score the requested
-    sections. Pure in (model, corpus): repeated calls agree exactly.
+    """Forward every dialogue (dropout off, no tape), SUB_BATCH at a time
+    in id order, and score the requested sections. Pure in (model, corpus):
+    repeated calls agree exactly, and each dialogue's outputs have the bits
+    of its forward alone.
 
     aggregate overrides the checkpoint's aggregation mode for the
     satisfaction section only.
@@ -128,8 +130,8 @@ def evaluate_model(
     sent_preds, sent_golds = [], []
     per_dialogue: list[dict] = []
 
-    for d in sorted(corpus, key=lambda d: d.id):
-        result = model.forward_dialogue(d, vocab)
+    ordered = sorted(corpus, key=lambda d: d.id)
+    for d, result in zip(ordered, model.forward_dialogues(ordered, vocab)):
         probs = result.handoff_probs.data
         pred_labels = [HandoffLabel.TRANSFERABLE if int(np.argmax(row)) == 1
                        else HandoffLabel.NORMAL for row in probs]

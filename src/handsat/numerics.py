@@ -26,6 +26,15 @@ to 16 instead of 64.
 lstm_sequence runs every sequence of a batch for all T steps; the encoder
 picks each utterance's state at its own last step.
 
+Dialogues batch on a leading axis, padded to the batch's longest. A
+dialogue's rows then sit in the same fixed-shape blocks as when it runs
+alone, and every forward reduction over its padded axis (softmax
+denominators, importance pooling) is a fixed_matmul whose summed axis is
+zero-padded, so a padded tail adds exact zeros after its entries. Loss sums
+are exact (exact_sum), so they do not depend on padding either. B = 1 and
+B > 1 use the same ops, so a dialogue's outputs have the same bits whatever
+runs beside it.
+
 Backward closures use plain BLAS products, where speed matters and bitwise
 prefix reproducibility does not.
 
@@ -38,6 +47,7 @@ layouts as a 2-D call on that head alone, so they are bit-identical to it.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -54,6 +64,15 @@ Array = np.ndarray
 ROW_BLOCK = 16
 
 _creation = itertools.count()  # Tensor._seq: a parent is older than its consumers
+
+
+@functools.lru_cache(maxsize=256)
+def tril(length: int, k: int = 0) -> Array:
+    """The boolean np.tri(length, length, k), built once per arguments and
+    read only; the two masks the model uses hold 180 kB for lengths 1-64."""
+    out = np.tri(length, length, k, dtype=bool)
+    out.flags.writeable = False
+    return out
 
 
 def fixed_matmul(a: Array, b: Array, pad_k: bool = False,
@@ -112,7 +131,9 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode accumulation from a scalar output. A node's consumers
         are newer than it, so taking the newest waiting node first runs each
-        closure on a complete gradient. Intermediate grads are then freed."""
+        closure on a complete gradient. Each node's grad, closure and parent
+        links are freed once its closure has run, so the tape shrinks as
+        backward walks it; backward through a used node again raises."""
         if self.data.size != 1:
             raise ContractError("backward() requires a scalar tensor")
         _accum(self, np.ones_like(self.data))
@@ -123,11 +144,17 @@ class Tensor:
             if node.grad is None:
                 continue
             node._backward(node.grad)
-            node.grad = None
+            node.grad, node._backward = None, _used
             for p in node._parents:
                 if p._backward is not None and p._seq not in queued:
                     queued.add(p._seq)
                     heapq.heappush(waiting, (-p._seq, p))
+            node._parents = ()
+
+
+def _used(g: Array) -> None:
+    raise ContractError("backward through a part of the tape that an earlier "
+                        "backward already used")
 
 
 def _accum(t: Tensor, g: Array) -> None:
@@ -199,6 +226,17 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _make(out, (a,), back)
 
 
+def divide(a: Tensor, d) -> Tensor:
+    """a / d for a constant d (a number or an array that broadcasts); a
+    true division rounds once, where a product with 1 / d rounds twice."""
+    out = a.data / d
+
+    def back(g: Array) -> None:
+        _accum(a, g / d)
+
+    return _make(out, (a,), back)
+
+
 def square(a: Tensor) -> Tensor:
     out = a.data * a.data
 
@@ -261,6 +299,22 @@ def sum_all(a: Tensor) -> Tensor:
     return _make(out, (a,), back)
 
 
+def exact_sum(a: Tensor, keep: int = 0) -> Tensor:
+    """The sum over every axis after the first `keep`, one per index of
+    those, each correctly rounded (math.fsum). An exact sum depends neither
+    on the order of its entries nor on zeros among them, so a dialogue's
+    loss has the same bits padded in a batch or alone."""
+    lead = a.data.shape[:keep]
+    rows = a.data.reshape(math.prod(lead), -1).tolist()
+    out = np.array([math.fsum(r) for r in rows]).reshape(lead)
+
+    def back(g: Array) -> None:
+        spread = np.reshape(g, lead + (1,) * (a.data.ndim - keep))
+        _accum(a, np.broadcast_to(spread, a.data.shape))
+
+    return _make(out, (a,), back)
+
+
 def sum_squares(tensors: Sequence[Tensor]) -> Tensor:
     """The summed squares of every entry of every tensor, as one node. The
     per-tensor sums are added exactly (fsum), so their order does not matter."""
@@ -298,11 +352,11 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 # shape ops
 # ---------------------------------------------------------------------------
 
-def transpose(a: Tensor) -> Tensor:
-    out = a.data.T
+def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
+    out = a.data.transpose(axes)
 
     def back(g: Array) -> None:
-        _accum(a, g.T)
+        _accum(a, g.transpose(np.argsort(axes)))
 
     return _make(out, (a,), back)
 
@@ -320,8 +374,9 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), back)
 
 
-def row(a: Tensor, i: int | tuple[Array, ...]) -> Tensor:
-    """a[i]; i may be a tuple of index arrays that name distinct entries."""
+def row(a: Tensor, i) -> Tensor:
+    """a[i] for an int, a slice, or a tuple of those or of index arrays that
+    name distinct entries."""
     out = a.data[i]
 
     def back(g: Array) -> None:
@@ -343,45 +398,75 @@ def slice1d(a: Tensor, lo: int, hi: int) -> Tensor:
     return _make(out, (a,), back)
 
 
+def scatter(a: Tensor, shape: tuple[int, ...], i) -> Tensor:
+    """Zeros of `shape` holding a at index i, as `row` takes it: the
+    inverse of row(out, i)."""
+    out = np.zeros(shape)
+    out[i] = a.data
+
+    def back(g: Array) -> None:
+        _accum(a, g[i])
+
+    return _make(out, (a,), back)
+
+
+def stack_padded(tensors: Sequence[Tensor], length: int) -> Tensor:
+    """(B, length, ...) from B tensors of shape (L_b, ...) with L_b <=
+    length: slice b holds tensor b in its first L_b rows, zeros after."""
+    tensors = tuple(tensors)
+    out = np.zeros((len(tensors), length) + tensors[0].data.shape[1:])
+    for b, t in enumerate(tensors):
+        out[b, :t.data.shape[0]] = t.data
+
+    def back(g: Array) -> None:
+        for b, t in enumerate(tensors):
+            _accum(t, g[b, :t.data.shape[0]])
+
+    return _make(out, tensors, back)
+
+
 def split_heads(a: Tensor, heads: int) -> Tensor:
-    """(L, heads * h) -> (heads, L, h): column block j becomes head j.
+    """(..., L, heads * h) -> (..., heads, L, h): column block j becomes
+    head j.
 
     Gradients leave split_heads and merge_heads as C-ordered copies: BLAS
     bits depend on memory layout, and these are the layouts that per-head
     column slices and concatenation produce."""
-    length, width = a.data.shape
+    *lead, length, width = a.data.shape
     if width % heads != 0:
         raise ContractError(f"width {width} not divisible by {heads} heads")
-    out = a.data.reshape(length, heads, width // heads).transpose(1, 0, 2)
+    out = a.data.reshape(*lead, length, heads, width // heads).swapaxes(-3, -2)
 
     def back(g: Array) -> None:
-        _accum(a, np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(length, width))
+        _accum(a, np.ascontiguousarray(g.swapaxes(-3, -2)).reshape(a.data.shape))
 
     return _make(out, (a,), back)
 
 
 def merge_heads(a: Tensor) -> Tensor:
-    """Inverse of split_heads: (heads, L, h) -> (L, heads * h), C-ordered."""
-    heads, length, head_dim = a.data.shape
-    out = np.ascontiguousarray(a.data.transpose(1, 0, 2)).reshape(
-        length, heads * head_dim)
+    """Inverse of split_heads: (..., heads, L, h) -> (..., L, heads * h),
+    C-ordered."""
+    *lead, heads, length, head_dim = a.data.shape
+    out = np.ascontiguousarray(a.data.swapaxes(-3, -2)).reshape(
+        *lead, length, heads * head_dim)
 
     def back(g: Array) -> None:
         _accum(a, np.ascontiguousarray(
-            g.reshape(length, heads, head_dim).transpose(1, 0, 2)))
+            g.reshape(*lead, length, heads, head_dim).swapaxes(-3, -2)))
 
     return _make(out, (a,), back)
 
 
 def pad_cols(a: Tensor, width: int) -> Tensor:
-    rows, cols = a.data.shape
+    """Zero-pad the last axis to `width`."""
+    cols = a.data.shape[-1]
     if width < cols:
         raise ContractError(f"pad_cols target {width} narrower than input {cols}")
-    out = np.zeros((rows, width))
-    out[:, :cols] = a.data
+    out = np.zeros(a.data.shape[:-1] + (width,))
+    out[..., :cols] = a.data
 
     def back(g: Array) -> None:
-        _accum(a, g[:, :cols])
+        _accum(a, g[..., :cols])
 
     return _make(out, (a,), back)
 
@@ -407,37 +492,59 @@ def gather_rows(table: Tensor, ids: Sequence[int] | Array) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matvec(a: Tensor, x: Tensor) -> Tensor:
-    if a.data.ndim != 2 or x.data.ndim != 1 or a.data.shape[1] != x.data.shape[0]:
+    """a[..., i, :] @ x for every row of a (at least 2-D). The rows go
+    through fixed_matmul, so a row's bits do not depend on the others."""
+    if a.data.ndim < 2 or x.data.ndim != 1 or a.data.shape[-1] != x.data.shape[0]:
         raise ContractError(f"matvec shapes {a.data.shape} @ {x.data.shape}")
-    out = a.data @ x.data
+    rows = a.data.reshape(-1, x.data.shape[0])
+    out = fixed_matmul(rows, x.data[:, None]).reshape(a.data.shape[:-1])
 
     def back(g: Array) -> None:
-        _accum(a, np.outer(g, x.data))
-        _accum(x, a.data.T @ g)
+        _accum(a, g[..., None] * x.data)
+        _accum(x, g.reshape(-1) @ rows)
 
     return _make(out, (a, x), back)
 
 
-def linear_rows(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Row-wise affine map x[t] -> w @ x[t] + b, or w @ x[t] without a bias
-    (e.g. attention key projections, where a key bias would shift every
-    score in a row equally and cancel under softmax).
+def pool(weights: Tensor, values: Tensor) -> Tensor:
+    """Weighted row sums: sum over t of weights[..., t] * values[..., t, :].
+    The summed axis is padded as in attend, so exact-zero weight tails
+    (padding, agent positions) are no-ops."""
+    if values.data.ndim < 2 or weights.data.shape != values.data.shape[:-1]:
+        raise ContractError(f"pool shapes {weights.data.shape}, {values.data.shape}")
+    out = fixed_matmul(weights.data[..., None, :], values.data, pad_k=True)[..., 0, :]
 
-    Forward goes through fixed_matmul, so row t's bits do not depend on how
-    many rows follow it.
+    def back(g: Array) -> None:
+        _accum(weights, (values.data * g[..., None, :]).sum(axis=-1))
+        _accum(values, weights.data[..., None] * g[..., None, :])
+
+    return _make(out, (weights, values), back)
+
+
+def linear_rows(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Row-wise affine map x[..., t, :] -> w @ x[..., t, :] + b, or without
+    a bias (e.g. attention key projections, where a key bias would shift
+    every score in a row equally and cancel under softmax).
+
+    Forward goes through fixed_matmul over the rows of every leading axis,
+    so a row's bits do not depend on how many rows there are or where it
+    sits.
     """
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
+    if x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[1]:
         raise ContractError(f"linear_rows shapes x{x.data.shape} w{w.data.shape}")
     if b is not None and b.data.shape != (w.data.shape[0],):
         raise ContractError(f"linear_rows bias shape {b.data.shape}")
     wd = w.data
-    out = fixed_matmul(x.data, wd.T)
+    rows = x.data.reshape(-1, wd.shape[1])
+    out = fixed_matmul(rows, wd.T)
     if b is not None:
         out += b.data
+    out = out.reshape(x.data.shape[:-1] + (wd.shape[0],))
 
     def back(g: Array) -> None:
-        _accum(x, g @ wd)
-        _accum(w, g.T @ x.data)
+        g = g.reshape(-1, wd.shape[0])
+        _accum(x, (g @ wd).reshape(x.data.shape))
+        _accum(w, g.T @ rows)
         if b is not None:
             _accum(b, g.sum(axis=0))
 
@@ -585,15 +692,16 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor,
 def lstm_sequence(x: Tensor, params: LstmParams) -> Tensor:
     """Run the cell from a zero initial state and return every hidden state.
 
-    x is (T, in) for one sequence, giving (T, k); or (T, B, in) for B
-    sequences, giving (T, B, k). Every sequence runs all T steps; a caller
+    x is (T, B, in) for B sequences, giving (T, B, k), or (T, in) for a
+    batch of one, giving (T, k). Every sequence runs all T steps; a caller
     with shorter sequences reads each one's state at its own last step, and
     the steps after it get an exactly zero gradient.
 
-    The input projection of all steps is one fixed_matmul. The B-sequence
-    recurrence also goes through fixed_matmul, so a sequence's bits do not
-    depend on how many sequences run beside it or on their contents; the
-    one-sequence recurrence is a fixed-shape matvec.
+    The input projection of all steps is one fixed_matmul. The recurrence
+    keeps the previous states in one preallocated (16 * blocks, k) buffer,
+    zero past row B, and multiplies it in 16-row blocks into another with
+    np.matmul(..., out=), so a sequence's bits do not depend on how many
+    sequences run beside it or on their contents, and no step allocates.
 
     Each step takes one tanh for all four gates, as sigmoid(x) =
     (1 + tanh(x / 2)) / 2: the sigmoid gates' rows of W, U and b are halved
@@ -603,14 +711,11 @@ def lstm_sequence(x: Tensor, params: LstmParams) -> Tensor:
     Backward is hand-written backprop through time that ends in one GEMM
     each for dW, dU and dx.
     """
-    batched = x.data.ndim == 3
-    if batched:
-        T, B, n = x.data.shape
-    elif x.data.ndim == 2:
-        (T, n), B = x.data.shape, 1
-    else:
+    if x.data.ndim not in (2, 3):
         raise ContractError(f"lstm_sequence expects (T, in) or (T, B, in), "
                             f"got {x.data.shape}")
+    T, n = x.data.shape[0], x.data.shape[-1]
+    B = x.data.shape[1] if x.data.ndim == 3 else 1
     params.check(n)
     k = params.hidden_size
     wd, ud, bd = params.w.data, params.u.data, params.b.data
@@ -621,22 +726,24 @@ def lstm_sequence(x: Tensor, params: LstmParams) -> Tensor:
     pre_x = fixed_matmul(xs, (wd * half[:, None]).T)
     pre_x += bd * half
     pre_x = pre_x.reshape(T, B, 4 * k)
-    u_half = ud * half[:, None]
+    u_half = np.ascontiguousarray((ud * half[:, None]).T)  # (k, 4k); 1.7x
+                                      # faster in the 16-row GEMM than a view
 
     gates = np.empty((T, B, 4 * k))   # i, f, g, o after their nonlinearity
     i, f, g, o = (gates[..., j * k:(j + 1) * k] for j in range(4))
     tcs = np.empty((T, B, k))         # tanh of the new cell state
     hs = np.empty((T, B, k))
     cs = np.empty((T, B, k))
-    h = np.zeros((B, k))
+    blocks = -(-B // ROW_BLOCK)
+    state = np.zeros((blocks, ROW_BLOCK, k))
+    product = np.empty((blocks, ROW_BLOCK, 4 * k))
+    h_prev = state.reshape(-1, k)[:B]
+    recurrent = product.reshape(-1, 4 * k)[:B]
     c = np.zeros((B, k))
     for t in range(T):
         act = gates[t]
-        if batched:
-            act[:] = fixed_matmul(h, u_half.T)
-        else:
-            np.matmul(u_half, h[0], out=act[0])
-        act += pre_x[t]
+        np.matmul(state, u_half, out=product)
+        np.add(recurrent, pre_x[t], out=act)
         np.tanh(act, out=act)
         act *= half
         act += shift
@@ -644,7 +751,8 @@ def lstm_sequence(x: Tensor, params: LstmParams) -> Tensor:
         cs[t] += i[t] * g[t]
         np.tanh(cs[t], out=tcs[t])
         np.multiply(o[t], tcs[t], out=hs[t])
-        h, c = hs[t], cs[t]
+        h_prev[...] = hs[t]
+        c = cs[t]
 
     def back(grad_h: Array) -> None:
         # step-local derivatives for all steps at once: d pre / d c per gate
@@ -671,7 +779,7 @@ def lstm_sequence(x: Tensor, params: LstmParams) -> Tensor:
         _accum(params.u, flat.T @ h_prev)
         _accum(params.b, flat.sum(axis=0))
 
-    out = hs if batched else hs[:, 0]
+    out = hs if x.data.ndim == 3 else hs[:, 0]
     return _make(out, (x, params.w, params.u, params.b), back)
 
 

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import struct
+import time
 import zlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -26,7 +27,7 @@ from .config import decode_config, parse_json
 from .corpus import Dialogue, HandoffLabel, SatisfactionLabel, Vocabulary, build_vocab
 from .errors import CheckpointError, ConfigError, CorpusError
 from .metrics import evaluate_model
-from .model import ForwardResult, Model, ModelConfig
+from .model import BatchResult, ForwardResult, Model, ModelConfig, sub_batches
 from .numerics import Tensor
 
 
@@ -100,24 +101,34 @@ class TrainConfig:
 # losses
 # ---------------------------------------------------------------------------
 
-def handoff_loss(probs: Tensor, golds: Sequence[HandoffLabel]) -> Tensor:
-    """Mean per-utterance cross-entropy; log clamped at 1e-12."""
-    length = probs.data.shape[0]
-    if len(golds) != length:
-        raise ConfigError(f"{len(golds)} labels for {length} predictions")
-    onehot = np.zeros((length, 2))
-    for t, lab in enumerate(golds):
-        onehot[t, 1 if lab is HandoffLabel.TRANSFERABLE else 0] = 1.0
-    ce = nm.mul(nm.constant(onehot), nm.log_clamped(probs))
-    return nm.scale(nm.sum_all(ce), -1.0 / length)
+def handoff_loss(probs: Tensor, golds) -> Tensor:
+    """Mean per-utterance cross-entropy; log clamped at 1e-12. probs is one
+    dialogue's (L, 2) rows with golds its labels, giving a scalar, or a
+    batch's (B, L_max, 2) rows with golds one label list per dialogue,
+    giving (B,); rows past a dialogue's labels do not count."""
+    batched = probs.data.ndim == 3
+    labels = list(golds) if batched else [golds]
+    rows = probs.data.shape[-2]
+    counts = np.array([len(g) for g in labels])
+    if (counts > rows).any() or (not batched and counts[0] != rows):
+        raise ConfigError(f"{counts.max()} labels for {rows} predictions")
+    onehot = np.zeros((len(labels), rows, 2))
+    for b, dialogue_labels in enumerate(labels):
+        onehot[b, np.arange(counts[b]),
+               [int(lab is HandoffLabel.TRANSFERABLE) for lab in dialogue_labels]] = 1.0
+    ce = nm.mul(nm.constant(onehot.reshape(probs.data.shape)), nm.log_clamped(probs))
+    sums = nm.exact_sum(ce, keep=probs.data.ndim - 2)
+    return nm.divide(sums, -counts.reshape(sums.data.shape))
 
 
-def satisfaction_loss(probs: Tensor, gold: SatisfactionLabel) -> Tensor:
-    """Dialogue-level cross-entropy; log clamped at 1e-12."""
-    onehot = np.zeros(3)
-    onehot[gold.index] = 1.0
-    ce = nm.mul(nm.constant(onehot), nm.log_clamped(probs))
-    return nm.scale(nm.sum_all(ce), -1.0)
+def satisfaction_loss(probs: Tensor, gold) -> Tensor:
+    """Dialogue-level cross-entropy; log clamped at 1e-12. probs is (3,)
+    with one label, or (B, 3) with one label per dialogue, giving (B,)."""
+    labels = list(gold) if probs.data.ndim == 2 else [gold]
+    onehot = np.zeros((len(labels), 3))
+    onehot[np.arange(len(labels)), [g.index for g in labels]] = 1.0
+    ce = nm.mul(nm.constant(onehot.reshape(probs.data.shape)), nm.log_clamped(probs))
+    return nm.scale(nm.exact_sum(ce, keep=probs.data.ndim - 1), -1.0)
 
 
 def regularization(blocks: dict[str, Tensor], delta: float) -> Tensor | None:
@@ -127,10 +138,17 @@ def regularization(blocks: dict[str, Tensor], delta: float) -> Tensor | None:
     return nm.scale(nm.sum_squares(blocks.values()), delta)
 
 
-def dialogue_loss(out: ForwardResult, dialogue: Dialogue, eta: float) -> Tensor:
-    """One dialogue's term of the objective: L_handoff + eta * L_sat."""
-    l1 = handoff_loss(out.handoff_probs, [u.handoff for u in dialogue.utterances])
-    l2 = satisfaction_loss(out.satisfaction_probs, dialogue.satisfaction)
+def dialogue_loss(out: ForwardResult | BatchResult, dialogue, eta: float) -> Tensor:
+    """One dialogue's term of the objective, L_handoff + eta * L_sat; or,
+    given a BatchResult and its dialogues, each dialogue's term, (B,)."""
+    if isinstance(out, BatchResult):
+        golds = [[u.handoff for u in d.utterances] for d in dialogue]
+        gold = [d.satisfaction for d in dialogue]
+    else:
+        golds = [u.handoff for u in dialogue.utterances]
+        gold = dialogue.satisfaction
+    l1 = handoff_loss(out.handoff_probs, golds)
+    l2 = satisfaction_loss(out.satisfaction_probs, gold)
     return nm.add(l1, nm.scale(l2, eta))
 
 
@@ -138,17 +156,18 @@ def objective_terms(model: Model, batch: Sequence[tuple[list[list[int]], Dialogu
                     eta: float, delta: float,
                     rng: np.random.Generator | None = None) -> Iterator[Tensor]:
     """The objective on one batch of (token ids, dialogue) pairs as the terms
-    of its sum, in order: each dialogue's dialogue_loss / len(batch), then
+    of its sum, in order: for each sub-batch of SUB_BATCH dialogues, one
+    forward_batch and the sum of its dialogue_loss / len(batch) terms; then
     the penalty. Dropout fires exactly when an rng is passed.
 
     Each term is built only when the previous one has been consumed, so
-    train() holds one dialogue's tape at a time. On the perfbench train
-    workload (2 vCPUs, 3 alternating 30 s pairs), one backward of the whole
-    16-dialogue sum per batch raised peak_rss_mb from 44.9 to 59.0 MB, past
-    the 10% bound, and the per-batch tracemalloc peak from 1.41 to 9.04 MB."""
-    for token_ids, dialogue in batch:
-        out = model.forward(token_ids, dialogue.roles, rng=rng)
-        yield nm.scale(dialogue_loss(out, dialogue, eta), 1.0 / len(batch))
+    train() holds one sub-batch's tape at a time (SUB_BATCH says what that
+    costs)."""
+    for part in sub_batches(batch):
+        out = model.forward_batch([ids for ids, _ in part],
+                                  [d.roles for _, d in part], rng=rng)
+        losses = dialogue_loss(out, [d for _, d in part], eta)
+        yield nm.divide(nm.exact_sum(losses), len(batch))
     penalty = regularization(model.blocks, delta)
     if penalty is not None:
         yield penalty
@@ -211,6 +230,7 @@ class TrainResult:
     model: Model
     vocab: Vocabulary
     history: list[dict] = field(default_factory=list)
+    timing: list[dict] = field(default_factory=list)  # wall times, per epoch
     best_epoch: int = -1
     best_selection: float = float("-inf")
     diverged: bool = False
@@ -236,6 +256,9 @@ def train(
     Sentiment labels are stripped before anything else touches the data;
     they are evaluation-only. Each history entry also records the epoch's
     largest gradient norm before clipping and the number of clipped batches.
+    Wall times go to result.timing, one record per epoch (its seconds,
+    training steps and dev evaluation, and training dialogues per second),
+    so same-seed histories stay equal.
     """
     config.validate()
     if not train_corpus or not dev_corpus:
@@ -261,6 +284,7 @@ def train(
     epochs_since_best = 0
 
     for epoch in range(config.max_epochs):
+        started = time.perf_counter()
         order = order_rng.permutation(len(encoded))
         epoch_losses: list[float] = []
         grad_norm_preclip, clipped = 0.0, 0
@@ -299,6 +323,9 @@ def train(
             "dev_satisfaction_accuracy": report.ssa["accuracy"],
             "dev_selection": selection,
         })
+        seconds = time.perf_counter() - started
+        result.timing.append({"epoch": epoch, "epoch_seconds": seconds,
+                              "dialogues_per_second": len(encoded) / seconds})
         if selection > result.best_selection:
             result.best_selection = selection
             result.best_epoch = epoch

@@ -245,6 +245,24 @@ def test_load_embeddings_full_coverage(tmp_path):
     np.testing.assert_array_equal(loaded.table[cp.PAD_INDEX], [0.0, 0.0])
 
 
+def test_load_embeddings_coverage_counts_distinct_tokens(tmp_path):
+    """A token listed three times counts once, and <unk> not at all; the
+    last line of a repeated token gives its vector."""
+    d = cp.Dialogue(
+        id="e", satisfaction=cp.SatisfactionLabel.MET,
+        utterances=(cp.Utterance(tokens=("a", "b"), role=cp.Role.CUSTOMER,
+                                 handoff=cp.HandoffLabel.NORMAL),))
+    vocab = cp.build_vocab([d])
+    assert len(vocab) == 4  # <pad>, <unk>, a, b
+    p = tmp_path / "emb.txt"
+    write_embeddings(p, [("a", [1.0, 1.0]), ("a", [2.0, 2.0]), ("<unk>", [5.0, 5.0]),
+                         ("a", [3.0, 3.0])], dim=2)
+    loaded = cp.load_embeddings(p, vocab, dim=2)
+    assert loaded.coverage == 0.5
+    np.testing.assert_array_equal(loaded.table[vocab.lookup("a")], [3.0, 3.0])
+    np.testing.assert_array_equal(loaded.table[cp.UNK_INDEX], [5.0, 5.0])
+
+
 def test_load_embeddings_empty_file(tmp_path):
     d = cp.Dialogue(
         id="e", satisfaction=cp.SatisfactionLabel.MET,

@@ -128,7 +128,11 @@ class _StubModel:
     def __init__(self, predict):
         self._predict = predict
 
-    def forward_dialogue(self, dialogue, vocab):
+    def forward_dialogues(self, dialogues, vocab):
+        for dialogue in dialogues:
+            yield self._forward_dialogue(dialogue)
+
+    def _forward_dialogue(self, dialogue):
         import handsat.numerics as nm
         handoff, satisfaction, local = self._predict(dialogue)
         length = len(dialogue)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +9,8 @@ from handsat import training as tr
 from handsat.corpus import Role, build_vocab
 from handsat.encoder import shared_encode
 from handsat.errors import ConfigError
-from handsat.interaction import task_projections
+from handsat.decoders import AGGREGATE_MODES
+from handsat.interaction import INTERACTION_MODES, task_projections
 from handsat.model import Model, ModelConfig
 from handsat.synth import GeneratorSpec, synthesize_corpus
 
@@ -109,6 +111,17 @@ def test_prefix_causality_past_one_block(width):
         assert prefix.handoff_probs.data.tobytes() == full[:t].tobytes(), t
 
 
+def test_untaped_forward_records_no_tape(setup):
+    model, vocab, dialogues = setup
+    taped = model.forward_dialogue(dialogues[0], vocab)
+    with model.untaped():
+        out = model.forward_dialogue(dialogues[0], vocab)
+    assert all(t.requires_grad for t in model.blocks.values())  # restored
+    assert not out.handoff_probs.requires_grad
+    assert out.handoff_probs._parents == () and out.handoff_probs._backward is None
+    assert out.handoff_probs.data.tobytes() == taped.handoff_probs.data.tobytes()
+
+
 def test_forward_deterministic_in_eval_mode(setup):
     model, vocab, dialogues = setup
     d = dialogues[0]
@@ -166,3 +179,31 @@ def test_full_model_grad_check(setup):
     report = nm.grad_check(loss, model.blocks, samples_per_block=4,
                            rng=np.random.default_rng(5))
     assert report.passed, report.to_json()
+
+
+@pytest.mark.parametrize("mode, aggregate", zip(INTERACTION_MODES, AGGREGATE_MODES))
+def test_forward_batch_bits_match_solo(mode, aggregate):
+    """Every ForwardResult tensor of each dialogue of a batch of B = 1..16,
+    with mixed lengths (across ROW_BLOCK) and roles, some without a
+    customer, has the bytes of the dialogue's forward alone."""
+    rng = np.random.default_rng(17)
+    model = Model.build(tiny_config(30, max_dialogue_len=24, interaction_mode=mode,
+                                    aggregate_mode=aggregate), rng)
+    for batch in range(1, 17):
+        dialogues = []
+        for _ in range(batch):
+            length = int(rng.integers(1, 25))
+            ids = [[int(i) for i in rng.integers(2, 30, size=rng.integers(1, 7))]
+                   for _ in range(length)]
+            roles = [Role.CUSTOMER if c else Role.AGENT
+                     for c in rng.random(length) < 0.4]
+            dialogues.append((ids, roles))
+        out = model.forward_batch(*zip(*dialogues), require_customer=False)
+        for b, (ids, roles) in enumerate(dialogues):
+            solo = model.forward(ids, roles, require_customer=False)
+            cut = out.dialogue(b)
+            for f in dataclasses.fields(solo):
+                expect, got = (getattr(getattr(r, f.name), "data", getattr(r, f.name))
+                               for r in (solo, cut))
+                assert got.shape == expect.shape, (batch, b, f.name)
+                assert got.tobytes() == expect.tobytes(), (batch, b, f.name)

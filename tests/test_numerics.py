@@ -50,6 +50,31 @@ def test_sum_squares_is_one_node_whatever_the_order():
     assert report.passed, report.to_json()
 
 
+def test_backward_frees_the_tape_and_refuses_a_second_pass():
+    x = nm.parameter([1.0, 2.0])
+    y = nm.mul(x, x)
+    out = nm.sum_all(y)
+    out.backward()
+    assert y._parents == () and out._parents == ()
+    with pytest.raises(ContractError, match="already used"):
+        nm.sum_all(nm.scale(y, 2.0)).backward()
+
+
+def test_exact_sum_ignores_order_and_zero_padding():
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((5, 7)) * 10.0 ** rng.integers(-8, 8, (5, 7))
+    padded = np.zeros((5, 20))
+    padded[:, :7] = rows
+    sums = nm.exact_sum(nm.constant(rows), keep=1).data
+    assert sums.tobytes() == nm.exact_sum(nm.constant(padded), keep=1).data.tobytes()
+    assert sums.tobytes() == nm.exact_sum(nm.constant(rows[:, ::-1]), keep=1).data.tobytes()
+    assert [math.fsum(r) for r in rows] == sums.tolist()
+    a = rand_param((3, 4), rng)
+    report = nm.grad_check(lambda: nm.exact_sum(nm.square(nm.exact_sum(a, keep=1))),
+                           {"a": a})
+    assert report.passed, report.to_json()
+
+
 # ---------------------------------------------------------------------------
 # masked softmax
 # ---------------------------------------------------------------------------

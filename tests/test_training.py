@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import struct
+import tracemalloc
 import zlib
 from types import SimpleNamespace
 
@@ -203,6 +204,57 @@ def test_train_gradient_is_the_objective_gradient(tiny_corpus, monkeypatch):
     for name, tensor in model.blocks.items():
         difference = np.linalg.norm(seen["grads"][name] - tensor.grad)
         assert difference <= 1e-12 * np.linalg.norm(tensor.grad), name
+
+
+def test_sub_batch_gradient_matches_per_dialogue_backward(tiny_corpus):
+    """One forward_batch and one backward of its summed dialogue terms give
+    the gradients of one forward and backward per dialogue, summed."""
+    train = tiny_corpus[0][:6]
+    vocab = build_vocab(train)
+    model = Model.build(small_config(dropout=0.0).model_config(len(vocab)),
+                        np.random.default_rng(6))
+    out = model.forward_batch([vocab.encode_dialogue(d) for d in train],
+                              [d.roles for d in train])
+    nm.exact_sum(tr.dialogue_loss(out, train, eta=0.5)).backward()
+    batched = {name: t.grad for name, t in model.blocks.items()}
+    model.zero_grads()
+    for d in train:
+        tr.dialogue_loss(model.forward_dialogue(d, vocab), d, eta=0.5).backward()
+    for name, tensor in model.blocks.items():
+        difference = np.linalg.norm(batched[name] - tensor.grad)
+        assert difference <= 1e-10 * np.linalg.norm(tensor.grad), name
+
+
+# measured 3,240,696 bytes with SUB_BATCH = 5 (numpy 2.4.6, Python 3.11);
+# the bound is that plus 20%
+PEAK_BOUND_BYTES = 3_888_835
+
+
+def test_optimizer_step_traced_peak_is_bounded():
+    """The tracemalloc peak of one optimizer step on a 16-dialogue batch of
+    the acceptance corpus (default TrainConfig, dropout on) stays within
+    the bound. It grows with SUB_BATCH, since a sub-batch's tape lives until
+    its backward."""
+    dialogues, _ = synthesize_corpus(
+        GeneratorSpec(num_dialogues=250, complaint_rate=0.2), seed=7)
+    batch = dialogues[:16]
+    cfg = tr.TrainConfig()
+    vocab = build_vocab(dialogues[:200])
+    model = Model.build(cfg.model_config(len(vocab)), np.random.default_rng(0))
+    optimizer = tr.Adam(model.blocks, lr=cfg.learning_rate)
+    pairs = [(vocab.encode_dialogue(d), d) for d in batch]
+    rng = np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        model.zero_grads()
+        for term in tr.objective_terms(model, pairs, cfg.eta, cfg.delta, rng=rng):
+            term.backward()
+        optimizer.clip_grads(cfg.grad_clip)
+        optimizer.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_BOUND_BYTES, peak
 
 
 def test_train_history_records_clipping(tiny_corpus, monkeypatch):
