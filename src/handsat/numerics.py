@@ -726,8 +726,8 @@ def lstm_sequence(x: Tensor, params: LstmParams) -> Tensor:
     pre_x = fixed_matmul(xs, (wd * half[:, None]).T)
     pre_x += bd * half
     pre_x = pre_x.reshape(T, B, 4 * k)
-    u_half = np.ascontiguousarray((ud * half[:, None]).T)  # (k, 4k); 1.7x
-                                      # faster in the 16-row GEMM than a view
+    # (k, 4k), C-ordered: 1.7x faster in a 16-row GEMM than the .T view
+    u_half = np.ascontiguousarray((ud * half[:, None]).T)
 
     gates = np.empty((T, B, 4 * k))   # i, f, g, o after their nonlinearity
     i, f, g, o = (gates[..., j * k:(j + 1) * k] for j in range(4))
