@@ -120,8 +120,15 @@ def decode_satisfaction(
     keys = nm.tanh(nm.linear_rows(refined, params.attn_w, params.attn_b))
     scores = nm.matvec(keys, params.query)
     importance = nm.masked_softmax(scores, is_customer)
-    overall = nm.pool(importance, local)
-    return overall, local, importance
+    return pool(importance, local), local, importance
+
+
+def pool(weights: Tensor, local: Tensor) -> Tensor:
+    """The weighted row sum over t of weights[..., t] * local[..., t, :]:
+    attend with weights as a one-row matrix, so exact-zero weights (padding,
+    agent positions) are no-ops."""
+    return nm.row(nm.attend(nm.row(weights, np.s_[..., None, :]), local),
+                  np.s_[..., 0, :])
 
 
 def aggregate_variant(
@@ -150,13 +157,13 @@ def aggregate_variant(
     if mode == "attention":
         if importance is None:
             raise ContractError("attention aggregation requires importance weights")
-        return nm.pool(importance, local)
+        return pool(importance, local)
     if mode == "average":
-        return nm.pool(nm.constant(is_customer / np.maximum(counts, 1)), local)
+        return pool(nm.constant(is_customer / np.maximum(counts, 1)), local)
     positions = np.arange(is_customer.shape[-1])
     if mode == "last":
         last = np.max(np.where(is_customer, positions, -1), axis=-1, keepdims=True)
-        return nm.pool(nm.constant((positions == last).astype(float)), local)
+        return pool(nm.constant((positions == last).astype(float)), local)
     # voting; ties resolve to the lowest class index
     classes = np.arange(local.data.shape[-1])
     votes = (np.argmax(local.data, axis=-1)[..., None] == classes) & is_customer[..., None]

@@ -93,9 +93,11 @@ def shared_encode(token_ids: list[list[int]], params: EncoderParams,
     h_bwd = nm.lstm_sequence(nm.gather_rows(table, bwd), params.bwd)
     last = (lengths - 1, np.arange(lengths.size))
     vectors = nm.concat_cols(nm.row(h_fwd, last), nm.row(h_bwd, last))
-    # utterance n's slot: its dialogue and its position there
+    ends = np.cumsum(sizes)
+    grid = nm.stack_padded([nm.row(vectors, slice(end - n, end))
+                            for end, n in zip(ends, sizes)], max(sizes))
+    # utterance n's slot in the grid: its dialogue and its position there
     dialogue = np.repeat(np.arange(len(sizes)), sizes)
-    slots = (dialogue, np.arange(lengths.size) - (np.cumsum(sizes) - sizes)[dialogue])
-    grid = nm.scatter(vectors, (len(sizes), max(sizes), vectors.data.shape[1]), slots)
+    slots = (dialogue, np.arange(lengths.size) - (ends - sizes)[dialogue])
     matched = nm.row(matching_features(grid, max_len), slots)
     return nm.concat_cols(matched, vectors)

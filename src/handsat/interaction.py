@@ -16,7 +16,6 @@ has no past) contributes nothing rather than a uniform leak.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -105,15 +104,12 @@ def positional_weights(length: int, t: int) -> np.ndarray:
     return position_matrix(length)[t - 1]
 
 
-@functools.lru_cache(maxsize=64)
+@nm.per_length
 def position_matrix(length: int) -> np.ndarray:
     """Every query position's positional_weights row, from one row-wise
-    masked softmax; built once per length (lengths 1-64 hold 0.7 MB) and
-    read only."""
+    masked softmax (lengths 1-64 hold 0.7 MB)."""
     raw = np.broadcast_to(np.arange(1, length + 1) / length, (length, length))
-    out = nm.masked_softmax(nm.constant(raw), nm.tril(length)).data
-    out.flags.writeable = False
-    return out
+    return nm.masked_softmax(nm.constant(raw), nm.tril(length)).data
 
 
 def handoff_to_satisfaction(

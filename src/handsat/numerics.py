@@ -30,8 +30,7 @@ Dialogues batch on a leading axis, padded to the batch's longest. A
 dialogue's rows then sit in the same fixed-shape blocks as when it runs
 alone, and every forward reduction over its padded axis (softmax
 denominators, importance pooling) is a fixed_matmul whose summed axis is
-zero-padded, so a padded tail adds exact zeros after its entries. Loss sums
-are exact (exact_sum), so they do not depend on padding either. B = 1 and
+zero-padded, so a padded tail adds exact zeros after its entries. B = 1 and
 B > 1 use the same ops, so a dialogue's outputs have the same bits whatever
 runs beside it.
 
@@ -66,13 +65,31 @@ ROW_BLOCK = 16
 _creation = itertools.count()  # Tensor._seq: a parent is older than its consumers
 
 
-@functools.lru_cache(maxsize=256)
+# Lengths whose constant arrays are kept once built: the default
+# max_dialogue_len. Longer lengths are built on each call, so the caches
+# hold at most the arrays of lengths 1-64 whatever the configuration.
+CACHED_LENGTH = 64
+
+
+def per_length(build: Callable[..., Array]) -> Callable[..., Array]:
+    """build(length, *args) as a read-only array, built once per arguments
+    for lengths up to CACHED_LENGTH and on every call above it."""
+    cached = functools.lru_cache(maxsize=None)(build)
+
+    @functools.wraps(build)
+    def get(length: int, *args) -> Array:
+        out = (cached if length <= CACHED_LENGTH else build)(length, *args)
+        out.flags.writeable = False
+        return out
+
+    return get
+
+
+@per_length
 def tril(length: int, k: int = 0) -> Array:
-    """The boolean np.tri(length, length, k), built once per arguments and
-    read only; the two masks the model uses hold 180 kB for lengths 1-64."""
-    out = np.tri(length, length, k, dtype=bool)
-    out.flags.writeable = False
-    return out
+    """The boolean np.tri(length, length, k); the two masks the model uses
+    hold 180 kB for lengths 1-64."""
+    return np.tri(length, length, k, dtype=bool)
 
 
 def fixed_matmul(a: Array, b: Array, pad_k: bool = False,
@@ -299,20 +316,17 @@ def sum_all(a: Tensor) -> Tensor:
     return _make(out, (a,), back)
 
 
-def exact_sum(a: Tensor, keep: int = 0) -> Tensor:
-    """The sum over every axis after the first `keep`, one per index of
-    those, each correctly rounded (math.fsum). An exact sum depends neither
-    on the order of its entries nor on zeros among them, so a dialogue's
-    loss has the same bits padded in a batch or alone."""
-    lead = a.data.shape[:keep]
-    rows = a.data.reshape(math.prod(lead), -1).tolist()
-    out = np.array([math.fsum(r) for r in rows]).reshape(lead)
+def exact_sum(*tensors: Tensor) -> Tensor:
+    """The sum of every entry of every tensor, correctly rounded
+    (math.fsum). An exact sum depends neither on the order of its entries
+    nor on zeros among them."""
+    out = np.asarray(math.fsum(v for t in tensors for v in t.data.ravel().tolist()))
 
     def back(g: Array) -> None:
-        spread = np.reshape(g, lead + (1,) * (a.data.ndim - keep))
-        _accum(a, np.broadcast_to(spread, a.data.shape))
+        for t in tensors:
+            _accum(t, np.broadcast_to(g, t.data.shape))
 
-    return _make(out, (a,), back)
+    return _make(out, tensors, back)
 
 
 def sum_squares(tensors: Sequence[Tensor]) -> Tensor:
@@ -375,8 +389,8 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
 
 
 def row(a: Tensor, i) -> Tensor:
-    """a[i] for an int, a slice, or a tuple of those or of index arrays that
-    name distinct entries."""
+    """a[i] for an int, a slice, or a tuple of those, of ... and None, or of
+    index arrays that name distinct entries."""
     out = a.data[i]
 
     def back(g: Array) -> None:
@@ -394,18 +408,6 @@ def slice1d(a: Tensor, lo: int, hi: int) -> Tensor:
         full = np.zeros_like(a.data)
         full[lo:hi] = g
         _accum(a, full)
-
-    return _make(out, (a,), back)
-
-
-def scatter(a: Tensor, shape: tuple[int, ...], i) -> Tensor:
-    """Zeros of `shape` holding a at index i, as `row` takes it: the
-    inverse of row(out, i)."""
-    out = np.zeros(shape)
-    out[i] = a.data
-
-    def back(g: Array) -> None:
-        _accum(a, g[i])
 
     return _make(out, (a,), back)
 
@@ -504,21 +506,6 @@ def matvec(a: Tensor, x: Tensor) -> Tensor:
         _accum(x, g.reshape(-1) @ rows)
 
     return _make(out, (a, x), back)
-
-
-def pool(weights: Tensor, values: Tensor) -> Tensor:
-    """Weighted row sums: sum over t of weights[..., t] * values[..., t, :].
-    The summed axis is padded as in attend, so exact-zero weight tails
-    (padding, agent positions) are no-ops."""
-    if values.data.ndim < 2 or weights.data.shape != values.data.shape[:-1]:
-        raise ContractError(f"pool shapes {weights.data.shape}, {values.data.shape}")
-    out = fixed_matmul(weights.data[..., None, :], values.data, pad_k=True)[..., 0, :]
-
-    def back(g: Array) -> None:
-        _accum(weights, (values.data * g[..., None, :]).sum(axis=-1))
-        _accum(values, weights.data[..., None] * g[..., None, :])
-
-    return _make(out, (weights, values), back)
 
 
 def linear_rows(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:

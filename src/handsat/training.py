@@ -27,7 +27,7 @@ from .config import decode_config, parse_json
 from .corpus import Dialogue, HandoffLabel, SatisfactionLabel, Vocabulary, build_vocab
 from .errors import CheckpointError, ConfigError, CorpusError
 from .metrics import evaluate_model
-from .model import BatchResult, ForwardResult, Model, ModelConfig, sub_batches
+from .model import ForwardResult, Model, ModelConfig, sub_batches
 from .numerics import Tensor
 
 
@@ -101,34 +101,24 @@ class TrainConfig:
 # losses
 # ---------------------------------------------------------------------------
 
-def handoff_loss(probs: Tensor, golds) -> Tensor:
-    """Mean per-utterance cross-entropy; log clamped at 1e-12. probs is one
-    dialogue's (L, 2) rows with golds its labels, giving a scalar, or a
-    batch's (B, L_max, 2) rows with golds one label list per dialogue,
-    giving (B,); rows past a dialogue's labels do not count."""
-    batched = probs.data.ndim == 3
-    labels = list(golds) if batched else [golds]
-    rows = probs.data.shape[-2]
-    counts = np.array([len(g) for g in labels])
-    if (counts > rows).any() or (not batched and counts[0] != rows):
-        raise ConfigError(f"{counts.max()} labels for {rows} predictions")
-    onehot = np.zeros((len(labels), rows, 2))
-    for b, dialogue_labels in enumerate(labels):
-        onehot[b, np.arange(counts[b]),
-               [int(lab is HandoffLabel.TRANSFERABLE) for lab in dialogue_labels]] = 1.0
-    ce = nm.mul(nm.constant(onehot.reshape(probs.data.shape)), nm.log_clamped(probs))
-    sums = nm.exact_sum(ce, keep=probs.data.ndim - 2)
-    return nm.divide(sums, -counts.reshape(sums.data.shape))
+def handoff_loss(probs: Tensor, golds: Sequence[HandoffLabel]) -> Tensor:
+    """Mean per-utterance cross-entropy; log clamped at 1e-12."""
+    length = probs.data.shape[0]
+    if len(golds) != length:
+        raise ConfigError(f"{len(golds)} labels for {length} predictions")
+    onehot = np.zeros((length, 2))
+    for t, lab in enumerate(golds):
+        onehot[t, 1 if lab is HandoffLabel.TRANSFERABLE else 0] = 1.0
+    ce = nm.mul(nm.constant(onehot), nm.log_clamped(probs))
+    return nm.divide(nm.exact_sum(ce), -length)
 
 
-def satisfaction_loss(probs: Tensor, gold) -> Tensor:
-    """Dialogue-level cross-entropy; log clamped at 1e-12. probs is (3,)
-    with one label, or (B, 3) with one label per dialogue, giving (B,)."""
-    labels = list(gold) if probs.data.ndim == 2 else [gold]
-    onehot = np.zeros((len(labels), 3))
-    onehot[np.arange(len(labels)), [g.index for g in labels]] = 1.0
-    ce = nm.mul(nm.constant(onehot.reshape(probs.data.shape)), nm.log_clamped(probs))
-    return nm.scale(nm.exact_sum(ce, keep=probs.data.ndim - 1), -1.0)
+def satisfaction_loss(probs: Tensor, gold: SatisfactionLabel) -> Tensor:
+    """Dialogue-level cross-entropy; log clamped at 1e-12."""
+    onehot = np.zeros(3)
+    onehot[gold.index] = 1.0
+    ce = nm.mul(nm.constant(onehot), nm.log_clamped(probs))
+    return nm.scale(nm.exact_sum(ce), -1.0)
 
 
 def regularization(blocks: dict[str, Tensor], delta: float) -> Tensor | None:
@@ -138,17 +128,10 @@ def regularization(blocks: dict[str, Tensor], delta: float) -> Tensor | None:
     return nm.scale(nm.sum_squares(blocks.values()), delta)
 
 
-def dialogue_loss(out: ForwardResult | BatchResult, dialogue, eta: float) -> Tensor:
-    """One dialogue's term of the objective, L_handoff + eta * L_sat; or,
-    given a BatchResult and its dialogues, each dialogue's term, (B,)."""
-    if isinstance(out, BatchResult):
-        golds = [[u.handoff for u in d.utterances] for d in dialogue]
-        gold = [d.satisfaction for d in dialogue]
-    else:
-        golds = [u.handoff for u in dialogue.utterances]
-        gold = dialogue.satisfaction
-    l1 = handoff_loss(out.handoff_probs, golds)
-    l2 = satisfaction_loss(out.satisfaction_probs, gold)
+def dialogue_loss(out: ForwardResult, dialogue: Dialogue, eta: float) -> Tensor:
+    """One dialogue's term of the objective: L_handoff + eta * L_sat."""
+    l1 = handoff_loss(out.handoff_probs, [u.handoff for u in dialogue.utterances])
+    l2 = satisfaction_loss(out.satisfaction_probs, dialogue.satisfaction)
     return nm.add(l1, nm.scale(l2, eta))
 
 
@@ -157,8 +140,9 @@ def objective_terms(model: Model, batch: Sequence[tuple[list[list[int]], Dialogu
                     rng: np.random.Generator | None = None) -> Iterator[Tensor]:
     """The objective on one batch of (token ids, dialogue) pairs as the terms
     of its sum, in order: for each sub-batch of SUB_BATCH dialogues, one
-    forward_batch and the sum of its dialogue_loss / len(batch) terms; then
-    the penalty. Dropout fires exactly when an rng is passed.
+    forward_batch and the exact sum of its dialogues' dialogue_loss, over
+    len(batch); then the penalty. Dropout fires exactly when an rng is
+    passed.
 
     Each term is built only when the previous one has been consumed, so
     train() holds one sub-batch's tape at a time (SUB_BATCH says what that
@@ -166,8 +150,9 @@ def objective_terms(model: Model, batch: Sequence[tuple[list[list[int]], Dialogu
     for part in sub_batches(batch):
         out = model.forward_batch([ids for ids, _ in part],
                                   [d.roles for _, d in part], rng=rng)
-        losses = dialogue_loss(out, [d for _, d in part], eta)
-        yield nm.divide(nm.exact_sum(losses), len(batch))
+        losses = [dialogue_loss(out.dialogue(b), d, eta)
+                  for b, (_, d) in enumerate(part)]
+        yield nm.divide(nm.exact_sum(*losses), len(batch))
     penalty = regularization(model.blocks, delta)
     if penalty is not None:
         yield penalty

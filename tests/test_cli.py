@@ -167,6 +167,28 @@ def test_train_writes_checkpoint_and_history(workspace, capsys):
     assert "resolved config" in err
 
 
+def test_train_logs_epoch_timing_on_stderr_only(workspace, tmp_path, capsys):
+    """Each run logs one timing record per epoch on stderr; stdout, the
+    history, is byte-identical across same-seed runs."""
+    _, config_path, _, _ = workspace
+    outs = []
+    for name in ("a", "b"):
+        cfg = json.loads(config_path.read_text())
+        cfg["paths"]["checkpoint_dir"] = str(tmp_path / name)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "train", str(path))
+        assert code == 0
+        records = [json.loads(line.split("epoch timing: ", 1)[1])
+                   for line in err.splitlines() if "epoch timing: " in line]
+        epochs = [json.loads(line)["epoch"] for line in out.splitlines()]
+        assert [r["epoch"] for r in records] == epochs
+        assert all(r["epoch_seconds"] > 0.0 for r in records)
+        assert "timing" not in out and "seconds" not in out
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_train_same_seed_identical_history(workspace, trained_run, tmp_path, capsys):
     _, config_path, _, _ = workspace
     cfg = json.loads(config_path.read_text())

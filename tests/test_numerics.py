@@ -65,13 +65,16 @@ def test_exact_sum_ignores_order_and_zero_padding():
     rows = rng.standard_normal((5, 7)) * 10.0 ** rng.integers(-8, 8, (5, 7))
     padded = np.zeros((5, 20))
     padded[:, :7] = rows
-    sums = nm.exact_sum(nm.constant(rows), keep=1).data
-    assert sums.tobytes() == nm.exact_sum(nm.constant(padded), keep=1).data.tobytes()
-    assert sums.tobytes() == nm.exact_sum(nm.constant(rows[:, ::-1]), keep=1).data.tobytes()
-    assert [math.fsum(r) for r in rows] == sums.tolist()
-    a = rand_param((3, 4), rng)
-    report = nm.grad_check(lambda: nm.exact_sum(nm.square(nm.exact_sum(a, keep=1))),
-                           {"a": a})
+    total = nm.exact_sum(nm.constant(rows)).data
+    assert total.shape == ()
+    assert total.tobytes() == nm.exact_sum(nm.constant(padded)).data.tobytes()
+    assert total.tobytes() == nm.exact_sum(nm.constant(rows[:, ::-1])).data.tobytes()
+    assert total.tobytes() == nm.exact_sum(
+        *(nm.constant(r) for r in rows[::-1])).data.tobytes()
+    assert float(total) == math.fsum(rows.ravel())
+    a, b = rand_param((3, 4), rng), rand_param((2,), rng)
+    report = nm.grad_check(
+        lambda: nm.exact_sum(nm.square(nm.exact_sum(a, b)), a), {"a": a, "b": b})
     assert report.passed, report.to_json()
 
 

@@ -207,15 +207,17 @@ def test_train_gradient_is_the_objective_gradient(tiny_corpus, monkeypatch):
 
 
 def test_sub_batch_gradient_matches_per_dialogue_backward(tiny_corpus):
-    """One forward_batch and one backward of its summed dialogue terms give
-    the gradients of one forward and backward per dialogue, summed."""
+    """One forward_batch and one backward of the exact sum of its dialogues'
+    terms give the gradients of one forward and backward per dialogue,
+    summed."""
     train = tiny_corpus[0][:6]
     vocab = build_vocab(train)
     model = Model.build(small_config(dropout=0.0).model_config(len(vocab)),
                         np.random.default_rng(6))
     out = model.forward_batch([vocab.encode_dialogue(d) for d in train],
                               [d.roles for d in train])
-    nm.exact_sum(tr.dialogue_loss(out, train, eta=0.5)).backward()
+    nm.exact_sum(*(tr.dialogue_loss(out.dialogue(b), d, eta=0.5)
+                   for b, d in enumerate(train))).backward()
     batched = {name: t.grad for name, t in model.blocks.items()}
     model.zero_grads()
     for d in train:
@@ -276,6 +278,17 @@ def test_train_history_records_clipping(tiny_corpus, monkeypatch):
             [max(e) for e in per_epoch]
         assert [h["clipped"] for h in history] == \
             [sum(n > clip for n in e) for e in per_epoch]
+
+
+def test_train_times_each_epoch_run_outside_the_history(tiny_corpus):
+    train, dev, _ = tiny_corpus
+    r = tr.train(train, dev, small_config(max_epochs=4, patience=1))
+    assert [t["epoch"] for t in r.timing] == [h["epoch"] for h in r.history]
+    for t in r.timing:
+        assert set(t) == {"epoch", "epoch_seconds", "dialogues_per_second"}
+        assert t["epoch_seconds"] > 0.0
+        assert t["dialogues_per_second"] == len(train) / t["epoch_seconds"]
+    assert not any("seconds" in key for h in r.history for key in h)
 
 
 def test_train_restores_best_epoch(tiny_corpus):
