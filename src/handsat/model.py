@@ -31,12 +31,15 @@ from .interaction import (ACTIVATIONS, INTERACTION_MODES, InteractionOutput,
 from .numerics import LstmParams, Tensor
 
 # Dialogues per forward in training and evaluation: the largest size that
-# kept peak memory within 7% of one dialogue per forward. A sub-batch's tape
-# holds all of its dialogues' activations until its one backward. perfbench
-# train, seed 7, 2 vCPUs, one BLAS thread, medians of 3 alternating 55 s
-# runs each (dialogues_per_s, peak_rss_mb): one dialogue per forward 302,
-# 44.5; 4 dialogues 512, 46.8 (+5.2%); 5 dialogues 519, 47.1 (+5.7%);
-# 6 dialogues 521, 47.8 (+7.3%).
+# keeps peak memory within 7% of one dialogue per forward, since a
+# sub-batch's tape holds all of its dialogues' activations until its one
+# backward. perfbench train, seed 7, 2 vCPUs, one BLAS thread, 10 rounds of
+# alternating 55 s runs, median [quartiles] of peak_rss_mb: one dialogue
+# per forward 44.31 [44.12, 44.49]; 4 dialogues 46.41 [46.38, 46.46]
+# (+4.7%); 5 dialogues 47.07 [47.02, 47.09] (+6.2%); 6 dialogues 47.54
+# [47.50, 47.61] (+7.3%). Of dialogues_per_s: 233 [211, 243]; 333 [320,
+# 353]; 317 [285, 330]; 317 [312, 327]. Sizes 4-6 do not separate in speed
+# beyond that spread, so memory alone sets the size.
 SUB_BATCH = 5
 
 
