@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -105,10 +107,10 @@ def cmd_train(args) -> int:
     train_set = load_corpus(run.train_corpus, cfg.max_dialogue_len)
     dev_set = load_corpus(run.dev_corpus, cfg.max_dialogue_len)
 
-    vocab = None
+    vocab = build_vocab(train_set, min_freq=cfg.min_freq)
+    _check_model_fits(cfg.model_config(len(vocab)))
     embedding = None
     if run.embeddings:
-        vocab = build_vocab(train_set, min_freq=cfg.min_freq)
         loaded = load_embeddings(run.embeddings, vocab, cfg.embed_dim,
                                  rng=np.random.default_rng(cfg.seed))
         embedding = loaded.table
@@ -146,6 +148,22 @@ def cmd_train(args) -> int:
     _log(f"best epoch {result.best_epoch} "
          f"(selection {result.best_selection:.4f})")
     return EXIT_OK
+
+
+def _check_model_fits(config) -> None:
+    """Refuse a model whose training state cannot fit in physical memory,
+    from its block shapes alone: training holds the weights, their
+    gradients, Adam's two moments and the best epoch's snapshot."""
+    try:
+        blocks = Model.skeleton(config).blocks.values()
+    except ValueError as e:  # a dimension numpy cannot represent
+        raise ConfigError(f"cannot allocate the configured model: {e}") from None
+    need = 5 * 8 * sum(math.prod(t.shape) for t in blocks)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(f"cannot allocate the configured model: training it "
+                          f"needs {need} bytes, more than the {have} bytes of "
+                          "physical memory")
 
 
 def cmd_eval(args) -> int:

@@ -46,12 +46,15 @@ layouts as a 2-D call on that head alone, so they are bit-identical to it.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import heapq
 import itertools
 import math
+import sys
+import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -92,17 +95,29 @@ def tril(length: int, k: int = 0) -> Array:
     return np.tri(length, length, k, dtype=bool)
 
 
+@per_length
+def ones_column(length: int) -> Array:
+    """np.ones((length, 1)): a row-sum GEMM's right operand."""
+    return np.ones((length, 1))
+
+
 def fixed_matmul(a: Array, b: Array, pad_k: bool = False,
                  pad_n: bool = False) -> Array:
     """a @ b for a (..., M, K) and b (K, N) or (..., K, N), with M, and K if
     pad_k and N if pad_n, zero-padded to a multiple of ROW_BLOCK and rows in
-    blocks of ROW_BLOCK; pad the axes whose length depends on the dialogue."""
+    blocks of ROW_BLOCK; pad the axes whose length depends on the dialogue.
+    A C-contiguous a that already fills whole blocks is used as it is, as
+    it has the padded copy's layout; b is always copied when padded, since
+    a strided b would reach BLAS in another layout."""
     (*batch, m, k), n = a.shape, b.shape[-1]
     m_pad = -(-m // ROW_BLOCK) * ROW_BLOCK
     k_pad = -(-k // ROW_BLOCK) * ROW_BLOCK if pad_k else k
     n_pad = -(-n // ROW_BLOCK) * ROW_BLOCK if pad_n else n
-    padded = np.zeros((*batch, m_pad, k_pad))
-    padded[..., :m, :k] = a
+    if m == m_pad and k == k_pad and a.flags.c_contiguous:
+        padded = a
+    else:
+        padded = np.zeros((*batch, m_pad, k_pad))
+        padded[..., :m, :k] = a
     if pad_k or pad_n:
         b, unpadded = np.zeros(b.shape[:-2] + (k_pad, n_pad)), b
         b[..., :k, :n] = unpadded
@@ -184,9 +199,72 @@ def _accum(t: Tensor, g: Array) -> None:
 
 
 def _make(data: Array, parents: tuple[Tensor, ...], backward) -> Tensor:
-    req = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=req, parents=parents if req else (),
-                  backward=backward if req else None)
+    """The one node constructor: every op's output goes through here."""
+    if _profiler is not None:
+        backward = _profiler.node(backward)
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(data, True, parents, backward)
+    return Tensor(data)
+
+
+# ---------------------------------------------------------------------------
+# op profiler
+# ---------------------------------------------------------------------------
+
+@dataclass
+class OpStats:
+    """What one op's nodes cost while a profile() was on."""
+    nodes: int = 0           # nodes made
+    forward_s: float = 0.0   # wall time up to each node, from the last event
+    backward_s: float = 0.0  # wall time in the nodes' backward closures
+
+
+class _Profiler:
+    def __init__(self) -> None:
+        self.ops: dict[str, OpStats] = {}
+        self.clock = time.perf_counter()
+
+    def node(self, backward: Callable[[Array], None]) -> Callable[[Array], None]:
+        """Charge a new node to the op that made it (_make's caller) and
+        return its backward closure, timed."""
+        now = time.perf_counter()
+        stats = self.ops.setdefault(sys._getframe(2).f_code.co_name, OpStats())
+        stats.nodes += 1
+        stats.forward_s += now - self.clock
+        self.clock = now
+
+        def timed(g: Array) -> None:
+            start = time.perf_counter()
+            backward(g)
+            self.clock = time.perf_counter()
+            stats.backward_s += self.clock - start
+
+        return timed
+
+
+_profiler: _Profiler | None = None
+
+
+@contextlib.contextmanager
+def profile() -> Iterator[dict[str, OpStats]]:
+    """Per-op costs of the nodes made within the block, by the name of the
+    op function that made them (softmax_rows' nodes are masked_softmax's).
+
+    A node's forward seconds run from the previous event (the block's
+    start, the previous node, or the end of a profiled backward closure) to
+    its creation, so they include the caller's code just before the op and
+    add up to the block's wall time up to its last node. Backward seconds
+    are its closure's own time, also when backward runs after the block.
+    Off, the profiler costs _make one test."""
+    global _profiler
+    if _profiler is not None:
+        raise ContractError("profile() is already on")
+    _profiler = _Profiler()
+    try:
+        yield _profiler.ops
+    finally:
+        _profiler = None
 
 
 def constant(data) -> Tensor:
@@ -575,37 +653,61 @@ def attend(weights: Tensor, values: Tensor) -> Tensor:
 # masked softmax / layer norm
 # ---------------------------------------------------------------------------
 
-def masked_softmax(scores: Tensor, allowed: Array) -> Tensor:
-    """Exp-normalize each row over its allowed positions.
+_LOWEST = np.finfo(np.float64).min
+
+
+def masked_softmax(scores: Tensor, allowed: Array | None) -> Tensor:
+    """Exp-normalize each row over its allowed positions (every position
+    when allowed is None).
 
     Disallowed positions get exact 0. A row with no allowed position yields
     the all-zeros row (rather than uniform), so downstream context vectors
     vanish instead of leaking masked information.
+
+    The max-shifted exponentials are written into one zero buffer that pads
+    the rows and the summed axis to whole ROW_BLOCKs, the array fixed_matmul
+    would build with pad_k, so the denominators are fixed_matmul of that
+    buffer with a cached ones column and no copy: a row's denominator sums
+    its zero-padded entries in a GEMM of the same shape wherever the row
+    ends. A row with an allowed entry holds exp(0) = 1, so its denominator
+    is at least 1; an empty row's is 0 and is divided by 1 instead.
     """
-    allowed = np.asarray(allowed, dtype=bool)
-    if allowed.shape != scores.data.shape:
-        raise ContractError(
-            f"mask shape {allowed.shape} != scores shape {scores.data.shape}")
     s = scores.data
-    if allowed.any() and not np.all(np.isfinite(s[allowed])):
+    shape = s.shape if s.ndim > 1 else (1,) + s.shape
+    *lead, m, n = shape
+    n_pad = -(-n // ROW_BLOCK) * ROW_BLOCK
+    buffer = np.zeros((*lead, -(-m // ROW_BLOCK) * ROW_BLOCK, n_pad))
+    e = buffer[..., :m, :n]
+    if allowed is None:
+        finite = np.isfinite(s).all()
+        e[...] = s.reshape(shape)
+    else:
+        allowed = np.asarray(allowed, dtype=bool)
+        if allowed.shape != s.shape:
+            raise ContractError(
+                f"mask shape {allowed.shape} != scores shape {s.shape}")
+        finite = np.isfinite(s[allowed]).all()
+        e[...] = -np.inf
+        np.copyto(e, s.reshape(shape), where=allowed.reshape(shape))
+    if not finite:
         raise ContractError("non-finite score at an allowed position")
-    masked = np.where(allowed, s, -np.inf)
-    rowmax = np.max(masked, axis=-1, keepdims=True)
-    rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
-    e = np.exp(np.where(allowed, s - rowmax, -np.inf))  # exp(-inf) == 0 exactly
-    denom = fixed_matmul(np.atleast_2d(e), np.ones((e.shape[-1], 1)),
-                         pad_k=True).reshape(rowmax.shape)
-    out = np.divide(e, denom, out=np.zeros_like(e), where=denom > 0)
+    rowmax = np.maximum.reduce(e, axis=-1, keepdims=True)
+    # an empty row's max is -inf; any finite shift keeps its exps at 0
+    np.maximum(rowmax, _LOWEST, out=rowmax)
+    e -= rowmax
+    np.exp(e, out=e)                         # exp(-inf) == 0 exactly
+    denom = fixed_matmul(buffer, ones_column(n_pad))[..., :m, :]
+    out = (e / np.maximum(denom, 1.0, out=denom)).reshape(s.shape)
 
     def back(g: Array) -> None:
-        inner = np.sum(g * out, axis=-1, keepdims=True)
+        inner = np.add.reduce(g * out, axis=-1, keepdims=True)
         _accum(scores, out * (g - inner))
 
     return _make(out, (scores,), back)
 
 
 def softmax_rows(scores: Tensor) -> Tensor:
-    return masked_softmax(scores, np.ones(scores.data.shape, dtype=bool))
+    return masked_softmax(scores, None)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -614,17 +716,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ContractError("layer_norm gain/bias must match the last axis")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # np.add.reduce(...) / d is what .mean computes, without its dispatch
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     out = gain.data * xhat + bias.data
 
     def back(g: Array) -> None:
         gx = g * gain.data
-        m1 = gx.mean(axis=-1, keepdims=True)
-        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+        m1 = np.add.reduce(gx, axis=-1, keepdims=True) / d
+        m2 = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / d
         _accum(x, inv * (gx - m1 - xhat * m2))
         _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
         _accum(bias, _unbroadcast(g, bias.data.shape))

@@ -589,6 +589,31 @@ def test_huge_checkpoint_config_is_rejected_before_allocation(tmp_path, capsys):
     assert peak < 16 * 2 ** 20
 
 
+@pytest.mark.parametrize("hidden_size", [10 ** 30, 2 ** 40, 10 ** 6],
+                         ids=["unrepresentable", "iterator_too_large", "beyond_memory"])
+def test_unallocatable_model_is_refused_before_any_output(workspace, tmp_path, capsys,
+                                                          hidden_size):
+    """A model that passes validation but cannot be allocated is refused
+    from its block shapes: one error line, and no checkpoint_dir made."""
+    _, config_path, _, _ = workspace
+    cfg = json.loads(config_path.read_text())
+    cfg["train"].update(hidden_size=hidden_size, heads=1)
+    cfg["paths"]["checkpoint_dir"] = str(tmp_path / "run")
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "train", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.startswith("config error: cannot allocate the configured model: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+    assert peak < 16 * 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # fuzzing the input boundaries
 # ---------------------------------------------------------------------------
@@ -671,16 +696,13 @@ def run_quietly(*argv):
 
 def assert_clean_exit(code, err):
     """An expected exit code, no traceback, and an error as one line. train
-    logs its progress only once its inputs have loaded, so only a config
-    error raised in training itself (a model too large to allocate) comes
-    after a progress line: the resolved config."""
+    logs its progress only once its inputs have loaded and its model is
+    known to fit, so a failed run prints nothing before its error."""
     assert code in (0, 2, 3, 4), err
     assert "Traceback" not in err
     if code in (2, 3):
-        *progress, last = err.splitlines()
-        assert last.startswith(("config error: ", "data error: ")), err
-        assert not progress or (code == 2 and len(progress) == 1 and
-                                progress[0].startswith("resolved config: ")), err
+        assert err.count("\n") == 1, err
+        assert err.startswith(("config error: ", "data error: ")), err
 
 
 @pytest.fixture(scope="module")

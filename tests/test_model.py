@@ -8,7 +8,7 @@ from handsat import numerics as nm
 from handsat import training as tr
 from handsat.corpus import Role, build_vocab
 from handsat.encoder import shared_encode
-from handsat.errors import ConfigError
+from handsat.errors import ConfigError, ContractError
 from handsat.decoders import AGGREGATE_MODES
 from handsat.interaction import INTERACTION_MODES, task_projections
 from handsat.model import Model, ModelConfig
@@ -207,3 +207,34 @@ def test_forward_batch_bits_match_solo(mode, aggregate):
                                for r in (solo, cut))
                 assert got.shape == expect.shape, (batch, b, f.name)
                 assert got.tobytes() == expect.tobytes(), (batch, b, f.name)
+
+
+def test_profile_charges_each_node_to_its_op(setup, monkeypatch):
+    """A forward and backward under nm.profile(): the masked_softmax count
+    is the model's calls (softmax_rows' included), every op that made a
+    node has forward time, the tape's ops have backward time, and the
+    profiler is off again after the block."""
+    model, vocab, dialogues = setup
+    calls = []
+    original = nm.masked_softmax
+
+    def counted(scores, allowed):
+        calls.append(scores.shape)
+        return original(scores, allowed)
+
+    monkeypatch.setattr(nm, "masked_softmax", counted)
+    d = dialogues[0]
+    with nm.profile() as ops:
+        with pytest.raises(ContractError, match="already on"):
+            with nm.profile():
+                pass
+        loss = tr.dialogue_loss(model.forward(vocab.encode_dialogue(d), d.roles), d, 0.5)
+        loss.backward()
+    assert ops["masked_softmax"].nodes == len(calls) >= 6
+    assert ops["layer_norm"].nodes == 3 and ops["lstm_sequence"].nodes == 3
+    assert all(s.nodes > 0 and s.forward_s > 0 for s in ops.values())
+    for name in ("masked_softmax", "layer_norm", "lstm_sequence", "linear_rows"):
+        assert ops[name].backward_s > 0, name
+    nodes = sum(s.nodes for s in ops.values())
+    nm.add(loss, loss)
+    assert nm._profiler is None and sum(s.nodes for s in ops.values()) == nodes

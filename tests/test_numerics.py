@@ -132,6 +132,60 @@ def test_masked_softmax_grad_zero_at_disallowed():
     assert report.passed, report.to_json()
 
 
+def reference_masked_softmax(s, allowed):
+    """masked_softmax's forward as a row-wise formula, with the padded
+    copies its denominator used to make written out."""
+    masked = np.where(allowed, s, -np.inf)
+    rowmax = np.max(masked, axis=-1, keepdims=True)
+    rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
+    e = np.exp(np.where(allowed, s - rowmax, -np.inf))
+    *lead, m, n = np.atleast_2d(e).shape
+    m_pad, n_pad = (-(-x // nm.ROW_BLOCK) * nm.ROW_BLOCK for x in (m, n))
+    padded = np.zeros((*lead, m_pad, n_pad))
+    padded[..., :m, :n] = np.atleast_2d(e)
+    ones = np.zeros((n_pad, 1))
+    ones[:n] = 1.0
+    denom = padded.reshape(*lead, -1, nm.ROW_BLOCK, n_pad) @ ones[None]
+    denom = denom.reshape(*lead, m_pad, 1)[..., :m, :].reshape(rowmax.shape)
+    return np.divide(e, denom, out=np.zeros_like(e), where=denom > 0)
+
+
+def softmax_masks(shape, rng):
+    """A random mask with an empty and a full row where there are rows, an
+    all-True and an all-False one."""
+    mixed = rng.random(shape) < 0.6
+    if len(shape) > 1:
+        mixed[..., 0, :] = False
+        mixed[..., 1, :] = True
+    return [mixed, np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool)]
+
+
+@pytest.mark.parametrize("lead", [(), (17,), (2, 16), (2, 3, 5)],
+                         ids=["1d", "2d", "3d", "4d"])
+def test_masked_softmax_bits_match_reference(lead):
+    """Forward values and gradients have the bytes of the reference formula
+    on both sides of each padding boundary, with NaN and +-inf at
+    disallowed positions; softmax_rows is the all-allowed case."""
+    rng = np.random.default_rng(43 + len(lead))
+    for n in (1, 2, 3, 15, 16, 17, 32, 64, 65):
+        shape = lead + (n,)
+        g = rng.standard_normal(shape)
+        for allowed in softmax_masks(shape, rng):
+            s = rng.standard_normal(shape) * 4
+            s[~allowed] = rng.choice([np.nan, np.inf, -np.inf], int((~allowed).sum()))
+            expect = reference_masked_softmax(s, allowed)
+            expect_grad = expect * (g - np.sum(g * expect, axis=-1, keepdims=True))
+            runs = [lambda p: nm.masked_softmax(p, allowed)]
+            if allowed.all():
+                runs.append(nm.softmax_rows)
+            for run in runs:
+                scores = nm.parameter(s)
+                out = run(scores)
+                nm.sum_all(nm.mul(out, nm.constant(g))).backward()
+                assert out.data.tobytes() == expect.tobytes(), (shape, allowed)
+                assert scores.grad.tobytes() == expect_grad.tobytes(), (shape, allowed)
+
+
 # ---------------------------------------------------------------------------
 # layer norm
 # ---------------------------------------------------------------------------
@@ -181,6 +235,38 @@ def test_layer_norm_grad():
 
     report = nm.grad_check(loss, {"x": x, "gain": gain, "bias": bias})
     assert report.passed, report.to_json()
+
+
+def reference_layer_norm(x, gain, bias, g, eps=1e-5):
+    """layer_norm's output and its x, gain and bias gradients for the
+    upstream gradient g, with numpy's .mean."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    gx = g * gain
+    m1 = gx.mean(axis=-1, keepdims=True)
+    m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+    lead = tuple(range(x.ndim - 1))  # a sum over no axis would turn -0 into 0
+    return (gain * xhat + bias, inv * (gx - m1 - xhat * m2),
+            (g * xhat).sum(axis=lead) if lead else g * xhat,
+            g.sum(axis=lead) if lead else g)
+
+
+@pytest.mark.parametrize("lead", [(), (17,), (2, 16), (2, 3, 5)],
+                         ids=["1d", "2d", "3d", "4d"])
+def test_layer_norm_bits_match_reference(lead):
+    rng = np.random.default_rng(47 + len(lead))
+    for d in (1, 2, 3, 15, 16, 17, 32, 64, 65):
+        x, gain, bias = (nm.parameter(rng.standard_normal(shape) * 3)
+                         for shape in (lead + (d,), (d,), (d,)))
+        g = rng.standard_normal(lead + (d,))
+        out = nm.layer_norm(x, gain, bias)
+        nm.sum_all(nm.mul(out, nm.constant(g))).backward()
+        expect = reference_layer_norm(x.data, gain.data, bias.data, g)
+        for got, want in zip((out.data, x.grad, gain.grad, bias.grad), expect):
+            assert got.tobytes() == want.tobytes(), (lead, d)
 
 
 # ---------------------------------------------------------------------------
