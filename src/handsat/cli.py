@@ -27,7 +27,7 @@ from .decoders import AGGREGATE_MODES
 from .errors import (CheckpointError, ConfigError, ContractError, CorpusError,
                      HandsatError)
 from .metrics import SECTIONS, evaluate_model
-from .model import Model
+from .model import Model, ModelConfig
 from .synth import GeneratorSpec, load_generator_spec, synthesize_corpus
 from .training import (TrainConfig, load_checkpoint, objective, save_checkpoint,
                        train)
@@ -150,7 +150,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _check_model_fits(config) -> None:
+def _check_model_fits(config: ModelConfig) -> None:
     """Refuse a model whose training state cannot fit in physical memory,
     from its block shapes alone: training holds the weights, their
     gradients, Adam's two moments and the best epoch's snapshot."""

@@ -243,6 +243,8 @@ class _Profiler:
         return timed
 
 
+# Module state, because _make sees only an op's operands: no object that a
+# caller creates reaches it. profile() sets and always clears it.
 _profiler: _Profiler | None = None
 
 
