@@ -1,0 +1,143 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 per section of what the model computes, so that two
+versions of the code can be compared for byte identity.
+
+Sections:
+    forward <interaction> <aggregate>
+        every forward tensor of each prefix of three synthetic dialogues of
+        15-50 utterances (prefix lengths cross the 16/32/48 row-block
+        edges), and of each dialogue of one forward_batch of all three
+    gradients
+        every block's gradient of one 7-dialogue objective, dropout on
+    train clip=<c>
+        a 2-epoch train() history and the trained parameters
+    predict
+        the stdout of `handsat predict` on a stream whose first two lines
+        are agent utterances (customer-free prefixes)
+
+Run it on both versions, at each BLAS thread count, and compare the lines:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/bit_digest.py
+    OPENBLAS_NUM_THREADS=2 PYTHONPATH=src python scripts/bit_digest.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from handsat import cli
+from handsat.corpus import Role, build_vocab
+from handsat.decoders import AGGREGATE_MODES
+from handsat.interaction import INTERACTION_MODES
+from handsat.model import Model
+from handsat.synth import GeneratorSpec, synthesize_corpus
+from handsat.training import TrainConfig, objective_terms, save_checkpoint, train
+
+# the forward tensors, by name; every other result field is derived or gone
+FIELDS = ("handoff_probs", "satisfaction_probs", "local_satisfaction",
+          "importance", "handoff_fused", "satisfaction_fused", "handoff_view",
+          "satisfaction_view", "attn_sat_to_handoff", "attn_handoff_to_sat",
+          "position_weights")
+SMALL = dict(embed_dim=8, hidden_size=8, dense_size=8, attention_units=8,
+             heads=2)
+
+
+def _add(digest, *arrays) -> None:
+    for a in arrays:
+        a = np.asarray(getattr(a, "data", a))
+        digest.update(repr(a.shape).encode())
+        digest.update(np.ascontiguousarray(a).tobytes())
+
+
+def _add_result(digest, out) -> None:
+    _add(digest, *(getattr(out, name) for name in FIELDS))
+
+
+def _add_blocks(digest, model, attribute: str) -> None:
+    for name, t in model.blocks.items():
+        digest.update(name.encode())
+        _add(digest, getattr(t, attribute))
+
+
+def forward_sections():
+    dialogues, _ = synthesize_corpus(
+        GeneratorSpec(num_dialogues=3, min_len=15, max_len=50), seed=7)
+    vocab = build_vocab(dialogues)
+    encoded = [vocab.encode_dialogue(d) for d in dialogues]
+    for mode in INTERACTION_MODES:
+        for aggregate in AGGREGATE_MODES:
+            config = TrainConfig(**SMALL, interaction_mode=mode,
+                                 aggregate_mode=aggregate, dropout=0.0)
+            model = Model.build(config.model_config(len(vocab)),
+                                np.random.default_rng(3))
+            digest = hashlib.sha256()
+            with model.untaped():
+                for ids, d in zip(encoded, dialogues):
+                    for t in range(1, len(ids) + 1):
+                        _add_result(digest, model.forward(ids[:t], d.roles[:t]))
+                out = model.forward_batch(encoded, [d.roles for d in dialogues])
+                for b in range(len(dialogues)):
+                    _add_result(digest, out.dialogue(b))
+            yield f"forward {mode} {aggregate}", digest
+
+
+def gradient_section():
+    dialogues, _ = synthesize_corpus(GeneratorSpec(num_dialogues=7), seed=5)
+    vocab = build_vocab(dialogues)
+    config = TrainConfig(**SMALL, dropout=0.2)
+    model = Model.build(config.model_config(len(vocab)), np.random.default_rng(4))
+    pairs = [(vocab.encode_dialogue(d), d) for d in dialogues]
+    digest = hashlib.sha256()
+    for term in objective_terms(model, pairs, config.eta, config.delta,
+                                rng=np.random.default_rng(6)):
+        _add(digest, term)
+        term.backward()
+    _add_blocks(digest, model, "grad")
+    yield "gradients", digest
+
+
+def train_sections():
+    dialogues, _ = synthesize_corpus(GeneratorSpec(num_dialogues=40), seed=11)
+    train_set, dev_set = dialogues[:32], dialogues[32:]
+    for clip in (5.0, 0.5):
+        config = TrainConfig(**SMALL, max_epochs=2, batch_size=8, grad_clip=clip)
+        result = train(train_set, dev_set, config)
+        digest = hashlib.sha256(json.dumps(result.history, sort_keys=True).encode())
+        _add_blocks(digest, result.model, "data")
+        yield f"train clip={clip}", digest
+
+
+def predict_section():
+    dialogues, _ = synthesize_corpus(
+        GeneratorSpec(num_dialogues=1, min_len=20, max_len=20), seed=13)
+    vocab = build_vocab(dialogues)
+    model = Model.build(TrainConfig(**SMALL).model_config(len(vocab)),
+                        np.random.default_rng(8))
+    agents = [{"role": Role.AGENT.value, "tokens": ["hello", "there"]}] * 2
+    lines = agents + [{"role": u.role.value, "tokens": list(u.tokens)}
+                      for u in dialogues[0].utterances]
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt, stream = Path(tmp) / "model.ckpt", Path(tmp) / "stream.jsonl"
+        save_checkpoint(model, vocab, ckpt)
+        stream.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(["predict", str(ckpt), "--input", str(stream)])
+    yield "predict", hashlib.sha256(f"{code}\n{stdout.getvalue()}".encode())
+
+
+def main() -> int:
+    for sections in (forward_sections, gradient_section, train_sections,
+                     predict_section):
+        for name, digest in sections():
+            print(f"{digest.hexdigest()}  {name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -206,7 +206,7 @@ def cmd_predict(args) -> int:
                     f"stream exceeds max dialogue length "
                     f"{model.config.max_dialogue_len}")
             with model.untaped():
-                out = model.forward(ids, roles, require_customer=False)
+                out = model.forward(ids, roles)
             has_customer = Role.CUSTOMER in roles
             _emit({
                 "position": len(ids),

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .config import parse_json
-from .errors import ContractError, CorpusError
+from .errors import ConfigError, ContractError, CorpusError
 from .numerics import glorot_uniform
 
 
@@ -197,15 +197,30 @@ def _utf8_lines(path: Path) -> Iterator[tuple[int, str]]:
                     f"{path}: line {line_no} is not valid UTF-8") from None
 
 
+def check_dialogues(dialogues: Sequence[Dialogue], max_dialogue_len: int) -> None:
+    """Refuse dialogues a model cannot be trained or scored on: those
+    longer than max_dialogue_len (truncating them would corrupt the
+    dialogue-level supervision) and those without a customer utterance
+    (their satisfaction estimate is undefined)."""
+    too_long = [d.id for d in dialogues if len(d) > max_dialogue_len]
+    if too_long:
+        raise CorpusError(
+            f"{len(too_long)} dialogue(s) exceed max length {max_dialogue_len}: "
+            + ", ".join(too_long[:20]))
+    no_customer = [d.id for d in dialogues if Role.CUSTOMER not in d.roles]
+    if no_customer:
+        raise CorpusError(
+            f"{len(no_customer)} dialogue(s) have no customer utterance (the "
+            f"satisfaction estimate is undefined for them): "
+            + ", ".join(no_customer[:20]))
+
+
 def load_corpus(path: str | Path, max_dialogue_len: int) -> list[Dialogue]:
-    """Parse a JSONL corpus. Over-length dialogues are rejected (not silently
-    truncated: truncation would corrupt the dialogue-level supervision)."""
+    """Parse a JSONL corpus and check_dialogues it."""
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"corpus file not found: {path}")
     dialogues: list[Dialogue] = []
-    too_long: list[str] = []
-    no_customer: list[str] = []
     seen_ids: set[str] = set()
     for line_no, line in _utf8_lines(path):
         line = line.strip()
@@ -216,22 +231,8 @@ def load_corpus(path: str | Path, max_dialogue_len: int) -> list[Dialogue]:
         if d.id in seen_ids:
             raise CorpusError(f"duplicate dialogue id {d.id!r} (line {line_no})")
         seen_ids.add(d.id)
-        if len(d) > max_dialogue_len:
-            too_long.append(d.id)
-            continue
-        if not any(u.role is Role.CUSTOMER for u in d.utterances):
-            no_customer.append(d.id)
-            continue
         dialogues.append(d)
-    if too_long:
-        raise CorpusError(
-            f"{len(too_long)} dialogue(s) exceed max length {max_dialogue_len}: "
-            + ", ".join(too_long[:20]))
-    if no_customer:
-        raise CorpusError(
-            f"{len(no_customer)} dialogue(s) have no customer utterance (the "
-            f"satisfaction estimate is undefined for them): "
-            + ", ".join(no_customer[:20]))
+    check_dialogues(dialogues, max_dialogue_len)
     return dialogues
 
 
@@ -286,7 +287,10 @@ def handoff_position_hist(corpus: Sequence[Dialogue], bins: int) -> dict[str, li
     transferable utterances. Ratings with no transfers get all-zero bins."""
     if bins < 1:
         raise ContractError("bins must be >= 1")
-    counts = {label.value: np.zeros(bins) for label in SatisfactionLabel}
+    try:
+        counts = {label.value: np.zeros(bins) for label in SatisfactionLabel}
+    except (MemoryError, ValueError) as e:  # numpy's "cannot allocate" errors
+        raise ConfigError(f"cannot allocate {bins} histogram bins: {e}") from None
     for d in corpus:
         length = len(d)
         for t, u in enumerate(d.utterances, start=1):
@@ -389,8 +393,9 @@ class EmbeddingLoad:
                        # found in the file, each counted once
 
 
-def init_embeddings(vocab: Vocabulary, dim: int, rng: np.random.Generator) -> np.ndarray:
-    table = glorot_uniform((len(vocab), dim), rng)
+def init_embeddings(rows: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A Glorot-uniform (rows, dim) table with a zero padding row."""
+    table = glorot_uniform((rows, dim), rng)
     table[PAD_INDEX] = 0.0
     return table
 
@@ -405,7 +410,7 @@ def load_embeddings(path: str | Path, vocab: Vocabulary, dim: int,
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"embedding file not found: {path}")
-    table = init_embeddings(vocab, dim, rng)
+    table = init_embeddings(len(vocab), dim, rng)
     covered: set[int] = set()  # vocabulary rows other than <pad>/<unk> read
     lines = _utf8_lines(path)
     header = next(lines, (1, ""))[1].split()

@@ -11,9 +11,14 @@ into the dialogue-level estimate. Agent positions receive exactly zero
 importance. Alternative aggregators (average / voting / last) cover the
 ablation variants.
 
-Both decoders take one dialogue's (L, d) rows or a batch's (B, L_max, d)
-rows, zero past each dialogue's end. Every step is causal or row-wise, so
-the padded rows never reach a dialogue's own rows.
+Both decoders take a batch's (B, L_max, d) rows, zero past each
+dialogue's end. Every step is causal or row-wise, so the padded rows never
+reach a dialogue's own rows. The satisfaction side treats any leading axes
+as batch axes, so it also takes one dialogue's (L, d) rows.
+
+A dialogue without customer utterances gets an all-zero importance row
+and dialogue distribution in every aggregation mode. A stream prefix can be
+one; corpus.check_dialogues keeps them out of training and evaluation.
 """
 
 from __future__ import annotations
@@ -64,12 +69,8 @@ class SatisfactionDecoderParams:
 
 
 def decode_handoff(fused: Tensor, params: HandoffDecoderParams) -> Tensor:
-    """Row-stochastic handoff distributions, (L, 2) or (B, L_max, 2)."""
-    if fused.data.ndim == 3:  # the recurrence is time-major
-        hidden = nm.transpose(nm.lstm_sequence(nm.transpose(fused, (1, 0, 2)),
-                                               params.cell), (1, 0, 2))
-    else:
-        hidden = nm.lstm_sequence(fused, params.cell)
+    """Row-stochastic handoff distributions, (B, L_max, 2)."""
+    hidden = nm.lstm_sequence(fused, params.cell)
     logits = nm.linear_rows(hidden, params.out_w, params.out_b)
     return nm.softmax_rows(logits)
 
@@ -97,22 +98,13 @@ def decode_satisfaction(
     is_customer: np.ndarray,
     params: SatisfactionDecoderParams,
     heads: int,
-    allow_no_customer: bool = False,
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """Returns (dialogue distribution (3,), local distributions (L, 3),
-    importance weights (L,) with zero mass on agent positions); for batched
-    rows, is_customer is (B, L_max), False past each dialogue's end, and
-    each output gains the leading B axis.
-
-    A dialogue without customer utterances has no defined estimate; that is
-    an error unless allow_no_customer is set (streaming prefixes), in which
-    case the importance row and the dialogue distribution come back all-zero.
-    """
+    """Returns (dialogue distributions (B, 3), local distributions
+    (B, L_max, 3), importance weights (B, L_max) with zero mass on agent
+    positions); is_customer is (B, L_max), False past each dialogue's end."""
     is_customer = np.asarray(is_customer, dtype=bool)
     if is_customer.shape != fused.data.shape[:-1]:
         raise ContractError("role vector length mismatch")
-    if not is_customer.any(axis=-1).all() and not allow_no_customer:
-        raise ContractError("satisfaction decoding requires >= 1 customer utterance")
     refined = transformer_block(
         nm.linear_rows(fused, params.proj_w, params.proj_b),
         params.transformer, heads)
@@ -136,7 +128,6 @@ def aggregate_variant(
     is_customer: np.ndarray,
     mode: str,
     importance: Tensor | None = None,
-    allow_no_customer: bool = False,
 ) -> Tensor:
     """Dialogue-level distribution from the local rows, (L, 3) with
     is_customer (L,), or one per dialogue from (B, L_max, 3) with (B, L_max).
@@ -144,16 +135,12 @@ def aggregate_variant(
     attention needs the importance weights; average and last pool the local
     rows with constant weights (last: one-hot on the last customer, which
     gives that row exactly); voting (majority argmax, one-hot output) is
-    non-differentiable and returns a constant. A dialogue without customer
-    utterances is an error unless allow_no_customer is set, and then gets
-    the all-zero distribution.
+    non-differentiable and returns a constant.
     """
     if mode not in AGGREGATE_MODES:
         raise ContractError(f"unknown aggregation mode {mode!r}")
     is_customer = np.asarray(is_customer, dtype=bool)
     counts = is_customer.sum(axis=-1, keepdims=True)
-    if not counts.all() and not allow_no_customer:
-        raise ContractError("aggregation requires >= 1 customer utterance")
     if mode == "attention":
         if importance is None:
             raise ContractError("attention aggregation requires importance weights")

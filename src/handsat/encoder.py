@@ -7,19 +7,20 @@ earlier utterance vector, zero-padded to the configured maximum dialogue
 length) is prepended, giving the shared representation both task branches
 start from.
 
-All N utterances of a dialogue are encoded together, time-major. The tokens
-are embedded once, in dialogue order, plus one padding row; dropout applies
-to that table, so both directions see the same dropped tokens. Two (T, N)
-index grids, T the longest utterance's length, pick each direction's inputs
-from it: column n of the forward grid holds utterance n's tokens in order,
-column n of the backward grid holds them reversed, and both hold the padding
-row below the utterance's length. One lstm_sequence per direction then runs
-all columns for all T steps, and each direction's state is picked at the
-utterance's own last step, row length - 1 of its column; the padded steps
-after it get an exactly zero gradient. Because the batched recurrence
-computes its rows in fixed-shape blocks, an utterance's vector has the same
-bits whichever utterances run beside it, and a dialogue prefix gives the
-first rows of the full dialogue's vectors bit for bit.
+All N utterances of a dialogue are encoded together, as a batch of N token
+sequences. The tokens are embedded once, in dialogue order, plus one
+padding row; dropout applies to that table, so both directions see the same
+dropped tokens. Two (N, T) index grids, T the longest utterance's length,
+pick each direction's inputs from it: row n of the forward grid holds
+utterance n's tokens in order, row n of the backward grid holds them
+reversed, and both hold the padding row past the utterance's length. One
+lstm_sequence per direction then runs all rows for all T steps, and each
+direction's state is picked at the utterance's own last step, entry
+length - 1 of its row; the padded steps after it get an exactly zero
+gradient. Because the batched recurrence computes its rows in fixed-shape
+blocks, an utterance's vector has the same bits whichever utterances run
+beside it, and a dialogue prefix gives the first rows of the full
+dialogue's vectors bit for bit.
 
 Several dialogues encode as one batch of utterances: their utterances are
 listed back to back and a size per dialogue says where each ends. The
@@ -84,14 +85,14 @@ def shared_encode(token_ids: list[list[int]], params: EncoderParams,
     if rng is not None:
         table = nm.dropout(table, dropout, rng)
     starts = np.cumsum(lengths) - lengths
-    step = np.arange(lengths.max())[:, None]
-    live = step < lengths
+    step = np.arange(lengths.max())
+    live = step < lengths[:, None]
     pad = table.data.shape[0] - 1
-    fwd = np.where(live, starts + step, pad)
-    bwd = np.where(live, starts + lengths - 1 - step, pad)
+    fwd = np.where(live, starts[:, None] + step, pad)
+    bwd = np.where(live, (starts + lengths - 1)[:, None] - step, pad)
     h_fwd = nm.lstm_sequence(nm.gather_rows(table, fwd), params.fwd)
     h_bwd = nm.lstm_sequence(nm.gather_rows(table, bwd), params.bwd)
-    last = (lengths - 1, np.arange(lengths.size))
+    last = (np.arange(lengths.size), lengths - 1)
     vectors = nm.concat_cols(nm.row(h_fwd, last), nm.row(h_bwd, last))
     ends = np.cumsum(sizes)
     grid = nm.stack_padded([nm.row(vectors, slice(end - n, end))

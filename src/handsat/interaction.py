@@ -57,11 +57,6 @@ class InteractionOutput:
     position_weights: np.ndarray  # (L, L) constant
 
 
-def customer_columns(is_customer: np.ndarray) -> np.ndarray:
-    return np.broadcast_to(np.asarray(is_customer, dtype=bool),
-                           (len(is_customer), len(is_customer)))
-
-
 def task_projections(shared: Tensor, params: InteractionParams,
                      activation: str = "relu") -> tuple[Tensor, Tensor]:
     act = ACTIVATIONS[activation]
@@ -87,7 +82,7 @@ def satisfaction_to_handoff(
         raise ContractError("role vector length mismatch")
     allowed = nm.tril(length, -1)
     if select_roles:
-        allowed = allowed & customer_columns(is_customer)
+        allowed = allowed & np.asarray(is_customer, dtype=bool)  # key columns
     scores = nm.pairwise_scores(handoff_view, satisfaction_view)
     attn = nm.masked_softmax(scores, allowed)
     context = nm.attend(attn, satisfaction_view)

@@ -16,7 +16,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import (SENTIMENT_CLASSES, SATISFACTION_CLASSES, Dialogue,
-                     HandoffLabel, Role)
+                     HandoffLabel, Role, check_dialogues)
 from .decoders import aggregate_variant, map_sentiment
 from .errors import ContractError, CorpusError
 
@@ -104,7 +104,8 @@ def evaluate_model(
     """Forward every dialogue (dropout off, no tape), SUB_BATCH at a time
     in id order, and score the requested sections. Pure in (model, corpus):
     repeated calls agree exactly, and each dialogue's outputs have the bits
-    of its forward alone.
+    of its forward alone. A corpus that check_dialogues refuses raises
+    CorpusError before any forward.
 
     aggregate overrides the checkpoint's aggregation mode for the
     satisfaction section only.
@@ -114,6 +115,7 @@ def evaluate_model(
             raise ContractError(f"unknown metrics section {s!r}")
     if not corpus:
         raise CorpusError("cannot evaluate on an empty corpus")
+    check_dialogues(corpus, model.config.max_dialogue_len)
     if any(u.handoff is None for d in corpus for u in d.utterances):
         raise CorpusError("corpus is missing handoff labels")
     if "sentiment" in sections:

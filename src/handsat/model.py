@@ -20,7 +20,7 @@ import numpy as np
 
 from . import numerics as nm
 from .config import decode_config
-from .corpus import Dialogue, Role, Vocabulary
+from .corpus import Dialogue, Role, Vocabulary, init_embeddings
 from .decoders import (AGGREGATE_MODES, HandoffDecoderParams,
                        SatisfactionDecoderParams, TransformerParams,
                        aggregate_variant, decode_handoff, decode_satisfaction)
@@ -99,7 +99,6 @@ class ForwardResult(InteractionOutput):
     satisfaction_probs: Tensor    # (3,)
     local_satisfaction: Tensor    # (L, 3)
     importance: Tensor            # (L,)
-    shared: Tensor                # (L, l_max + 2k) encoder output
 
     def trace(self, roles: Sequence[Role], interaction_mode: str,
               aggregate_mode: str) -> dict:
@@ -124,7 +123,6 @@ class BatchResult:
     batched tensors are padded to the longest dialogue, L_max; their rows
     past a dialogue's length are not part of it."""
     lengths: list[int]
-    shared: list[Tensor]                  # (L, l_max + 2k) per dialogue
     interactions: list[InteractionOutput]  # per dialogue
     handoff_probs: Tensor                 # (B, L_max, 2)
     satisfaction_probs: Tensor            # (B, 3)
@@ -139,7 +137,7 @@ class BatchResult:
             handoff_probs=nm.row(self.handoff_probs, rows),
             satisfaction_probs=nm.row(self.satisfaction_probs, b),
             local_satisfaction=nm.row(self.local_satisfaction, rows),
-            importance=nm.row(self.importance, rows), shared=self.shared[b])
+            importance=nm.row(self.importance, rows))
 
 
 def _field_tensors(prefix: str, params) -> Iterator[tuple[str, Tensor]]:
@@ -184,8 +182,7 @@ class Model:
         shape = (config.vocab_size, config.embed_dim)
         try:
             if embedding is None:
-                table = nm.glorot_uniform(shape, rng)
-                table[0] = 0.0
+                table = init_embeddings(*shape, rng)
             else:
                 table = np.asarray(embedding, dtype=np.float64)
                 if table.shape != shape:
@@ -274,25 +271,21 @@ class Model:
 
     # -- forward -----------------------------------------------------------
 
-    def forward(self, token_ids: list[list[int]], roles: Sequence[Role],
-                rng: np.random.Generator | None = None,
-                require_customer: bool = True) -> ForwardResult:
-        """Run one dialogue, as a batch of one. token_ids holds one
-        vocabulary-encoded id list per utterance. Dropout fires exactly when
-        an rng is passed. With require_customer=False a customer-free
-        (prefix) dialogue yields an all-zero satisfaction distribution
-        instead of an error."""
-        return self.forward_batch([token_ids], [roles], rng=rng,
-                                  require_customer=require_customer).dialogue(0)
+    def forward(self, token_ids: list[list[int]], roles: Sequence[Role]) -> ForwardResult:
+        """Run one dialogue without dropout, as a batch of one, and cut its
+        (L, ...) outputs from the batch. token_ids holds one vocabulary-encoded
+        id list per utterance."""
+        return self.forward_batch([token_ids], [roles]).dialogue(0)
 
     def forward_batch(self, token_ids: Sequence[list[list[int]]],
                       roles: Sequence[Sequence[Role]],
-                      rng: np.random.Generator | None = None,
-                      require_customer: bool = True) -> BatchResult:
+                      rng: np.random.Generator | None = None) -> BatchResult:
         """Run B dialogues in one pass: token_ids[b] and roles[b] as forward
-        takes them. The encoder and both decoders run once for the batch,
-        the interaction once per dialogue. Each dialogue's outputs have the
-        bits of its forward alone; dropout draws once for the batch."""
+        takes them. The encoder runs once on all their utterances, the
+        interaction once per dialogue, and both decoders once on the
+        batch-major (B, L_max, d) rows. Each dialogue's outputs have the bits
+        of its forward alone. Dropout fires exactly when an rng is passed,
+        and draws once for the batch."""
         cfg = self.config
         if len(token_ids) != len(roles) or not token_ids:
             raise ContractError("forward_batch needs token_ids and roles for "
@@ -311,34 +304,27 @@ class Model:
                              self.encoder, cfg.max_dialogue_len,
                              dropout=cfg.dropout, rng=rng, sizes=lengths)
         ends = np.cumsum(lengths)
-        shared = [nm.row(rows, slice(end - n, end)) for end, n in zip(ends, lengths)]
-        inters = [interact(s, is_customer[b, :lengths[b]], self.interaction,
-                           mode=cfg.interaction_mode, activation=cfg.activation)
-                  for b, s in enumerate(shared)]
+        inters = [interact(nm.row(rows, slice(end - n, end)), is_customer[b, :n],
+                           self.interaction, mode=cfg.interaction_mode,
+                           activation=cfg.activation)
+                  for b, (end, n) in enumerate(zip(ends, lengths))]
         handoff_probs = decode_handoff(
             nm.stack_padded([i.handoff_fused for i in inters], longest),
             self.handoff_decoder)
         overall, local, importance = decode_satisfaction(
             nm.stack_padded([i.satisfaction_fused for i in inters], longest),
-            is_customer, self.satisfaction_decoder, cfg.heads,
-            allow_no_customer=not require_customer)
+            is_customer, self.satisfaction_decoder, cfg.heads)
         if cfg.aggregate_mode != "attention":
             overall = aggregate_variant(local, is_customer, cfg.aggregate_mode,
-                                        importance=importance,
-                                        allow_no_customer=True)
-        return BatchResult(lengths=lengths, shared=shared, interactions=inters,
+                                        importance=importance)
+        return BatchResult(lengths=lengths, interactions=inters,
                            handoff_probs=handoff_probs, satisfaction_probs=overall,
                            local_satisfaction=local, importance=importance)
 
-    def forward_dialogue(self, dialogue: Dialogue, vocab: Vocabulary) -> ForwardResult:
-        """forward() of a corpus dialogue, without dropout."""
-        return self.forward(vocab.encode_dialogue(dialogue), dialogue.roles)
-
     def forward_dialogues(self, dialogues: Sequence[Dialogue],
                           vocab: Vocabulary) -> Iterator[ForwardResult]:
-        """forward_dialogue() of each corpus dialogue in order, from one
-        forward_batch per SUB_BATCH dialogues, untaped (the results are
-        constants)."""
+        """forward() of each corpus dialogue in order, from one forward_batch
+        per SUB_BATCH dialogues, untaped (the results are constants)."""
         for part in sub_batches(dialogues):
             with self.untaped():
                 out = self.forward_batch([vocab.encode_dialogue(d) for d in part],

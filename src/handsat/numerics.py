@@ -23,8 +23,10 @@ block, and one stacked (blocks, 16, in) product matches the per-block GEMMs
 and at 2 BLAS threads). 16-row blocks pad a training dialogue's 8-10 rows
 to 16 instead of 64.
 
-lstm_sequence runs every sequence of a batch for all T steps; the encoder
-picks each utterance's state at its own last step.
+Sequences are batch-major, (B, T, ...), like every other batched array.
+lstm_sequence takes and returns that layout and steps its recurrence
+time-major inside. It runs every sequence of a batch for all T steps; the
+encoder picks each utterance's state at its own last step.
 
 Dialogues batch on a leading axis, padded to the batch's longest. A
 dialogue's rows then sit in the same fixed-shape blocks as when it runs
@@ -446,15 +448,6 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 # shape ops
 # ---------------------------------------------------------------------------
 
-def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    out = a.data.transpose(axes)
-
-    def back(g: Array) -> None:
-        _accum(a, g.transpose(np.argsort(axes)))
-
-    return _make(out, (a,), back)
-
-
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[0] != b.data.shape[0]:
         raise ContractError("concat_cols row mismatch")
@@ -782,18 +775,20 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor,
 
 
 def lstm_sequence(x: Tensor, params: LstmParams) -> Tensor:
-    """Run the cell from a zero initial state and return every hidden state.
+    """Run the cell from a zero initial state over B sequences and return
+    every hidden state: x is (B, T, in), the result (B, T, k). Every
+    sequence runs all T steps; a caller with shorter sequences reads each
+    one's state at its own last step, and the steps after it get an exactly
+    zero gradient.
 
-    x is (T, B, in) for B sequences, giving (T, B, k), or (T, in) for a
-    batch of one, giving (T, k). Every sequence runs all T steps; a caller
-    with shorter sequences reads each one's state at its own last step, and
-    the steps after it get an exactly zero gradient.
-
-    The input projection of all steps is one fixed_matmul. The recurrence
-    keeps the previous states in one preallocated (16 * blocks, k) buffer,
-    zero past row B, and multiplies it in 16-row blocks into another with
-    np.matmul(..., out=), so a sequence's bits do not depend on how many
-    sequences run beside it or on their contents, and no step allocates.
+    The interface is batch-major, the recurrence time-major: x is copied
+    into (T, B, in) order once, and the result is a (B, T, k) view of the
+    (T, B, k) states. The input projection of all steps is one fixed_matmul.
+    The recurrence keeps the previous states in one preallocated
+    (16 * blocks, k) buffer, zero past row B, and multiplies it in 16-row
+    blocks into another with np.matmul(..., out=), so a sequence's bits do
+    not depend on how many sequences run beside it or on their contents,
+    and no step allocates.
 
     Each step takes one tanh for all four gates, as sigmoid(x) =
     (1 + tanh(x / 2)) / 2: the sigmoid gates' rows of W, U and b are halved
@@ -803,18 +798,16 @@ def lstm_sequence(x: Tensor, params: LstmParams) -> Tensor:
     Backward is hand-written backprop through time that ends in one GEMM
     each for dW, dU and dx.
     """
-    if x.data.ndim not in (2, 3):
-        raise ContractError(f"lstm_sequence expects (T, in) or (T, B, in), "
-                            f"got {x.data.shape}")
-    T, n = x.data.shape[0], x.data.shape[-1]
-    B = x.data.shape[1] if x.data.ndim == 3 else 1
+    if x.data.ndim != 3:
+        raise ContractError(f"lstm_sequence expects (B, T, in), got {x.data.shape}")
+    B, T, n = x.data.shape
     params.check(n)
     k = params.hidden_size
     wd, ud, bd = params.w.data, params.u.data, params.b.data
     half = np.full(4 * k, 0.5)
     half[2 * k:3 * k] = 1.0           # the candidate gate is a plain tanh
     shift = 1.0 - half
-    xs = x.data.reshape(T * B, n)
+    xs = x.data.transpose(1, 0, 2).reshape(T * B, n)
     pre_x = fixed_matmul(xs, (wd * half[:, None]).T)
     pre_x += bd * half
     pre_x = pre_x.reshape(T, B, 4 * k)
@@ -853,7 +846,7 @@ def lstm_sequence(x: Tensor, params: LstmParams) -> Tensor:
         dgate = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f),
                           i * (1.0 - g * g), tcs * o * (1.0 - o)], axis=2)
         dc_dh = o * (1.0 - tcs * tcs)
-        grad_h = grad_h.reshape(T, B, k)
+        grad_h = grad_h.transpose(1, 0, 2)
         dpre = np.empty((T, B, 4, k))
         dh = np.zeros((B, k))
         dc = np.zeros((B, k))
@@ -866,13 +859,12 @@ def lstm_sequence(x: Tensor, params: LstmParams) -> Tensor:
             dc *= f[t]
         flat = dpre.reshape(T * B, 4 * k)
         h_prev = np.concatenate([np.zeros((1, B, k)), hs[:-1]]).reshape(T * B, k)
-        _accum(x, (flat @ wd).reshape(x.data.shape))
+        _accum(x, (flat @ wd).reshape(T, B, n).transpose(1, 0, 2))
         _accum(params.w, flat.T @ xs)
         _accum(params.u, flat.T @ h_prev)
         _accum(params.b, flat.sum(axis=0))
 
-    out = hs if x.data.ndim == 3 else hs[:, 0]
-    return _make(out, (x, params.w, params.u, params.b), back)
+    return _make(hs.transpose(1, 0, 2), (x, params.w, params.u, params.b), back)
 
 
 # ---------------------------------------------------------------------------

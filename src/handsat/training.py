@@ -24,7 +24,8 @@ import numpy as np
 
 from . import numerics as nm
 from .config import decode_config, parse_json
-from .corpus import Dialogue, HandoffLabel, SatisfactionLabel, Vocabulary, build_vocab
+from .corpus import (Dialogue, HandoffLabel, SatisfactionLabel, Vocabulary,
+                     build_vocab, check_dialogues)
 from .errors import CheckpointError, ConfigError, CorpusError
 from .metrics import evaluate_model
 from .model import ForwardResult, Model, ModelConfig, sub_batches
@@ -250,10 +251,7 @@ def train(
         raise CorpusError("training requires non-empty train and dev corpora")
     train_corpus = [d.strip_sentiment() for d in train_corpus]
     dev_corpus = [d.strip_sentiment() for d in dev_corpus]
-    over = [d.id for d in (*train_corpus, *dev_corpus)
-            if len(d) > config.max_dialogue_len]
-    if over:
-        raise CorpusError(f"dialogues exceed max_dialogue_len: {over[:10]}")
+    check_dialogues([*train_corpus, *dev_corpus], config.max_dialogue_len)
 
     if vocab is None:
         vocab = build_vocab(train_corpus, min_freq=config.min_freq)

@@ -104,14 +104,13 @@ def test_c02_causality_suite(probe_model):
     checked = 0
     for _ in range(100):
         ids, roles = random_dialogue(rng, 40)
-        full = probe_model.forward(ids, roles, require_customer=False)
+        full = probe_model.forward(ids, roles)
         # satisfaction-side causal structure on the full dialogue
         assert np.all(np.triu(full.attn_handoff_to_sat.data, k=1) == 0.0)
         assert np.all(np.triu(full.attn_sat_to_handoff.data, k=0) == 0.0)
         assert np.all(np.triu(full.position_weights, k=1) == 0.0)
         for t in range(1, len(ids) + 1):
-            prefix = probe_model.forward(ids[:t], roles[:t],
-                                         require_customer=False)
+            prefix = probe_model.forward(ids[:t], roles[:t])
             assert np.array_equal(full.handoff_probs.data[:t],
                                   prefix.handoff_probs.data)
             checked += 1
@@ -315,7 +314,7 @@ def test_c09_loss_identities():
     cfg = tr.TrainConfig(embed_dim=4, hidden_size=4, dense_size=4,
                          attention_units=4, max_dialogue_len=6, heads=2)
     model = Model.build(cfg.model_config(len(vocab)), np.random.default_rng(2))
-    out = model.forward_dialogue(d, vocab)
+    out = model.forward(vocab.encode_dialogue(d), d.roles)
     eta, delta = 0.37, 7.0
     l1 = tr.handoff_loss(out.handoff_probs, [u.handoff for u in d.utterances])
     l2 = tr.satisfaction_loss(out.satisfaction_probs, d.satisfaction)

@@ -339,7 +339,7 @@ def test_predict_streaming_matches_prefixes(workspace, trained_run, tmp_path, ca
     # streamed per-utterance handoff rows equal one batch forward pass
     from handsat.training import load_checkpoint
     model, vocab, _ = load_checkpoint(ckpt)
-    batch = model.forward_dialogue(dialogue, vocab)
+    batch = model.forward(vocab.encode_dialogue(dialogue), dialogue.roles)
     for t, row in enumerate(rows[:-1]):
         assert row["handoff_probs"] == batch.handoff_probs.data[t].tolist()
 
@@ -408,6 +408,16 @@ def test_stats_directory_corpus_is_data_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "stats", str(tmp_path))
     assert code == 3 and out == ""
     assert err.count("\n") == 1 and err.startswith("data error: cannot open")
+
+
+@pytest.mark.parametrize("bins", [10**11, 10**30], ids=["memory", "dimension"])
+def test_stats_unallocatable_bins_is_config_error(workspace, capsys, bins):
+    """A bin count whose histogram numpy cannot allocate (MemoryError: 800
+    GB per rating) or describe (ValueError) exits 2 with one line."""
+    _, _, train_path, _ = workspace
+    code, out, err = run_cli(capsys, "stats", str(train_path), "--bins", str(bins))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("config error: cannot allocate")
 
 
 def stored_config(**changes):

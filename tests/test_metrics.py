@@ -118,6 +118,7 @@ SENTIMENT_TO_CLASS = {SentimentLabel.POSITIVE: 0, SentimentLabel.NEUTRAL: 1,
 
 class _StubConfig:
     aggregate_mode = "attention"
+    max_dialogue_len = 64
 
 
 class _StubModel:
@@ -146,7 +147,7 @@ class _StubModel:
             attn_handoff_to_sat=zeros,
             position_weights=np.zeros((length, length)),
             handoff_view=zeros, satisfaction_view=zeros,
-            handoff_fused=zeros, satisfaction_fused=zeros, shared=zeros)
+            handoff_fused=zeros, satisfaction_fused=zeros)
 
 
 def oracle_predict(dialogue):

@@ -69,7 +69,7 @@ def test_skeleton_has_the_built_blocks_without_their_memory():
 def test_forward_distributions(setup):
     model, vocab, dialogues = setup
     for d in dialogues[:6]:
-        out = model.forward_dialogue(d, vocab)
+        out = model.forward(vocab.encode_dialogue(d), d.roles)
         L = len(d)
         np.testing.assert_allclose(out.handoff_probs.data.sum(axis=1),
                                    np.ones(L), atol=1e-9)
@@ -85,7 +85,7 @@ def test_forward_distributions(setup):
 def test_prefix_causality_bit_exact(setup):
     model, vocab, dialogues = setup
     for d in dialogues[:6]:
-        full = model.forward_dialogue(d, vocab).handoff_probs.data
+        full = model.forward(vocab.encode_dialogue(d), d.roles).handoff_probs.data
         for t in range(1, len(d) + 1):
             ids = [vocab.encode(u.tokens) for u in d.utterances[:t]]
             prefix = model.forward(ids, d.roles[:t]).handoff_probs.data
@@ -105,17 +105,18 @@ def test_prefix_causality_past_one_block(width):
     ids = [[int(i) for i in rng.integers(2, 12, size=rng.integers(1, 6))]
            for _ in range(length)]
     roles = [Role.CUSTOMER if c else Role.AGENT for c in rng.random(length) < 0.5]
-    full = model.forward(ids, roles, require_customer=False).handoff_probs.data
+    full = model.forward(ids, roles).handoff_probs.data
     for t in range(1, length + 1):
-        prefix = model.forward(ids[:t], roles[:t], require_customer=False)
+        prefix = model.forward(ids[:t], roles[:t])
         assert prefix.handoff_probs.data.tobytes() == full[:t].tobytes(), t
 
 
 def test_untaped_forward_records_no_tape(setup):
     model, vocab, dialogues = setup
-    taped = model.forward_dialogue(dialogues[0], vocab)
+    d = dialogues[0]
+    taped = model.forward(vocab.encode_dialogue(d), d.roles)
     with model.untaped():
-        out = model.forward_dialogue(dialogues[0], vocab)
+        out = model.forward(vocab.encode_dialogue(d), d.roles)
     assert all(t.requires_grad for t in model.blocks.values())  # restored
     assert not out.handoff_probs.requires_grad
     assert out.handoff_probs._parents == () and out.handoff_probs._backward is None
@@ -125,8 +126,8 @@ def test_untaped_forward_records_no_tape(setup):
 def test_forward_deterministic_in_eval_mode(setup):
     model, vocab, dialogues = setup
     d = dialogues[0]
-    a = model.forward_dialogue(d, vocab)
-    b = model.forward_dialogue(d, vocab)
+    a = model.forward(vocab.encode_dialogue(d), d.roles)
+    b = model.forward(vocab.encode_dialogue(d), d.roles)
     np.testing.assert_array_equal(a.handoff_probs.data, b.handoff_probs.data)
     np.testing.assert_array_equal(a.satisfaction_probs.data,
                                   b.satisfaction_probs.data)
@@ -135,7 +136,7 @@ def test_forward_deterministic_in_eval_mode(setup):
 def test_trace_json_roundtrip(setup):
     model, vocab, dialogues = setup
     d = dialogues[0]
-    out = model.forward_dialogue(d, vocab)
+    out = model.forward(vocab.encode_dialogue(d), d.roles)
     trace = out.trace(d.roles, model.config.interaction_mode,
                       model.config.aggregate_mode)
     back = json.loads(json.dumps(trace))
@@ -150,11 +151,10 @@ def test_trace_json_roundtrip(setup):
 def test_task_views_project_one_shared_tensor(setup):
     model, vocab, dialogues = setup
     d = dialogues[0]
-    out = model.forward_dialogue(d, vocab)
+    out = model.forward(vocab.encode_dialogue(d), d.roles)
     shared = shared_encode(vocab.encode_dialogue(d), model.encoder,
                            model.config.max_dialogue_len)
-    np.testing.assert_array_equal(out.shared.data, shared.data)
-    handoff, satisfaction = task_projections(out.shared, model.interaction,
+    handoff, satisfaction = task_projections(shared, model.interaction,
                                              model.config.activation)
     np.testing.assert_array_equal(handoff.data, out.handoff_view.data)
     np.testing.assert_array_equal(satisfaction.data, out.satisfaction_view.data)
@@ -165,7 +165,7 @@ def test_ablation_no_interact_exact_passthrough(setup):
     cfg = tiny_config(len(vocab), interaction_mode="no_interact")
     model = Model.build(cfg, np.random.default_rng(1))
     d = dialogues[0]
-    out = model.forward_dialogue(d, vocab)
+    out = model.forward(vocab.encode_dialogue(d), d.roles)
     assert out.handoff_fused is out.handoff_view
     assert out.satisfaction_fused is out.satisfaction_view
 
@@ -198,15 +198,35 @@ def test_forward_batch_bits_match_solo(mode, aggregate):
             roles = [Role.CUSTOMER if c else Role.AGENT
                      for c in rng.random(length) < 0.4]
             dialogues.append((ids, roles))
-        out = model.forward_batch(*zip(*dialogues), require_customer=False)
+        out = model.forward_batch(*zip(*dialogues))
         for b, (ids, roles) in enumerate(dialogues):
-            solo = model.forward(ids, roles, require_customer=False)
+            solo = model.forward(ids, roles)
             cut = out.dialogue(b)
             for f in dataclasses.fields(solo):
                 expect, got = (getattr(getattr(r, f.name), "data", getattr(r, f.name))
                                for r in (solo, cut))
                 assert got.shape == expect.shape, (batch, b, f.name)
                 assert got.tobytes() == expect.tobytes(), (batch, b, f.name)
+
+
+@pytest.mark.parametrize("aggregate", AGGREGATE_MODES)
+def test_customer_free_dialogue_gets_zero_satisfaction(aggregate):
+    """In a forward_batch, a dialogue without a customer utterance gets an
+    exactly zero dialogue distribution and importance row in every
+    aggregation mode, while the dialogues beside it get distributions."""
+    rng = np.random.default_rng(29)
+    model = Model.build(tiny_config(20, aggregate_mode=aggregate), rng)
+    ids = [[[int(i) for i in rng.integers(2, 20, size=3)] for _ in range(length)]
+           for length in (5, 3, 7)]
+    roles = [[Role.CUSTOMER, Role.AGENT] * 2 + [Role.CUSTOMER],
+             [Role.AGENT] * 3,
+             [Role.AGENT, Role.CUSTOMER] * 3 + [Role.AGENT]]
+    out = model.forward_batch(ids, roles)
+    free = out.dialogue(1)
+    assert not free.satisfaction_probs.data.any()
+    assert not free.importance.data.any()
+    for b in (0, 2):
+        assert out.dialogue(b).satisfaction_probs.data.sum() == pytest.approx(1.0)
 
 
 def test_profile_charges_each_node_to_its_op(setup, monkeypatch):

@@ -330,12 +330,12 @@ def test_lstm_sequence_matches_composed_steps():
     p = rand_lstm(input_size, k, rng)
     x = rng.standard_normal((T, input_size))
 
-    seq = nm.lstm_sequence(nm.constant(x), p)
+    seq = nm.lstm_sequence(nm.constant(x[None]), p)
     h = nm.constant(np.zeros(k))
     c = nm.constant(np.zeros(k))
     for t in range(T):
         h, c = nm.lstm_step(nm.constant(x[t]), h, c, p)
-        np.testing.assert_allclose(seq.data[t], h.data, atol=1e-12)
+        np.testing.assert_allclose(seq.data[0, t], h.data, atol=1e-12)
 
 
 def test_lstm_sequence_backward_matches_composed_steps():
@@ -348,7 +348,7 @@ def test_lstm_sequence_backward_matches_composed_steps():
                        u=nm.parameter(p1.u.data.copy()),
                        b=nm.parameter(p1.b.data.copy()))
 
-    loss1 = nm.sum_all(nm.square(nm.lstm_sequence(nm.constant(x), p1)))
+    loss1 = nm.sum_all(nm.square(nm.lstm_sequence(nm.constant(x[None]), p1)))
     loss1.backward()
 
     h = nm.constant(np.zeros(k))
@@ -368,7 +368,7 @@ def test_lstm_sequence_backward_matches_composed_steps():
 def test_lstm_sequence_grad_check():
     rng = np.random.default_rng(13)
     p = rand_lstm(3, 4, rng)
-    x = rand_param((5, 3), rng)
+    x = rand_param((1, 5, 3), rng)
 
     def loss():
         return nm.sum_all(nm.square(nm.lstm_sequence(x, p)))
@@ -381,15 +381,15 @@ def test_lstm_sequence_grad_check():
 @pytest.mark.parametrize("lengths", [[3, 1, 5, 2, 5], [5, 5, 5, 5, 5]],
                          ids=["ragged", "equal"])
 def test_batched_lstm_sequence_matches_per_sequence_steps(lengths):
-    """Each column follows lstm_step. A loss that reads column b only up to
-    step lengths[b] - 1, as the encoder does, gives the gradients of the
-    stepped columns, and inputs past the column's end get exactly zero."""
+    """Each sequence follows lstm_step. A loss that reads sequence b only up
+    to step lengths[b] - 1, as the encoder does, gives the gradients of the
+    stepped sequences, and inputs past a sequence's end get exactly zero."""
     rng = np.random.default_rng(23)
     T, B, input_size, k = 5, len(lengths), 3, 4
-    weights = rng.standard_normal((T, B, k))
-    weights[np.arange(T)[:, None] >= np.array(lengths)] = 0.0
+    weights = rng.standard_normal((B, T, k))
+    weights[np.arange(T) >= np.array(lengths)[:, None]] = 0.0
     p1 = rand_lstm(input_size, k, rng)
-    x1 = rand_param((T, B, input_size), rng)
+    x1 = rand_param((B, T, input_size), rng)
     hs = nm.lstm_sequence(x1, p1)
     loss1 = nm.sum_all(nm.mul(hs, nm.constant(weights)))
     loss1.backward()
@@ -400,16 +400,16 @@ def test_batched_lstm_sequence_matches_per_sequence_steps(lengths):
     for b, length in enumerate(lengths):
         h = c = nm.constant(np.zeros(k))
         for t in range(length):
-            h, c = nm.lstm_step(nm.row(nm.row(x2, t), b), h, c, p2)
-            np.testing.assert_allclose(hs.data[t, b], h.data, atol=1e-10)
-            loss2 = nm.add(loss2, nm.sum_all(nm.mul(h, nm.constant(weights[t, b]))))
+            h, c = nm.lstm_step(nm.row(nm.row(x2, b), t), h, c, p2)
+            np.testing.assert_allclose(hs.data[b, t], h.data, atol=1e-10)
+            loss2 = nm.add(loss2, nm.sum_all(nm.mul(h, nm.constant(weights[b, t]))))
     loss2.backward()
 
     assert loss1.item() == pytest.approx(loss2.item(), rel=1e-12)
     for batched, stepped in ((x1, x2), (p1.w, p2.w), (p1.u, p2.u), (p1.b, p2.b)):
         np.testing.assert_allclose(batched.grad, stepped.grad, atol=1e-10)
     for b, length in enumerate(lengths):
-        assert not x1.grad[length:, b].any()
+        assert not x1.grad[b, length:].any()
 
 
 def test_batched_lstm_sequence_grad_check():
@@ -425,7 +425,7 @@ def test_batched_lstm_sequence_grad_check():
     assert report.passed, report.to_json()
 
 
-@pytest.mark.parametrize("batch", [None, 3], ids=["one", "equal"])
+@pytest.mark.parametrize("batch", [1, 3], ids=["one", "equal"])
 def test_lstm_sequence_saturated_gates_stay_finite(batch):
     """Pre-activations around +-1e3 give finite states and gradients, and
     gates of exactly 0 or 1: every state equals lstm_step's, whose guarded
@@ -434,23 +434,20 @@ def test_lstm_sequence_saturated_gates_stay_finite(batch):
     T, input_size, k = 6, 3, 4
     p = rand_lstm(input_size, k, rng)
     p.b.data[:] = 1e3 * rng.choice([-1.0, 1.0], size=4 * k)
-    shape = (T, input_size) if batch is None else (T, batch, input_size)
-    x = nm.parameter(rng.standard_normal(shape))
+    x = nm.parameter(rng.standard_normal((batch, T, input_size)))
     hs = nm.lstm_sequence(x, p)
     nm.sum_all(nm.mul(hs, nm.constant(rng.standard_normal(hs.shape)))).backward()
     for leaf in (x, p.w, p.u, p.b):
         assert np.all(np.isfinite(leaf.grad))
-    xs = x.data.reshape(T, -1, input_size)
-    states = hs.data.reshape(T, -1, k)
-    for b in range(states.shape[1]):
+    for b in range(batch):
         h = c = nm.constant(np.zeros(k))
         for t in range(T):
-            h, c = nm.lstm_step(nm.constant(xs[t, b]), h, c, p)
-            np.testing.assert_array_equal(states[t, b], h.data)
+            h, c = nm.lstm_step(nm.constant(x.data[b, t]), h, c, p)
+            np.testing.assert_array_equal(hs.data[b, t], h.data)
 
 
-@pytest.mark.parametrize("x_shape", [(3,), (4, 1, 2, 3), (4, 2, 5)],
-                         ids=["1d", "4d", "wrong_width"])
+@pytest.mark.parametrize("x_shape", [(3,), (4, 3), (4, 1, 2, 3), (4, 2, 5)],
+                         ids=["1d", "2d", "4d", "wrong_width"])
 def test_lstm_sequence_rejects_bad_shapes(x_shape):
     with pytest.raises(ContractError):
         nm.lstm_sequence(nm.constant(np.zeros(x_shape)), zero_lstm(3, 2))

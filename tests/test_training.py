@@ -15,7 +15,8 @@ from handsat import numerics as nm
 from handsat import training as tr
 from handsat.corpus import (Dialogue, HandoffLabel, Role, SatisfactionLabel,
                             Utterance, Vocabulary, build_vocab, split_corpus)
-from handsat.errors import CheckpointError, ConfigError
+from handsat.errors import CheckpointError, ConfigError, CorpusError
+from handsat.metrics import evaluate_model
 from handsat.model import Model, ModelConfig
 from handsat.synth import GeneratorSpec, synthesize_corpus
 
@@ -221,7 +222,8 @@ def test_sub_batch_gradient_matches_per_dialogue_backward(tiny_corpus):
     batched = {name: t.grad for name, t in model.blocks.items()}
     model.zero_grads()
     for d in train:
-        tr.dialogue_loss(model.forward_dialogue(d, vocab), d, eta=0.5).backward()
+        out = model.forward(vocab.encode_dialogue(d), d.roles)
+        tr.dialogue_loss(out, d, eta=0.5).backward()
     for name, tensor in model.blocks.items():
         difference = np.linalg.norm(batched[name] - tensor.grad)
         assert difference <= 1e-10 * np.linalg.norm(tensor.grad), name
@@ -308,6 +310,33 @@ def test_train_ignores_sentiment_labels(tiny_corpus):
     with_labels = tr.train(train, dev, cfg)
     without = tr.train(stripped_train, stripped_dev, cfg)
     assert with_labels.history == without.history
+
+
+def _customer_free(d):
+    return dataclasses.replace(d, id="agents only", utterances=tuple(
+        dataclasses.replace(u, role=Role.AGENT, sentiment=None)
+        for u in d.utterances))
+
+
+def _over_length(d):
+    return dataclasses.replace(d, id="too long", utterances=d.utterances * 3)
+
+
+@pytest.mark.parametrize("make_bad", [_customer_free, _over_length],
+                         ids=["customer_free", "over_length"])
+def test_train_and_evaluate_refuse_unusable_dialogues(tiny_corpus, make_bad):
+    """An in-memory corpus that load_corpus would refuse is refused by
+    train() (in either split) and evaluate_model too, before any forward."""
+    train_set, dev_set, _ = tiny_corpus
+    config = small_config(max_dialogue_len=8)
+    bad = make_bad(train_set[0])
+    for corpora in ([*train_set, bad], dev_set), (train_set, [*dev_set, bad]):
+        with pytest.raises(CorpusError, match=bad.id):
+            tr.train(*corpora, config)
+    vocab = build_vocab(train_set)
+    model = Model.build(config.model_config(len(vocab)), np.random.default_rng(0))
+    with pytest.raises(CorpusError, match=bad.id):
+        evaluate_model(model, vocab, [*dev_set, bad])
 
 
 def test_train_eta_zero_leaves_satisfaction_head_at_init(tiny_corpus):
