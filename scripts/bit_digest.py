@@ -11,6 +11,10 @@ Sections:
         every block's gradient of one 7-dialogue objective, dropout on
     train clip=<c>
         a 2-epoch train() history and the trained parameters
+    eval <aggregate>
+        the evaluate_model report and per-dialogue rows of a briefly trained
+        model on a small synthetic corpus, at each --aggregate value (None:
+        the model's own attention pool)
     predict
         the stdout of `handsat predict` on a stream whose first two lines
         are agent utterances (customer-free prefixes)
@@ -34,6 +38,7 @@ from handsat import cli
 from handsat.corpus import Role, build_vocab
 from handsat.decoders import AGGREGATE_MODES
 from handsat.interaction import INTERACTION_MODES
+from handsat.metrics import SECTIONS, evaluate_model
 from handsat.model import Model
 from handsat.synth import GeneratorSpec, synthesize_corpus
 from handsat.training import TrainConfig, objective_terms, save_checkpoint, train
@@ -80,9 +85,8 @@ def forward_sections():
                 for ids, d in zip(encoded, dialogues):
                     for t in range(1, len(ids) + 1):
                         _add_result(digest, model.forward(ids[:t], d.roles[:t]))
-                out = model.forward_batch(encoded, [d.roles for d in dialogues])
-                for b in range(len(dialogues)):
-                    _add_result(digest, out.dialogue(b))
+                for out in model.forward_batch(encoded, [d.roles for d in dialogues]):
+                    _add_result(digest, out)
             yield f"forward {mode} {aggregate}", digest
 
 
@@ -112,6 +116,17 @@ def train_sections():
         yield f"train clip={clip}", digest
 
 
+def eval_sections():
+    dialogues, _ = synthesize_corpus(GeneratorSpec(num_dialogues=30), seed=17)
+    config = TrainConfig(**SMALL, max_epochs=1, batch_size=8)
+    result = train(dialogues[:20], dialogues[20:], config)
+    for aggregate in (None, "average", "voting", "last"):
+        report, rows = evaluate_model(result.model, result.vocab, dialogues,
+                                      SECTIONS, aggregate=aggregate)
+        text = json.dumps([report.to_json(), rows], sort_keys=True)
+        yield f"eval {aggregate}", hashlib.sha256(text.encode())
+
+
 def predict_section():
     dialogues, _ = synthesize_corpus(
         GeneratorSpec(num_dialogues=1, min_len=20, max_len=20), seed=13)
@@ -133,7 +148,7 @@ def predict_section():
 
 def main() -> int:
     for sections in (forward_sections, gradient_section, train_sections,
-                     predict_section):
+                     eval_sections, predict_section):
         for name, digest in sections():
             print(f"{digest.hexdigest()}  {name}", flush=True)
     return 0

@@ -66,7 +66,6 @@ class RunConfig:
     train: TrainConfig
     train_corpus: str
     dev_corpus: str
-    test_corpus: str | None = None
     embeddings: str | None = None
     checkpoint_dir: str = "runs"
 
@@ -247,6 +246,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    if args.max_len < 1:
+        raise ConfigError("--max-len must be >= 1")
     corpus = load_corpus(args.corpus, max_dialogue_len=args.max_len)
     stats = corpus_stats(corpus)
     hist = handoff_position_hist(corpus, bins=args.bins)

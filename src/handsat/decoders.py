@@ -6,9 +6,10 @@ prefix.
 
 Satisfaction: a single causal transformer block refines the fused
 satisfaction rows; each row maps to a local satisfaction distribution, and a
-learned query scores customer positions to weight those local distributions
-into the dialogue-level estimate. Agent positions receive exactly zero
-importance. Alternative aggregators (average / voting / last) cover the
+learned query scores customer positions into importance weights. Agent
+positions receive exactly zero importance. aggregate_variant turns the local
+rows into the dialogue-level estimate: the attention mode weights them by
+importance (the paper's pool), and average / voting / last cover the
 ablation variants.
 
 Both decoders take a batch's (B, L_max, d) rows, zero past each
@@ -72,7 +73,7 @@ def decode_handoff(fused: Tensor, params: HandoffDecoderParams) -> Tensor:
     """Row-stochastic handoff distributions, (B, L_max, 2)."""
     hidden = nm.lstm_sequence(fused, params.cell)
     logits = nm.linear_rows(hidden, params.out_w, params.out_b)
-    return nm.softmax_rows(logits)
+    return nm.masked_softmax(logits, None)
 
 
 def transformer_block(x: Tensor, params: TransformerParams, heads: int) -> Tensor:
@@ -98,21 +99,22 @@ def decode_satisfaction(
     is_customer: np.ndarray,
     params: SatisfactionDecoderParams,
     heads: int,
-) -> tuple[Tensor, Tensor, Tensor]:
-    """Returns (dialogue distributions (B, 3), local distributions
-    (B, L_max, 3), importance weights (B, L_max) with zero mass on agent
-    positions); is_customer is (B, L_max), False past each dialogue's end."""
+) -> tuple[Tensor, Tensor]:
+    """Returns (local distributions (B, L_max, 3), importance weights
+    (B, L_max) with zero mass on agent positions); is_customer is
+    (B, L_max), False past each dialogue's end. aggregate_variant pools
+    them into the dialogue distributions."""
     is_customer = np.asarray(is_customer, dtype=bool)
     if is_customer.shape != fused.data.shape[:-1]:
         raise ContractError("role vector length mismatch")
     refined = transformer_block(
         nm.linear_rows(fused, params.proj_w, params.proj_b),
         params.transformer, heads)
-    local = nm.softmax_rows(nm.linear_rows(refined, params.local_w, params.local_b))
+    local = nm.masked_softmax(nm.linear_rows(refined, params.local_w, params.local_b),
+                              None)
     keys = nm.tanh(nm.linear_rows(refined, params.attn_w, params.attn_b))
     scores = nm.matvec(keys, params.query)
-    importance = nm.masked_softmax(scores, is_customer)
-    return pool(importance, local), local, importance
+    return local, nm.masked_softmax(scores, is_customer)
 
 
 def pool(weights: Tensor, local: Tensor) -> Tensor:

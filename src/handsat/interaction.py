@@ -138,23 +138,16 @@ def interact(
     length = shared.data.shape[0]
 
     if mode == "no_interact":
-        zeros = nm.constant(np.zeros((length, length)))
-        return InteractionOutput(
-            handoff_fused=handoff_view,
-            satisfaction_fused=satisfaction_view,
-            handoff_view=handoff_view,
-            satisfaction_view=satisfaction_view,
-            attn_sat_to_handoff=zeros,
-            attn_handoff_to_sat=zeros,
-            position_weights=np.zeros((length, length)),
-        )
-
-    fused_h, attn_s2h = satisfaction_to_handoff(
-        handoff_view, satisfaction_view, is_customer, params, activation,
-        select_roles=(mode != "no_select"))
-    position = np.eye(length) if mode == "no_position" else position_matrix(length)
-    fused_s, attn_h2s = handoff_to_satisfaction(
-        satisfaction_view, handoff_view, position, params)
+        fused_h, fused_s = handoff_view, satisfaction_view
+        attn_s2h = attn_h2s = nm.constant(np.zeros((length, length)))
+        position = np.zeros((length, length))
+    else:
+        fused_h, attn_s2h = satisfaction_to_handoff(
+            handoff_view, satisfaction_view, is_customer, params, activation,
+            select_roles=(mode != "no_select"))
+        position = np.eye(length) if mode == "no_position" else position_matrix(length)
+        fused_s, attn_h2s = handoff_to_satisfaction(
+            satisfaction_view, handoff_view, position, params)
     return InteractionOutput(
         handoff_fused=fused_h,
         satisfaction_fused=fused_s,

@@ -5,9 +5,9 @@ dataclasses the layers read (enc.fwd.w, dec_s.transformer.wq); the flat
 name -> tensor mapping is what the optimizer, the checkpoint container, and
 the gradient checker all operate on.
 
-The forward pass runs a batch of dialogues (forward_batch); one dialogue
-is a batch of one (forward). Training and evaluation forward SUB_BATCH
-dialogues at a time.
+The forward pass runs a batch of dialogues (forward_batch) and returns one
+ForwardResult per dialogue; one dialogue is a batch of one (forward).
+Training and evaluation forward SUB_BATCH dialogues at a time.
 """
 
 from __future__ import annotations
@@ -115,29 +115,6 @@ class ForwardResult(InteractionOutput):
             "attn_handoff_to_sat": self.attn_handoff_to_sat.data.tolist(),
             "position_weights": self.position_weights.tolist(),
         }
-
-
-@dataclass
-class BatchResult:
-    """What forward_batch produced for B dialogues, still on the tape. The
-    batched tensors are padded to the longest dialogue, L_max; their rows
-    past a dialogue's length are not part of it."""
-    lengths: list[int]
-    interactions: list[InteractionOutput]  # per dialogue
-    handoff_probs: Tensor                 # (B, L_max, 2)
-    satisfaction_probs: Tensor            # (B, 3)
-    local_satisfaction: Tensor            # (B, L_max, 3)
-    importance: Tensor                    # (B, L_max)
-
-    def dialogue(self, b: int) -> ForwardResult:
-        """Dialogue b's outputs, cut from the batch on the tape."""
-        rows = (b, slice(0, self.lengths[b]))
-        return ForwardResult(
-            **vars(self.interactions[b]),
-            handoff_probs=nm.row(self.handoff_probs, rows),
-            satisfaction_probs=nm.row(self.satisfaction_probs, b),
-            local_satisfaction=nm.row(self.local_satisfaction, rows),
-            importance=nm.row(self.importance, rows))
 
 
 def _field_tensors(prefix: str, params) -> Iterator[tuple[str, Tensor]]:
@@ -272,20 +249,20 @@ class Model:
     # -- forward -----------------------------------------------------------
 
     def forward(self, token_ids: list[list[int]], roles: Sequence[Role]) -> ForwardResult:
-        """Run one dialogue without dropout, as a batch of one, and cut its
-        (L, ...) outputs from the batch. token_ids holds one vocabulary-encoded
-        id list per utterance."""
-        return self.forward_batch([token_ids], [roles]).dialogue(0)
+        """Run one dialogue without dropout, as a batch of one. token_ids
+        holds one vocabulary-encoded id list per utterance."""
+        return self.forward_batch([token_ids], [roles])[0]
 
     def forward_batch(self, token_ids: Sequence[list[list[int]]],
                       roles: Sequence[Sequence[Role]],
-                      rng: np.random.Generator | None = None) -> BatchResult:
-        """Run B dialogues in one pass: token_ids[b] and roles[b] as forward
-        takes them. The encoder runs once on all their utterances, the
-        interaction once per dialogue, and both decoders once on the
-        batch-major (B, L_max, d) rows. Each dialogue's outputs have the bits
-        of its forward alone. Dropout fires exactly when an rng is passed,
-        and draws once for the batch."""
+                      rng: np.random.Generator | None = None) -> list[ForwardResult]:
+        """Run B dialogues in one pass and return each one's ForwardResult:
+        token_ids[b] and roles[b] as forward takes them. The encoder runs
+        once on all their utterances, the interaction once per dialogue,
+        and both decoders and the aggregation once on the batch-major
+        (B, L_max, d) rows; each dialogue's (L, ...) outputs are cut from
+        those on the tape, and have the bits of its forward alone. Dropout
+        fires exactly when an rng is passed, and draws once for the batch."""
         cfg = self.config
         if len(token_ids) != len(roles) or not token_ids:
             raise ContractError("forward_batch needs token_ids and roles for "
@@ -311,15 +288,17 @@ class Model:
         handoff_probs = decode_handoff(
             nm.stack_padded([i.handoff_fused for i in inters], longest),
             self.handoff_decoder)
-        overall, local, importance = decode_satisfaction(
+        local, importance = decode_satisfaction(
             nm.stack_padded([i.satisfaction_fused for i in inters], longest),
             is_customer, self.satisfaction_decoder, cfg.heads)
-        if cfg.aggregate_mode != "attention":
-            overall = aggregate_variant(local, is_customer, cfg.aggregate_mode,
-                                        importance=importance)
-        return BatchResult(lengths=lengths, interactions=inters,
-                           handoff_probs=handoff_probs, satisfaction_probs=overall,
-                           local_satisfaction=local, importance=importance)
+        overall = aggregate_variant(local, is_customer, cfg.aggregate_mode,
+                                    importance=importance)
+        return [ForwardResult(**vars(inter),
+                              handoff_probs=nm.row(handoff_probs, (b, slice(0, n))),
+                              satisfaction_probs=nm.row(overall, b),
+                              local_satisfaction=nm.row(local, (b, slice(0, n))),
+                              importance=nm.row(importance, (b, slice(0, n))))
+                for b, (inter, n) in enumerate(zip(inters, lengths))]
 
     def forward_dialogues(self, dialogues: Sequence[Dialogue],
                           vocab: Vocabulary) -> Iterator[ForwardResult]:
@@ -327,7 +306,6 @@ class Model:
         per SUB_BATCH dialogues, untaped (the results are constants)."""
         for part in sub_batches(dialogues):
             with self.untaped():
-                out = self.forward_batch([vocab.encode_dialogue(d) for d in part],
-                                         [d.roles for d in part])
-                results = [out.dialogue(b) for b in range(len(part))]
+                results = self.forward_batch([vocab.encode_dialogue(d) for d in part],
+                                             [d.roles for d in part])
             yield from results

@@ -253,7 +253,7 @@ _profiler: _Profiler | None = None
 @contextlib.contextmanager
 def profile() -> Iterator[dict[str, OpStats]]:
     """Per-op costs of the nodes made within the block, by the name of the
-    op function that made them (softmax_rows' nodes are masked_softmax's).
+    op function that made them.
 
     A node's forward seconds run from the previous event (the block's
     start, the previous node, or the end of a profiled backward closure) to
@@ -699,10 +699,6 @@ def masked_softmax(scores: Tensor, allowed: Array | None) -> Tensor:
         _accum(scores, out * (g - inner))
 
     return _make(out, (scores,), back)
-
-
-def softmax_rows(scores: Tensor) -> Tensor:
-    return masked_softmax(scores, None)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

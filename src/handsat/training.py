@@ -149,10 +149,9 @@ def objective_terms(model: Model, batch: Sequence[tuple[list[list[int]], Dialogu
     train() holds one sub-batch's tape at a time (SUB_BATCH says what that
     costs)."""
     for part in sub_batches(batch):
-        out = model.forward_batch([ids for ids, _ in part],
-                                  [d.roles for _, d in part], rng=rng)
-        losses = [dialogue_loss(out.dialogue(b), d, eta)
-                  for b, (_, d) in enumerate(part)]
+        outs = model.forward_batch([ids for ids, _ in part],
+                                   [d.roles for _, d in part], rng=rng)
+        losses = [dialogue_loss(out, d, eta) for out, (_, d) in zip(outs, part)]
         yield nm.divide(nm.exact_sum(*losses), len(batch))
     penalty = regularization(model.blocks, delta)
     if penalty is not None:

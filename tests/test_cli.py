@@ -238,6 +238,13 @@ def test_train_unknown_config_key(workspace, tmp_path, capsys):
     assert code == 2
     assert "mystery" in err
 
+    cfg = json.loads(config_path.read_text())
+    cfg["paths"]["test_corpus"] = str(tmp_path / "test.jsonl")
+    bad.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "train", str(bad))
+    assert code == 2 and out == ""
+    assert err == "config error: unknown path keys: ['test_corpus']\n"
+
 
 @pytest.mark.parametrize("train, named", [
     (None, "JSON object"),
@@ -418,6 +425,16 @@ def test_stats_unallocatable_bins_is_config_error(workspace, capsys, bins):
     code, out, err = run_cli(capsys, "stats", str(train_path), "--bins", str(bins))
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("config error: cannot allocate")
+
+
+@pytest.mark.parametrize("max_len", [0, -3])
+def test_stats_nonpositive_max_len_is_config_error(workspace, capsys, max_len):
+    """A --max-len below 1 is a bad flag, not bad data: exit 2, one line."""
+    _, _, train_path, _ = workspace
+    code, out, err = run_cli(capsys, "stats", str(train_path),
+                             "--max-len", str(max_len))
+    assert code == 2 and out == ""
+    assert err == "config error: --max-len must be >= 1\n"
 
 
 def stored_config(**changes):

@@ -65,7 +65,8 @@ def test_decode_satisfaction_single_customer_one_hot():
     p = satisfaction_params(3, 4, 5, rng)
     q = nm.constant(rng.standard_normal((5, 3)))
     is_customer = np.array([False, False, True, False, False])
-    overall, local, importance = dec.decode_satisfaction(q, is_customer, p, heads=2)
+    local, importance = dec.decode_satisfaction(q, is_customer, p, heads=2)
+    overall = dec.pool(importance, local)
     np.testing.assert_array_equal(importance.data,
                                   [0.0, 0.0, 1.0, 0.0, 0.0])
     np.testing.assert_allclose(overall.data, local.data[2], atol=1e-12)
@@ -79,7 +80,8 @@ def test_decode_satisfaction_identical_locals_convexity():
     p.local_b.data[:] = np.array([0.3, -0.1, 0.6])
     q = nm.constant(rng.standard_normal((6, 3)))
     is_customer = np.array([True, False, True, False, True, True])
-    overall, local, _ = dec.decode_satisfaction(q, is_customer, p, heads=2)
+    local, importance = dec.decode_satisfaction(q, is_customer, p, heads=2)
+    overall = dec.pool(importance, local)
     expect = np.exp(p.local_b.data) / np.exp(p.local_b.data).sum()
     np.testing.assert_allclose(local.data, np.tile(expect, (6, 1)), atol=1e-12)
     np.testing.assert_allclose(overall.data, expect, atol=1e-12)
@@ -94,8 +96,8 @@ def test_decode_satisfaction_convex_hull_bound():
         is_customer = rng.random(L) < 0.6
         if not is_customer.any():
             is_customer[0] = True
-        overall, local, importance = dec.decode_satisfaction(q, is_customer, p,
-                                                             heads=2)
+        local, importance = dec.decode_satisfaction(q, is_customer, p, heads=2)
+        overall = dec.pool(importance, local)
         rows = local.data[is_customer]
         assert np.all(overall.data >= rows.min(axis=0) - 1e-12)
         assert np.all(overall.data <= rows.max(axis=0) + 1e-12)
@@ -240,7 +242,8 @@ def test_satisfaction_decoder_grad_check():
     is_customer = np.array([True, False, True, False, True])
 
     def loss():
-        overall, local, _ = dec.decode_satisfaction(q, is_customer, p, heads=2)
+        local, importance = dec.decode_satisfaction(q, is_customer, p, heads=2)
+        overall = dec.pool(importance, local)
         return nm.add(nm.sum_all(nm.square(overall)),
                       nm.mean_all(nm.square(local)))
 

@@ -9,8 +9,9 @@ from handsat import training as tr
 from handsat.corpus import Role, build_vocab
 from handsat.encoder import shared_encode
 from handsat.errors import ConfigError, ContractError
-from handsat.decoders import AGGREGATE_MODES
+from handsat.decoders import AGGREGATE_MODES, aggregate_variant
 from handsat.interaction import INTERACTION_MODES, task_projections
+from handsat.metrics import SECTIONS, evaluate_model
 from handsat.model import Model, ModelConfig
 from handsat.synth import GeneratorSpec, synthesize_corpus
 
@@ -201,7 +202,7 @@ def test_forward_batch_bits_match_solo(mode, aggregate):
         out = model.forward_batch(*zip(*dialogues))
         for b, (ids, roles) in enumerate(dialogues):
             solo = model.forward(ids, roles)
-            cut = out.dialogue(b)
+            cut = out[b]
             for f in dataclasses.fields(solo):
                 expect, got = (getattr(getattr(r, f.name), "data", getattr(r, f.name))
                                for r in (solo, cut))
@@ -222,18 +223,48 @@ def test_customer_free_dialogue_gets_zero_satisfaction(aggregate):
              [Role.AGENT] * 3,
              [Role.AGENT, Role.CUSTOMER] * 3 + [Role.AGENT]]
     out = model.forward_batch(ids, roles)
-    free = out.dialogue(1)
+    free = out[1]
     assert not free.satisfaction_probs.data.any()
     assert not free.importance.data.any()
     for b in (0, 2):
-        assert out.dialogue(b).satisfaction_probs.data.sum() == pytest.approx(1.0)
+        assert out[b].satisfaction_probs.data.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("aggregate", AGGREGATE_MODES[1:])
+def test_aggregate_override_matches_model_in_that_mode(setup, aggregate):
+    """Two models from one seed, in the attention mode and in another mode,
+    have the same weights. Evaluating the first with that mode as its
+    override scores like evaluating the second, and the second's forward
+    has the bytes of aggregate_variant on the first's cut local rows and
+    importance."""
+    _, vocab, dialogues = setup
+    attention, other = (
+        Model.build(tiny_config(len(vocab), aggregate_mode=mode),
+                    np.random.default_rng(0))
+        for mode in ("attention", aggregate))
+    for name, tensor in attention.blocks.items():
+        assert tensor.data.tobytes() == other.blocks[name].data.tobytes(), name
+
+    overridden = evaluate_model(attention, vocab, dialogues, SECTIONS,
+                                aggregate=aggregate)
+    own = evaluate_model(other, vocab, dialogues, SECTIONS)
+    assert overridden[0].to_json() == own[0].to_json()
+    assert overridden[1] == own[1]
+    for d in dialogues:
+        ids = vocab.encode_dialogue(d)
+        ref = attention.forward(ids, d.roles)
+        expect = aggregate_variant(ref.local_satisfaction,
+                                   [r is Role.CUSTOMER for r in d.roles],
+                                   aggregate, importance=ref.importance)
+        got = other.forward(ids, d.roles).satisfaction_probs
+        assert got.data.tobytes() == expect.data.tobytes(), d.id
 
 
 def test_profile_charges_each_node_to_its_op(setup, monkeypatch):
     """A forward and backward under nm.profile(): the masked_softmax count
-    is the model's calls (softmax_rows' included), every op that made a
-    node has forward time, the tape's ops have backward time, and the
-    profiler is off again after the block."""
+    is the model's calls (the all-allowed ones included), every op that
+    made a node has forward time, the tape's ops have backward time, and
+    the profiler is off again after the block."""
     model, vocab, dialogues = setup
     calls = []
     original = nm.masked_softmax

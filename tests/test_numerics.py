@@ -165,7 +165,7 @@ def softmax_masks(shape, rng):
 def test_masked_softmax_bits_match_reference(lead):
     """Forward values and gradients have the bytes of the reference formula
     on both sides of each padding boundary, with NaN and +-inf at
-    disallowed positions; softmax_rows is the all-allowed case."""
+    disallowed positions; an all-allowed mask is also run as None."""
     rng = np.random.default_rng(43 + len(lead))
     for n in (1, 2, 3, 15, 16, 17, 32, 64, 65):
         shape = lead + (n,)
@@ -177,7 +177,7 @@ def test_masked_softmax_bits_match_reference(lead):
             expect_grad = expect * (g - np.sum(g * expect, axis=-1, keepdims=True))
             runs = [lambda p: nm.masked_softmax(p, allowed)]
             if allowed.all():
-                runs.append(nm.softmax_rows)
+                runs.append(lambda p: nm.masked_softmax(p, None))
             for run in runs:
                 scores = nm.parameter(s)
                 out = run(scores)

@@ -217,7 +217,7 @@ def test_sub_batch_gradient_matches_per_dialogue_backward(tiny_corpus):
                         np.random.default_rng(6))
     out = model.forward_batch([vocab.encode_dialogue(d) for d in train],
                               [d.roles for d in train])
-    nm.exact_sum(*(tr.dialogue_loss(out.dialogue(b), d, eta=0.5)
+    nm.exact_sum(*(tr.dialogue_loss(out[b], d, eta=0.5)
                    for b, d in enumerate(train))).backward()
     batched = {name: t.grad for name, t in model.blocks.items()}
     model.zero_grads()
