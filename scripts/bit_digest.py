@@ -18,6 +18,9 @@ Sections:
     predict
         the stdout of `handsat predict` on a stream whose first two lines
         are agent utterances (customer-free prefixes)
+    gradcheck
+        the stdout of `handsat gradcheck --samples 4 --seed 0`: the
+        dropout-free objective's sampled gradients against finite differences
 
 Run it on both versions, at each BLAS thread count, and compare the lines:
 
@@ -67,6 +70,14 @@ def _add_blocks(digest, model, attribute: str) -> None:
     for name, t in model.blocks.items():
         digest.update(name.encode())
         _add(digest, getattr(t, attribute))
+
+
+def _cli_digest(argv):
+    """The digest of a handsat command's exit code and stdout."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+    return hashlib.sha256(f"{code}\n{stdout.getvalue()}".encode())
 
 
 def forward_sections():
@@ -140,15 +151,16 @@ def predict_section():
         ckpt, stream = Path(tmp) / "model.ckpt", Path(tmp) / "stream.jsonl"
         save_checkpoint(model, vocab, ckpt)
         stream.write_text("".join(json.dumps(line) + "\n" for line in lines))
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = cli.main(["predict", str(ckpt), "--input", str(stream)])
-    yield "predict", hashlib.sha256(f"{code}\n{stdout.getvalue()}".encode())
+        yield "predict", _cli_digest(["predict", str(ckpt), "--input", str(stream)])
+
+
+def gradcheck_section():
+    yield "gradcheck", _cli_digest(["gradcheck", "--samples", "4", "--seed", "0"])
 
 
 def main() -> int:
     for sections in (forward_sections, gradient_section, train_sections,
-                     eval_sections, predict_section):
+                     eval_sections, predict_section, gradcheck_section):
         for name, digest in sections():
             print(f"{digest.hexdigest()}  {name}", flush=True)
     return 0

@@ -264,6 +264,12 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError("--seed must be >= 0")
     if not (np.isfinite(args.tol) and args.tol > 0.0):
         raise ConfigError("--tol must be a positive finite number")
+    if args.max_len < 3:
+        raise ConfigError("--max-len must be >= 3")
+    if args.size < 2 or args.size % 2:
+        raise ConfigError("--size must be a positive even number")
+    if args.dialogues < 1:
+        raise ConfigError("--dialogues must be >= 1")
     spec = GeneratorSpec(num_dialogues=args.dialogues, min_len=3,
                          max_len=args.max_len, complaint_rate=0.4)
     dialogues, _ = synthesize_corpus(spec, seed=args.seed)
@@ -271,8 +277,9 @@ def cmd_gradcheck(args) -> int:
     cfg = TrainConfig(embed_dim=args.size, hidden_size=args.size,
                       dense_size=args.size, attention_units=args.size,
                       max_dialogue_len=args.max_len, heads=2)
-    model = Model.build(cfg.model_config(len(vocab)),
-                        np.random.default_rng(args.seed))
+    config = cfg.model_config(len(vocab))
+    _check_model_fits(config)
+    model = Model.build(config, np.random.default_rng(args.seed))
 
     def loss():
         return objective(model, vocab, dialogues, cfg.eta, cfg.delta)

@@ -218,8 +218,6 @@ def check_dialogues(dialogues: Sequence[Dialogue], max_dialogue_len: int) -> Non
 def load_corpus(path: str | Path, max_dialogue_len: int) -> list[Dialogue]:
     """Parse a JSONL corpus and check_dialogues it."""
     path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"corpus file not found: {path}")
     dialogues: list[Dialogue] = []
     seen_ids: set[str] = set()
     for line_no, line in _utf8_lines(path):
@@ -408,10 +406,6 @@ def load_embeddings(path: str | Path, vocab: Vocabulary, dim: int,
     vocabulary tokens must be finite numbers."""
     rng = rng or np.random.default_rng(0)
     path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"embedding file not found: {path}")
-    table = init_embeddings(len(vocab), dim, rng)
-    covered: set[int] = set()  # vocabulary rows other than <pad>/<unk> read
     lines = _utf8_lines(path)
     header = next(lines, (1, ""))[1].split()
     if len(header) != 2 or not all(p.isdecimal() for p in header):
@@ -420,6 +414,8 @@ def load_embeddings(path: str | Path, vocab: Vocabulary, dim: int,
     if file_dim != dim:
         raise CorpusError(
             f"embedding dimension {file_dim} does not match configured {dim}")
+    table = init_embeddings(len(vocab), dim, rng)
+    covered: set[int] = set()  # vocabulary rows other than <pad>/<unk> read
     for line_no, line in lines:
         parts = line.rstrip().split(" ")
         if len(parts) != dim + 1:
@@ -437,6 +433,5 @@ def load_embeddings(path: str | Path, vocab: Vocabulary, dim: int,
             table[idx] = values  # a repeated token's last line wins
             if idx != UNK_INDEX:
                 covered.add(idx)
-    table[PAD_INDEX] = 0.0
     denom = max(len(vocab) - 2, 1)  # pad/unk are not expected in files
     return EmbeddingLoad(table=table, coverage=len(covered) / denom)

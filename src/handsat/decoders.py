@@ -102,8 +102,9 @@ def decode_satisfaction(
 ) -> tuple[Tensor, Tensor]:
     """Returns (local distributions (B, L_max, 3), importance weights
     (B, L_max) with zero mass on agent positions); is_customer is
-    (B, L_max), False past each dialogue's end. aggregate_variant pools
-    them into the dialogue distributions."""
+    (B, L_max), False past each dialogue's end. A position's importance
+    score is its key times the learned query, a linear_rows with one output
+    row. aggregate_variant pools both into the dialogue distributions."""
     is_customer = np.asarray(is_customer, dtype=bool)
     if is_customer.shape != fused.data.shape[:-1]:
         raise ContractError("role vector length mismatch")
@@ -113,8 +114,8 @@ def decode_satisfaction(
     local = nm.masked_softmax(nm.linear_rows(refined, params.local_w, params.local_b),
                               None)
     keys = nm.tanh(nm.linear_rows(refined, params.attn_w, params.attn_b))
-    scores = nm.matvec(keys, params.query)
-    return local, nm.masked_softmax(scores, is_customer)
+    scores = nm.linear_rows(keys, nm.row(params.query, (None,)))  # (B, L_max, 1)
+    return local, nm.masked_softmax(nm.row(scores, (..., 0)), is_customer)
 
 
 def pool(weights: Tensor, local: Tensor) -> Tensor:

@@ -91,18 +91,11 @@ def satisfaction_to_handoff(
     return fused, attn
 
 
-def positional_weights(length: int, t: int) -> np.ndarray:
-    """Weight row for query position t (1-based): softmax of (1/L, ..., t/L)
-    over positions 1..t, zero beyond. Strictly increasing on its support."""
-    if not 1 <= t <= length:
-        raise ContractError(f"position {t} outside 1..{length}")
-    return position_matrix(length)[t - 1]
-
-
 @nm.per_length
 def position_matrix(length: int) -> np.ndarray:
-    """Every query position's positional_weights row, from one row-wise
-    masked softmax (lengths 1-64 hold 0.7 MB)."""
+    """(L, L) positional weights: row t - 1 is query position t's softmax of
+    (1/L, ..., t/L) over positions 1..t, zero beyond, strictly increasing on
+    its support; one row-wise masked softmax (lengths 1-64 hold 0.7 MB)."""
     raw = np.broadcast_to(np.arange(1, length + 1) / length, (length, length))
     return nm.masked_softmax(nm.constant(raw), nm.tril(length)).data
 

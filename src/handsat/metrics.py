@@ -76,13 +76,6 @@ def gtt(pred_positions: Iterable[int], gold_positions: Iterable[int],
     return 1.0 if any(abs(p - g) <= tolerance for p in pred for g in gold) else 0.0
 
 
-def gtt_corpus(cases: Sequence[tuple[Iterable[int], Iterable[int]]],
-               tolerance: int) -> float:
-    if not cases:
-        raise ContractError("gtt_corpus needs at least one dialogue")
-    return sum(gtt(p, g, tolerance) for p, g in cases) / len(cases)
-
-
 @dataclass
 class MetricsReport:
     mhch: dict | None = None
@@ -108,7 +101,7 @@ def evaluate_model(
     CorpusError before any forward.
 
     aggregate overrides the checkpoint's aggregation mode for the
-    satisfaction section only.
+    satisfaction section only. mhch's gt (GT-I..III) averages the rows' gt.
     """
     for s in sections:
         if s not in SECTIONS:
@@ -127,7 +120,6 @@ def evaluate_model(
 
     handoff_preds: list[HandoffLabel] = []
     handoff_golds: list[HandoffLabel] = []
-    gt_cases: list[tuple[list[int], list[int]]] = []
     sat_preds, sat_golds = [], []
     sent_preds, sent_golds = [], []
     per_dialogue: list[dict] = []
@@ -144,7 +136,6 @@ def evaluate_model(
                     if lab is HandoffLabel.TRANSFERABLE]
         gold_pos = [t + 1 for t, lab in enumerate(gold_labels)
                     if lab is HandoffLabel.TRANSFERABLE]
-        gt_cases.append((pred_pos, gold_pos))
 
         sat_probs = result.satisfaction_probs
         if aggregate is not None and aggregate != model.config.aggregate_mode:
@@ -180,7 +171,8 @@ def evaluate_model(
         report.mhch = {
             "f1_transferable": per_class[HandoffLabel.TRANSFERABLE].f1,
             "macro_f1": macro_f1,
-            "gt": {str(tol): gtt_corpus(gt_cases, tol) for tol in GT_TOLERANCES},
+            "gt": {str(tol): sum(r["gt"][str(tol)] for r in per_dialogue)
+                   / len(per_dialogue) for tol in GT_TOLERANCES},
         }
     if "ssa" in sections:
         per_class, macro_f1, accuracy = classification_scores(

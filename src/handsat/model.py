@@ -270,8 +270,6 @@ class Model:
         lengths = [len(ids) for ids in token_ids]
         if any(len(r) != n for r, n in zip(roles, lengths)):
             raise ContractError("token_ids and roles length mismatch")
-        if 0 in lengths:
-            raise ContractError("cannot run an empty dialogue")
         longest = max(lengths)
         is_customer = np.zeros((len(lengths), longest), dtype=bool)
         for b, dialogue_roles in enumerate(roles):

@@ -474,17 +474,6 @@ def row(a: Tensor, i) -> Tensor:
     return _make(out, (a,), back)
 
 
-def slice1d(a: Tensor, lo: int, hi: int) -> Tensor:
-    out = a.data[lo:hi]
-
-    def back(g: Array) -> None:
-        full = np.zeros_like(a.data)
-        full[lo:hi] = g
-        _accum(a, full)
-
-    return _make(out, (a,), back)
-
-
 def stack_padded(tensors: Sequence[Tensor], length: int) -> Tensor:
     """(B, length, ...) from B tensors of shape (L_b, ...) with L_b <=
     length: slice b holds tensor b in its first L_b rows, zeros after."""
@@ -565,21 +554,6 @@ def gather_rows(table: Tensor, ids: Sequence[int] | Array) -> Tensor:
 # ---------------------------------------------------------------------------
 # contractions
 # ---------------------------------------------------------------------------
-
-def matvec(a: Tensor, x: Tensor) -> Tensor:
-    """a[..., i, :] @ x for every row of a (at least 2-D). The rows go
-    through fixed_matmul, so a row's bits do not depend on the others."""
-    if a.data.ndim < 2 or x.data.ndim != 1 or a.data.shape[-1] != x.data.shape[0]:
-        raise ContractError(f"matvec shapes {a.data.shape} @ {x.data.shape}")
-    rows = a.data.reshape(-1, x.data.shape[0])
-    out = fixed_matmul(rows, x.data[:, None]).reshape(a.data.shape[:-1])
-
-    def back(g: Array) -> None:
-        _accum(a, g[..., None] * x.data)
-        _accum(x, g.reshape(-1) @ rows)
-
-    return _make(out, (a, x), back)
-
 
 def linear_rows(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Row-wise affine map x[..., t, :] -> w @ x[..., t, :] + b, or without
@@ -754,17 +728,18 @@ class LstmParams:
 
 def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor,
               params: LstmParams) -> tuple[Tensor, Tensor]:
-    """One gated update; composed from primitive ops so the tape provides
-    the backward pass. The fused lstm_sequence below is the fast path."""
+    """One gated update on (k,) states, built from linear_rows, row, add,
+    mul, sigmoid and tanh: the reference lstm_sequence is tested against."""
     params.check(x.data.shape[0])
     k = params.hidden_size
     if h_prev.data.shape != (k,) or c_prev.data.shape != (k,):
         raise ContractError("lstm_step state shape mismatch")
-    pre = add(add(matvec(params.w, x), matvec(params.u, h_prev)), params.b)
-    i = sigmoid(slice1d(pre, 0, k))
-    f = sigmoid(slice1d(pre, k, 2 * k))
-    g = tanh(slice1d(pre, 2 * k, 3 * k))
-    o = sigmoid(slice1d(pre, 3 * k, 4 * k))
+    pre = row(add(add(linear_rows(row(x, (None,)), params.w),
+                      linear_rows(row(h_prev, (None,)), params.u)), params.b), 0)
+    i = sigmoid(row(pre, slice(0, k)))
+    f = sigmoid(row(pre, slice(k, 2 * k)))
+    g = tanh(row(pre, slice(2 * k, 3 * k)))
+    o = sigmoid(row(pre, slice(3 * k, 4 * k)))
     c = add(mul(f, c_prev), mul(i, g))
     h = mul(o, tanh(c))
     return h, c

@@ -186,12 +186,12 @@ def test_c04_distribution_suite(probe_model):
 def test_c05_positional_weight_law():
     for L in range(1, 51):
         for t in range(1, L + 1):
-            beta = ia.positional_weights(L, t)
+            beta = ia.position_matrix(L)[t - 1]
             assert np.all(beta[t:] == 0.0)
             assert abs(beta.sum() - 1.0) < 1e-9
             if t > 1:
                 assert np.all(np.diff(beta[:t]) > 0.0)
-    hand = ia.positional_weights(3, 2)
+    hand = ia.position_matrix(3)[1]
     assert np.allclose(hand[:2], [0.4174, 0.5826], atol=5e-5)
     announce("5 positional weight law", True, "all L <= 50; hand value matches")
 

@@ -148,7 +148,12 @@ def test_gradcheck_passes(capsys):
     (["--tol", "nan"], "--tol"),
     (["--tol", "0"], "--tol"),
     (["--seed", "-1"], "--seed"),
-], ids=["no_samples", "negative_samples", "nan_tol", "zero_tol", "negative_seed"])
+    (["--max-len", "2"], "--max-len"),
+    (["--size", "3"], "--size"),
+    (["--size", "0"], "--size"),
+    (["--dialogues", "0"], "--dialogues"),
+], ids=["no_samples", "negative_samples", "nan_tol", "zero_tol", "negative_seed",
+        "short_dialogues", "odd_size", "zero_size", "no_dialogues"])
 def test_gradcheck_rejects_checks_that_check_nothing(capsys, argv, named):
     code, out, err = run_cli(capsys, "gradcheck", *argv)
     assert code == 2
@@ -638,6 +643,19 @@ def test_unallocatable_model_is_refused_before_any_output(workspace, tmp_path, c
     assert err.startswith("config error: cannot allocate the configured model: ")
     assert err.count("\n") == 1
     assert not (tmp_path / "run").exists()
+    assert peak < 16 * 2 ** 20
+
+
+def test_unallocatable_gradcheck_model_is_refused_before_any_output(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "gradcheck", "--size", "1000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.startswith("config error: cannot allocate the configured model: ")
+    assert err.count("\n") == 1
     assert peak < 16 * 2 ** 20
 
 

@@ -72,11 +72,11 @@ def test_sat_to_handoff_zero_agent_mass():
 
 
 def test_positional_weights_single_position():
-    np.testing.assert_array_equal(ia.positional_weights(3, 1), [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(ia.position_matrix(3)[0], [1.0, 0.0, 0.0])
 
 
 def test_positional_weights_hand_value():
-    got = ia.positional_weights(3, 2)
+    got = ia.position_matrix(3)[1]
     e13, e23 = np.exp(1 / 3), np.exp(2 / 3)
     np.testing.assert_allclose(got, [e13 / (e13 + e23), e23 / (e13 + e23), 0.0],
                                atol=1e-12)
@@ -86,17 +86,10 @@ def test_positional_weights_hand_value():
 def test_positional_weights_strictly_increasing():
     for L in (1, 2, 5, 17, 50):
         for t in range(1, L + 1):
-            b = ia.positional_weights(L, t)
+            b = ia.position_matrix(L)[t - 1]
             assert np.all(b[t:] == 0.0)
             assert b.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(np.diff(b[:t]) > 0) or t == 1
-
-
-def test_positional_weights_out_of_range():
-    with pytest.raises(ContractError):
-        ia.positional_weights(3, 0)
-    with pytest.raises(ContractError):
-        ia.positional_weights(3, 4)
 
 
 def test_handoff_to_sat_single_row():

@@ -220,8 +220,9 @@ def test_macro_is_mean_of_per_class(corpus):
         np.mean(list(report.sentiment["f1"].values())), abs=1e-12)
 
 
-def test_gt_monotone_on_corpus(corpus):
-    rng = np.random.default_rng(1)
+def noisy_stub(seed):
+    """The oracle's predictions with 30% of the handoff rows flipped."""
+    rng = np.random.default_rng(seed)
 
     def noisy_predict(dialogue):
         handoff, satisfaction, local = oracle_predict(dialogue)
@@ -229,10 +230,23 @@ def test_gt_monotone_on_corpus(corpus):
         handoff[flip] = handoff[flip][:, ::-1]
         return handoff, satisfaction, local
 
-    report, _ = mt.evaluate_model(_StubModel(noisy_predict), None, corpus,
+    return _StubModel(noisy_predict)
+
+
+def test_gt_monotone_on_corpus(corpus):
+    report, _ = mt.evaluate_model(noisy_stub(1), None, corpus,
                                   sections=("mhch",))
     gt = report.mhch["gt"]
     assert gt["1"] <= gt["2"] <= gt["3"]
+
+
+def test_report_gt_is_the_mean_of_the_rows_gt(corpus):
+    report, rows = mt.evaluate_model(noisy_stub(1), None, corpus,
+                                     sections=("mhch",))
+    for tol in mt.GT_TOLERANCES:
+        mean = sum(r["gt"][str(tol)] for r in rows) / len(rows)
+        assert report.mhch["gt"][str(tol)] == mean
+    assert 0.0 < report.mhch["gt"]["1"] < 1.0  # the noise leaves some misses
 
 
 def test_sentiment_section_requires_labels(corpus):

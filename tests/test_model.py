@@ -230,6 +230,13 @@ def test_customer_free_dialogue_gets_zero_satisfaction(aggregate):
         assert out[b].satisfaction_probs.data.sum() == pytest.approx(1.0)
 
 
+def test_forward_batch_refuses_an_empty_dialogue(setup):
+    model, vocab, dialogues = setup
+    d = dialogues[0]
+    with pytest.raises(ContractError, match="empty dialogue"):
+        model.forward_batch([vocab.encode_dialogue(d), []], [d.roles, []])
+
+
 @pytest.mark.parametrize("aggregate", AGGREGATE_MODES[1:])
 def test_aggregate_override_matches_model_in_that_mode(setup, aggregate):
     """Two models from one seed, in the attention mode and in another mode,
