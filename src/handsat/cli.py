@@ -152,7 +152,8 @@ def cmd_train(args) -> int:
 def _check_model_fits(config: ModelConfig) -> None:
     """Refuse a model whose training state cannot fit in physical memory,
     from its block shapes alone: training holds the weights, their
-    gradients, Adam's two moments and the best epoch's snapshot."""
+    gradients, Adam's two moments and the best epoch's snapshot. gradcheck
+    uses the same bound, so a width it accepts can also be trained."""
     try:
         blocks = Model.skeleton(config).blocks.values()
     except ValueError as e:  # a dimension numpy cannot represent
@@ -160,9 +161,9 @@ def _check_model_fits(config: ModelConfig) -> None:
     need = 5 * 8 * sum(math.prod(t.shape) for t in blocks)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise ConfigError(f"cannot allocate the configured model: training it "
-                          f"needs {need} bytes, more than the {have} bytes of "
-                          "physical memory")
+        raise ConfigError(f"cannot allocate the configured model: its training "
+                          f"state needs {need} bytes, more than the {have} bytes "
+                          "of physical memory")
 
 
 def cmd_eval(args) -> int:

@@ -186,8 +186,9 @@ def _utf8_lines(path: Path) -> Iterator[tuple[int, str]]:
     opened and a line that is not valid UTF-8 raise CorpusError."""
     try:
         fh = path.open("rb")
-    except OSError as e:
-        raise CorpusError(f"cannot open {path}: {e.strerror}") from None
+    except (OSError, ValueError) as e:  # ValueError: NUL or a lone surrogate
+        raise CorpusError(f"cannot open {path}: "
+                          f"{getattr(e, 'strerror', None) or e}") from None
     with fh:
         for line_no, raw in enumerate(fh, start=1):
             try:

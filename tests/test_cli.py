@@ -218,6 +218,22 @@ def test_train_missing_corpus_no_checkpoint(workspace, tmp_path, capsys):
     assert not (tmp_path / "run3" / "model.ckpt").exists()
 
 
+@pytest.mark.parametrize("key", ["train_corpus", "dev_corpus", "embeddings"])
+@pytest.mark.parametrize("name", ["a\x00b", "\ud800"], ids=["nul", "lone_surrogate"])
+def test_train_unopenable_path_is_data_error(workspace, tmp_path, capsys, key, name):
+    """A path the OS cannot be asked about is one 'cannot open' line."""
+    _, config_path, _, _ = workspace
+    cfg = json.loads(config_path.read_text())
+    cfg["paths"][key] = name
+    cfg["paths"]["checkpoint_dir"] = str(tmp_path / "run")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "train", str(bad))
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("data error: cannot open")
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_checkpoint_dir_that_cannot_be_made_is_config_error(
         workspace, tmp_path, capsys):
     _, config_path, _, _ = workspace
