@@ -7,6 +7,7 @@ Sections:
         every forward tensor of each prefix of three synthetic dialogues of
         15-50 utterances (prefix lengths cross the 16/32/48 row-block
         edges), and of each dialogue of one forward_batch of all three
+        (its result[b], the ForwardResult a forward_batch cuts)
     gradients
         every block's gradient of one 7-dialogue objective, dropout on
     train clip=<c>
@@ -14,7 +15,9 @@ Sections:
     eval <aggregate>
         the evaluate_model report and per-dialogue rows of a briefly trained
         model on a small synthetic corpus, at each --aggregate value (None:
-        the model's own attention pool)
+        the model's own attention pool); the model is trained first, so
+        these lines also move when training does (its sub-batches or its
+        gradient sums)
     predict
         the stdout of `handsat predict` on a stream whose first two lines
         are agent utterances (customer-free prefixes)

@@ -12,10 +12,13 @@ rows into the dialogue-level estimate: the attention mode weights them by
 importance (the paper's pool), and average / voting / last cover the
 ablation variants.
 
-Both decoders take a batch's (B, L_max, d) rows, zero past each
-dialogue's end. Every step is causal or row-wise, so the padded rows never
-reach a dialogue's own rows. The satisfaction side treats any leading axes
-as batch axes, so it also takes one dialogue's (L, d) rows.
+Both decoders take a batch's (B, L_max, d) rows. The rows past a
+dialogue's end hold finite values that mean nothing (the interaction's
+fusion leaves relu(fusion_b) and norm_bias there). Every step is causal or
+row-wise, and the importance and the pools give those rows exactly zero
+weight, so they never reach a dialogue's own rows or its distribution, and
+they get an exactly zero gradient. The satisfaction side treats any leading
+axes as batch axes, so it also takes one dialogue's (L, d) rows.
 
 A dialogue without customer utterances gets an all-zero importance row
 and dialogue distribution in every aggregation mode. A stream prefix can be

@@ -5,19 +5,30 @@ handoff view and a satisfaction view, which then exchange information in
 both directions:
 
   * satisfaction -> handoff: attention over strictly-past *customer*
-    positions only (agent satisfaction is treated as noise for handoff);
+    positions only (agent satisfaction is treated as noise for handoff),
+    then a dense fusion of the context with the handoff view;
   * handoff -> satisfaction: past-inclusive attention whose scores are
     re-weighted by a position matrix that favors later positions, followed
     by a residual add and layer normalization.
 
 Masked-out attention rows produce zero context vectors, so position 1 (which
 has no past) contributes nothing rather than a uniform leak.
+
+Only the attention compares positions; everything else works row by row.
+Model.forward_batch runs task_projections once on a batch's utterance rows,
+interact once per dialogue on that dialogue's (L, d) view slices (scores,
+masked softmax and attend in both directions), and fuse once on the
+batch's padded (B, L_max, d) stacks of views and contexts. interact stays
+per dialogue because the benchmark counts the attention's L x L pairs per
+interact call from its role mask; a batched interact waits for that count
+to come from each dialogue's own length. Fixed-shape row blocks keep every
+row's bits the same whichever rows share its products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,18 +58,30 @@ class InteractionParams:
 
 
 @dataclass
-class InteractionOutput:
-    handoff_fused: Tensor        # (L, d) input to the handoff decoder
-    satisfaction_fused: Tensor   # (L, d) input to the satisfaction decoder
-    handoff_view: Tensor         # (L, d) projection before interaction
-    satisfaction_view: Tensor    # (L, d)
+class Attention:
+    """One dialogue's L x L work, in both directions."""
+    s2h_context: Tensor | None   # (L, d) attended satisfaction view; None in no_interact
+    h2s_context: Tensor | None   # (L, d) attended handoff view
     attn_sat_to_handoff: Tensor  # (L, L); zero rows where nothing is allowed
     attn_handoff_to_sat: Tensor  # (L, L)
     position_weights: np.ndarray  # (L, L) constant
 
 
+@dataclass
+class InteractionOutput:
+    """A batch's interaction: (B, L_max, d) rows, each dialogue's in its
+    first L rows of its slice, and each dialogue's attention."""
+    handoff_fused: Tensor        # input to the handoff decoder
+    satisfaction_fused: Tensor   # input to the satisfaction decoder
+    handoff_view: Tensor         # projection before interaction
+    satisfaction_view: Tensor
+    attention: list[Attention]
+
+
 def task_projections(shared: Tensor, params: InteractionParams,
                      activation: str = "relu") -> tuple[Tensor, Tensor]:
+    """The handoff and satisfaction views of the shared rows, row by row
+    (any leading axes)."""
     act = ACTIVATIONS[activation]
     handoff = act(nm.linear_rows(shared, params.handoff_w, params.handoff_b))
     satisfaction = act(nm.linear_rows(shared, params.satisfaction_w,
@@ -70,25 +93,18 @@ def satisfaction_to_handoff(
     handoff_view: Tensor,
     satisfaction_view: Tensor,
     is_customer: np.ndarray,
-    params: InteractionParams,
-    activation: str = "relu",
     select_roles: bool = True,
 ) -> tuple[Tensor, Tensor]:
-    """Fuse local satisfaction context into the handoff view. Each position
-    may attend to strictly earlier positions; with role selection on, only
-    to earlier *customer* positions."""
+    """The satisfaction context of each handoff position and its attention.
+    Each position may attend to strictly earlier positions; with role
+    selection on, only to earlier *customer* positions."""
     length = handoff_view.data.shape[0]
-    if len(is_customer) != length:
-        raise ContractError("role vector length mismatch")
     allowed = nm.tril(length, -1)
     if select_roles:
         allowed = allowed & np.asarray(is_customer, dtype=bool)  # key columns
-    scores = nm.pairwise_scores(handoff_view, satisfaction_view)
-    attn = nm.masked_softmax(scores, allowed)
-    context = nm.attend(attn, satisfaction_view)
-    fused = ACTIVATIONS[activation](nm.linear_rows(
-        nm.concat_cols(context, handoff_view), params.fusion_w, params.fusion_b))
-    return fused, attn
+    attn = nm.masked_softmax(nm.pairwise_scores(handoff_view, satisfaction_view),
+                             allowed)
+    return nm.attend(attn, satisfaction_view), attn
 
 
 @nm.per_length
@@ -104,49 +120,68 @@ def handoff_to_satisfaction(
     satisfaction_view: Tensor,
     handoff_view: Tensor,
     position: np.ndarray,
-    params: InteractionParams,
 ) -> tuple[Tensor, Tensor]:
-    """Fuse handoff context into the satisfaction view with position-weighted
-    past-inclusive attention, a residual connection, and layer norm."""
+    """The handoff context of each satisfaction position and its attention:
+    past-inclusive, its scores re-weighted by the position matrix."""
     length = satisfaction_view.data.shape[0]
     if position.shape != (length, length):
         raise ContractError("position matrix shape mismatch")
     scores = nm.attend(nm.pairwise_scores(satisfaction_view, handoff_view),
                        nm.constant(position))
     attn = nm.masked_softmax(scores, nm.tril(length))
-    mixed = nm.add(nm.attend(attn, handoff_view), satisfaction_view)
-    return nm.layer_norm(mixed, params.norm_gain, params.norm_bias), attn
+    return nm.attend(attn, handoff_view), attn
 
 
 def interact(
-    shared: Tensor,
+    views: tuple[Tensor, Tensor],
     is_customer: np.ndarray,
+    mode: str = "full",
+) -> Attention:
+    """The attention of one dialogue, from its (L, d) handoff and
+    satisfaction views and its (L,) role mask: scores, masked softmax and
+    attend in both directions. no_interact attends nowhere."""
+    if mode not in INTERACTION_MODES:
+        raise ContractError(f"unknown interaction mode {mode!r}")
+    handoff_view, satisfaction_view = views
+    length = handoff_view.data.shape[0]
+    if len(is_customer) != length:
+        raise ContractError("role vector length mismatch")
+    if mode == "no_interact":
+        zeros = nm.constant(np.zeros((length, length)))
+        return Attention(None, None, zeros, zeros, np.zeros((length, length)))
+    s2h, attn_s2h = satisfaction_to_handoff(
+        handoff_view, satisfaction_view, is_customer,
+        select_roles=(mode != "no_select"))
+    position = np.eye(length) if mode == "no_position" else position_matrix(length)
+    h2s, attn_h2s = handoff_to_satisfaction(satisfaction_view, handoff_view, position)
+    return Attention(s2h, h2s, attn_s2h, attn_h2s, position)
+
+
+def fuse(
+    views: Sequence[tuple[Tensor, Tensor]],
+    attention: Sequence[Attention],
     params: InteractionParams,
+    length: int,
     mode: str = "full",
     activation: str = "relu",
 ) -> InteractionOutput:
-    if mode not in INTERACTION_MODES:
-        raise ContractError(f"unknown interaction mode {mode!r}")
-    handoff_view, satisfaction_view = task_projections(shared, params, activation)
-    length = shared.data.shape[0]
-
+    """The row-wise rest of the interaction, once for a batch: each
+    dialogue's views and contexts stacked to (B, length, d), zero past its
+    end, then the satisfaction -> handoff fusion act(fusion_w [context;
+    view] + fusion_b) and the handoff -> satisfaction residual add and layer
+    norm. no_interact passes both views through. Rows past a dialogue's end
+    come out as act(fusion_b) and norm_bias, which no row of the dialogue
+    reads."""
+    handoff_view = nm.stack_padded([h for h, _ in views], length)
+    satisfaction_view = nm.stack_padded([s for _, s in views], length)
     if mode == "no_interact":
         fused_h, fused_s = handoff_view, satisfaction_view
-        attn_s2h = attn_h2s = nm.constant(np.zeros((length, length)))
-        position = np.zeros((length, length))
     else:
-        fused_h, attn_s2h = satisfaction_to_handoff(
-            handoff_view, satisfaction_view, is_customer, params, activation,
-            select_roles=(mode != "no_select"))
-        position = np.eye(length) if mode == "no_position" else position_matrix(length)
-        fused_s, attn_h2s = handoff_to_satisfaction(
-            satisfaction_view, handoff_view, position, params)
-    return InteractionOutput(
-        handoff_fused=fused_h,
-        satisfaction_fused=fused_s,
-        handoff_view=handoff_view,
-        satisfaction_view=satisfaction_view,
-        attn_sat_to_handoff=attn_s2h,
-        attn_handoff_to_sat=attn_h2s,
-        position_weights=position,
-    )
+        s2h = nm.stack_padded([a.s2h_context for a in attention], length)
+        h2s = nm.stack_padded([a.h2s_context for a in attention], length)
+        fused_h = ACTIVATIONS[activation](nm.linear_rows(
+            nm.concat_cols(s2h, handoff_view), params.fusion_w, params.fusion_b))
+        fused_s = nm.layer_norm(nm.add(h2s, satisfaction_view),
+                                params.norm_gain, params.norm_bias)
+    return InteractionOutput(fused_h, fused_s, handoff_view, satisfaction_view,
+                             list(attention))

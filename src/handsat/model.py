@@ -5,9 +5,15 @@ dataclasses the layers read (enc.fwd.w, dec_s.transformer.wq); the flat
 name -> tensor mapping is what the optimizer, the checkpoint container, and
 the gradient checker all operate on.
 
-The forward pass runs a batch of dialogues (forward_batch) and returns one
-ForwardResult per dialogue; one dialogue is a batch of one (forward).
-Training and evaluation forward SUB_BATCH dialogues at a time.
+The forward pass runs a batch of dialogues (forward_batch). Per batch, the
+encoder, the interaction's row-wise maps (task projections, fusion,
+residual and layer norm), both decoders and the aggregation each run once;
+only the interaction's L x L attention runs once per dialogue (see
+interaction.py for why). forward_batch returns the outputs padded to the
+longest dialogue, which training's losses read as they are; result[b] cuts
+one dialogue's ForwardResult, which one dialogue's forward (a batch of one)
+and evaluation use. Training and evaluation forward at most SUB_BATCH
+dialogues at a time.
 """
 
 from __future__ import annotations
@@ -27,19 +33,23 @@ from .decoders import (AGGREGATE_MODES, HandoffDecoderParams,
 from .encoder import EncoderParams, shared_encode
 from .errors import ConfigError, ContractError
 from .interaction import (ACTIVATIONS, INTERACTION_MODES, InteractionOutput,
-                          InteractionParams, interact)
+                          InteractionParams, fuse, interact, task_projections)
 from .numerics import LstmParams, Tensor
 
-# Dialogues per forward in training and evaluation: the largest size that
-# keeps peak memory within 7% of one dialogue per forward, since a
-# sub-batch's tape holds all of its dialogues' activations until its one
-# backward. perfbench train, seed 7, 2 vCPUs, one BLAS thread, 10 rounds of
-# alternating 55 s runs, median [quartiles] of peak_rss_mb: one dialogue
-# per forward 44.31 [44.12, 44.49]; 4 dialogues 46.41 [46.38, 46.46]
-# (+4.7%); 5 dialogues 47.07 [47.02, 47.09] (+6.2%); 6 dialogues 47.54
-# [47.50, 47.61] (+7.3%). Of dialogues_per_s: 233 [211, 243]; 333 [320,
-# 353]; 317 [285, 330]; 317 [312, 327]. Sizes 4-6 do not separate in speed
-# beyond that spread, so memory alone sets the size.
+# Most dialogues per forward in training and evaluation; sub_batches splits
+# a batch into as few parts as that allows, as evenly as it can, so the
+# default 16-dialogue optimizer batch runs as 4 x 4 (not 5+5+5+1) and the
+# 25-dialogue acceptance dev set as 5 x 5. A sub-batch's tape holds all of
+# its dialogues' activations until its one backward, so memory sets the
+# size. perfbench train, seed 7, 2 vCPUs, one BLAS thread, 10 rounds of
+# alternating 55 s runs with the per-dialogue interaction and losses,
+# median [quartiles] of peak_rss_mb: one dialogue per forward 44.31 [44.12,
+# 44.49]; 4 dialogues 46.41 [46.38, 46.46] (+4.7%); 5 dialogues 47.07
+# [47.02, 47.09] (+6.2%); 6 dialogues 47.54 [47.50, 47.61] (+7.3%). Of
+# dialogues_per_s: 233 [211, 243]; 333 [320, 353]; 317 [285, 330]; 317
+# [312, 327]. Sizes 4-6 do not separate in speed beyond that spread. The
+# even split keeps the 4 forwards per optimizer batch of 5+5+5+1 with the
+# smaller tape of size 4.
 SUB_BATCH = 5
 
 
@@ -86,19 +96,27 @@ class ModelConfig:
 
 
 def sub_batches(items: Sequence) -> Iterator[Sequence]:
-    """Consecutive slices of SUB_BATCH items; the last may be shorter."""
-    for start in range(0, len(items), SUB_BATCH):
-        yield items[start:start + SUB_BATCH]
+    """Consecutive slices of items, as few as hold at most SUB_BATCH each,
+    their sizes differing by at most one."""
+    parts = -(-len(items) // SUB_BATCH)
+    for i in range(parts):
+        yield items[len(items) * i // parts:len(items) * (i + 1) // parts]
 
 
 @dataclass
-class ForwardResult(InteractionOutput):
-    """Everything one dialogue's forward pass produced, still on the tape:
-    the interaction's outputs, plus these."""
+class ForwardResult:
+    """Everything one dialogue's forward pass produced, still on the tape."""
     handoff_probs: Tensor         # (L, 2)
     satisfaction_probs: Tensor    # (3,)
     local_satisfaction: Tensor    # (L, 3)
     importance: Tensor            # (L,)
+    handoff_fused: Tensor         # (L, d) input to the handoff decoder
+    satisfaction_fused: Tensor    # (L, d) input to the satisfaction decoder
+    handoff_view: Tensor          # (L, d) projection before interaction
+    satisfaction_view: Tensor     # (L, d)
+    attn_sat_to_handoff: Tensor   # (L, L); zero rows where nothing is allowed
+    attn_handoff_to_sat: Tensor   # (L, L)
+    position_weights: np.ndarray  # (L, L) constant
 
     def trace(self, roles: Sequence[Role], interaction_mode: str,
               aggregate_mode: str) -> dict:
@@ -115,6 +133,46 @@ class ForwardResult(InteractionOutput):
             "attn_handoff_to_sat": self.attn_handoff_to_sat.data.tolist(),
             "position_weights": self.position_weights.tolist(),
         }
+
+
+@dataclass
+class BatchResult(InteractionOutput):
+    """A batch's outputs on the tape: the interaction's, plus these, padded
+    to its longest dialogue (L_max); dialogue b's rows are the first
+    lengths[b] of its slice. result[b] is dialogue b's ForwardResult."""
+    lengths: list[int]
+    handoff_probs: Tensor         # (B, L_max, 2)
+    satisfaction_probs: Tensor    # (B, 3)
+    local_satisfaction: Tensor    # (B, L_max, 3)
+    importance: Tensor            # (B, L_max)
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, b: int) -> ForwardResult:
+        """Dialogue b's outputs, cut on the tape. Each padded tensor is cut
+        once, so no_interact's fused rows are its view rows."""
+        rows = (b, slice(0, self.lengths[b]))
+        cuts: dict[int, Tensor] = {}
+
+        def cut(t: Tensor) -> Tensor:
+            if id(t) not in cuts:
+                cuts[id(t)] = nm.row(t, rows)
+            return cuts[id(t)]
+
+        attention = self.attention[b]
+        return ForwardResult(
+            handoff_probs=cut(self.handoff_probs),
+            satisfaction_probs=nm.row(self.satisfaction_probs, b),
+            local_satisfaction=cut(self.local_satisfaction),
+            importance=cut(self.importance),
+            handoff_fused=cut(self.handoff_fused),
+            satisfaction_fused=cut(self.satisfaction_fused),
+            handoff_view=cut(self.handoff_view),
+            satisfaction_view=cut(self.satisfaction_view),
+            attn_sat_to_handoff=attention.attn_sat_to_handoff,
+            attn_handoff_to_sat=attention.attn_handoff_to_sat,
+            position_weights=attention.position_weights)
 
 
 def _field_tensors(prefix: str, params) -> Iterator[tuple[str, Tensor]]:
@@ -255,13 +313,13 @@ class Model:
 
     def forward_batch(self, token_ids: Sequence[list[list[int]]],
                       roles: Sequence[Sequence[Role]],
-                      rng: np.random.Generator | None = None) -> list[ForwardResult]:
-        """Run B dialogues in one pass and return each one's ForwardResult:
-        token_ids[b] and roles[b] as forward takes them. The encoder runs
-        once on all their utterances, the interaction once per dialogue,
-        and both decoders and the aggregation once on the batch-major
-        (B, L_max, d) rows; each dialogue's (L, ...) outputs are cut from
-        those on the tape, and have the bits of its forward alone. Dropout
+                      rng: np.random.Generator | None = None) -> BatchResult:
+        """Run B dialogues in one pass, token_ids[b] and roles[b] as forward
+        takes them, and return their outputs padded to the longest. The
+        encoder and the task projections run once on all their utterances,
+        the interaction's attention once per dialogue, and the fusion, both
+        decoders and the aggregation once on the batch-major (B, L_max, ...)
+        rows. result[b] has the bits of dialogue b's forward alone. Dropout
         fires exactly when an rng is passed, and draws once for the batch."""
         cfg = self.config
         if len(token_ids) != len(roles) or not token_ids:
@@ -278,32 +336,30 @@ class Model:
         rows = shared_encode([ids for dialogue in token_ids for ids in dialogue],
                              self.encoder, cfg.max_dialogue_len,
                              dropout=cfg.dropout, rng=rng, sizes=lengths)
-        ends = np.cumsum(lengths)
-        inters = [interact(nm.row(rows, slice(end - n, end)), is_customer[b, :n],
-                           self.interaction, mode=cfg.interaction_mode,
-                           activation=cfg.activation)
-                  for b, (end, n) in enumerate(zip(ends, lengths))]
-        handoff_probs = decode_handoff(
-            nm.stack_padded([i.handoff_fused for i in inters], longest),
-            self.handoff_decoder)
+        handoff, satisfaction = task_projections(rows, self.interaction,
+                                                 cfg.activation)
+        cuts = [slice(end - n, end) for end, n in zip(np.cumsum(lengths), lengths)]
+        views = [(nm.row(handoff, cut), nm.row(satisfaction, cut)) for cut in cuts]
+        attention = [interact(v, is_customer[b, :n], mode=cfg.interaction_mode)
+                     for b, (v, n) in enumerate(zip(views, lengths))]
+        inter = fuse(views, attention, self.interaction, longest,
+                     cfg.interaction_mode, cfg.activation)
+        handoff_probs = decode_handoff(inter.handoff_fused, self.handoff_decoder)
         local, importance = decode_satisfaction(
-            nm.stack_padded([i.satisfaction_fused for i in inters], longest),
-            is_customer, self.satisfaction_decoder, cfg.heads)
+            inter.satisfaction_fused, is_customer, self.satisfaction_decoder,
+            cfg.heads)
         overall = aggregate_variant(local, is_customer, cfg.aggregate_mode,
                                     importance=importance)
-        return [ForwardResult(**vars(inter),
-                              handoff_probs=nm.row(handoff_probs, (b, slice(0, n))),
-                              satisfaction_probs=nm.row(overall, b),
-                              local_satisfaction=nm.row(local, (b, slice(0, n))),
-                              importance=nm.row(importance, (b, slice(0, n))))
-                for b, (inter, n) in enumerate(zip(inters, lengths))]
+        return BatchResult(**vars(inter), lengths=lengths,
+                           handoff_probs=handoff_probs, satisfaction_probs=overall,
+                           local_satisfaction=local, importance=importance)
 
     def forward_dialogues(self, dialogues: Sequence[Dialogue],
                           vocab: Vocabulary) -> Iterator[ForwardResult]:
         """forward() of each corpus dialogue in order, from one forward_batch
-        per SUB_BATCH dialogues, untaped (the results are constants)."""
+        per sub-batch, untaped (the results are constants)."""
         for part in sub_batches(dialogues):
             with self.untaped():
-                results = self.forward_batch([vocab.encode_dialogue(d) for d in part],
-                                             [d.roles for d in part])
-            yield from results
+                result = self.forward_batch([vocab.encode_dialogue(d) for d in part],
+                                            [d.roles for d in part])
+            yield from result

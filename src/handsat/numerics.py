@@ -378,15 +378,25 @@ def relu(a: Tensor) -> Tensor:
     return _make(out, (a,), back)
 
 
-def log_clamped(a: Tensor) -> Tensor:
-    """log(max(x, 1e-12)); zero gradient in the clamped region."""
-    clamped = np.maximum(a.data, 1e-12)
-    out = np.log(clamped)
+def log_sums(probs: Tensor, index: tuple[Array, ...], sizes: Sequence[int],
+             divisor: Array) -> Tensor:
+    """(G,): group g's correctly rounded sum (math.fsum) of log(max(p,
+    1e-12)) over its sizes[g] consecutive entries p of probs[index], over
+    divisor[g]; index names distinct entries. The gradient is zero in the
+    clamped region and at every entry index does not name."""
+    picked = probs.data[index]
+    clamped = np.maximum(picked, 1e-12)
+    logs = np.split(np.log(clamped), np.cumsum(sizes)[:-1])
+    out = np.array([math.fsum(x.tolist()) for x in logs]) / divisor
+    group = np.repeat(np.arange(len(sizes)), sizes)
 
     def back(g: Array) -> None:
-        _accum(a, g * np.where(a.data >= 1e-12, 1.0 / clamped, 0.0))
+        full = np.zeros_like(probs.data)
+        full[index] = (g / divisor)[group] * np.where(picked >= 1e-12,
+                                                      1.0 / clamped, 0.0)
+        _accum(probs, full)
 
-    return _make(out, (a,), back)
+    return _make(out, (probs,), back)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -449,14 +459,15 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape[0] != b.data.shape[0]:
+    """a and b joined on the last axis; every other axis must match."""
+    if a.data.shape[:-1] != b.data.shape[:-1]:
         raise ContractError("concat_cols row mismatch")
-    na = a.data.shape[1]
-    out = np.concatenate([a.data, b.data], axis=1)
+    na = a.data.shape[-1]
+    out = np.concatenate([a.data, b.data], axis=-1)
 
     def back(g: Array) -> None:
-        _accum(a, g[:, :na])
-        _accum(b, g[:, na:])
+        _accum(a, g[..., :na])
+        _accum(b, g[..., na:])
 
     return _make(out, (a, b), back)
 

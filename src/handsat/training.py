@@ -28,7 +28,7 @@ from .corpus import (Dialogue, HandoffLabel, SatisfactionLabel, Vocabulary,
                      build_vocab, check_dialogues)
 from .errors import CheckpointError, ConfigError, CorpusError
 from .metrics import evaluate_model
-from .model import ForwardResult, Model, ModelConfig, sub_batches
+from .model import BatchResult, Model, ModelConfig, sub_batches
 from .numerics import Tensor
 
 
@@ -102,24 +102,32 @@ class TrainConfig:
 # losses
 # ---------------------------------------------------------------------------
 
-def handoff_loss(probs: Tensor, golds: Sequence[HandoffLabel]) -> Tensor:
-    """Mean per-utterance cross-entropy; log clamped at 1e-12."""
-    length = probs.data.shape[0]
-    if len(golds) != length:
-        raise ConfigError(f"{len(golds)} labels for {length} predictions")
-    onehot = np.zeros((length, 2))
-    for t, lab in enumerate(golds):
-        onehot[t, 1 if lab is HandoffLabel.TRANSFERABLE else 0] = 1.0
-    ce = nm.mul(nm.constant(onehot), nm.log_clamped(probs))
-    return nm.divide(nm.exact_sum(ce), -length)
+def handoff_loss(probs: Tensor, golds: Sequence[Sequence[HandoffLabel]]) -> Tensor:
+    """Each dialogue's mean per-utterance cross-entropy, (B,), from a
+    batch's (B, L_max, 2) rows and each dialogue's labels, the longest
+    filling L_max: the exact sum of its gold log-probabilities (clamped at
+    1e-12) over -L. Rows past a dialogue's end get an exactly zero
+    gradient."""
+    lengths = [len(labels) for labels in golds]
+    batch, longest = probs.data.shape[:2]
+    if len(golds) != batch or min(lengths, default=0) < 1 or max(lengths) != longest:
+        raise ConfigError(f"labels for {lengths} utterances, predictions for "
+                          f"{batch} x {longest}")
+    index = (np.repeat(np.arange(batch), lengths),
+             np.concatenate([np.arange(n) for n in lengths]),
+             np.array([lab is HandoffLabel.TRANSFERABLE
+                       for labels in golds for lab in labels], dtype=np.intp))
+    return nm.log_sums(probs, index, lengths, -np.array(lengths))
 
 
-def satisfaction_loss(probs: Tensor, gold: SatisfactionLabel) -> Tensor:
-    """Dialogue-level cross-entropy; log clamped at 1e-12."""
-    onehot = np.zeros(3)
-    onehot[gold.index] = 1.0
-    ce = nm.mul(nm.constant(onehot), nm.log_clamped(probs))
-    return nm.scale(nm.exact_sum(ce), -1.0)
+def satisfaction_loss(probs: Tensor, golds: Sequence[SatisfactionLabel]) -> Tensor:
+    """Each dialogue's cross-entropy, (B,), from a batch's (B, 3)
+    distributions and labels; log clamped at 1e-12."""
+    if len(golds) != probs.data.shape[0]:
+        raise ConfigError(f"{len(golds)} labels for {probs.data.shape[0]} dialogues")
+    ones = np.ones(len(golds), dtype=np.intp)
+    index = (np.arange(len(golds)), np.array([g.index for g in golds], dtype=np.intp))
+    return nm.log_sums(probs, index, ones, -ones)
 
 
 def regularization(blocks: dict[str, Tensor], delta: float) -> Tensor | None:
@@ -129,10 +137,13 @@ def regularization(blocks: dict[str, Tensor], delta: float) -> Tensor | None:
     return nm.scale(nm.sum_squares(blocks.values()), delta)
 
 
-def dialogue_loss(out: ForwardResult, dialogue: Dialogue, eta: float) -> Tensor:
-    """One dialogue's term of the objective: L_handoff + eta * L_sat."""
-    l1 = handoff_loss(out.handoff_probs, [u.handoff for u in dialogue.utterances])
-    l2 = satisfaction_loss(out.satisfaction_probs, dialogue.satisfaction)
+def dialogue_loss(out: BatchResult, dialogues: Sequence[Dialogue],
+                  eta: float) -> Tensor:
+    """Each dialogue's term of the objective, (B,): L_handoff + eta * L_sat
+    on a batch's padded outputs."""
+    l1 = handoff_loss(out.handoff_probs,
+                      [[u.handoff for u in d.utterances] for d in dialogues])
+    l2 = satisfaction_loss(out.satisfaction_probs, [d.satisfaction for d in dialogues])
     return nm.add(l1, nm.scale(l2, eta))
 
 
@@ -140,19 +151,19 @@ def objective_terms(model: Model, batch: Sequence[tuple[list[list[int]], Dialogu
                     eta: float, delta: float,
                     rng: np.random.Generator | None = None) -> Iterator[Tensor]:
     """The objective on one batch of (token ids, dialogue) pairs as the terms
-    of its sum, in order: for each sub-batch of SUB_BATCH dialogues, one
-    forward_batch and the exact sum of its dialogues' dialogue_loss, over
-    len(batch); then the penalty. Dropout fires exactly when an rng is
-    passed.
+    of its sum, in order: for each sub-batch, one forward_batch and the
+    exact sum of its dialogue_loss, over len(batch); then the penalty.
+    Dropout fires exactly when an rng is passed.
 
     Each term is built only when the previous one has been consumed, so
     train() holds one sub-batch's tape at a time (SUB_BATCH says what that
     costs)."""
     for part in sub_batches(batch):
-        outs = model.forward_batch([ids for ids, _ in part],
-                                   [d.roles for _, d in part], rng=rng)
-        losses = [dialogue_loss(out, d, eta) for out, (_, d) in zip(outs, part)]
-        yield nm.divide(nm.exact_sum(*losses), len(batch))
+        dialogues = [d for _, d in part]
+        out = model.forward_batch([ids for ids, _ in part],
+                                  [d.roles for d in dialogues], rng=rng)
+        losses = dialogue_loss(out, dialogues, eta)
+        yield nm.divide(nm.exact_sum(losses), len(batch))
     penalty = regularization(model.blocks, delta)
     if penalty is not None:
         yield penalty

@@ -18,7 +18,7 @@ from handsat import numerics as nm
 from handsat import training as tr
 from handsat.corpus import Role, SatisfactionLabel, build_vocab, split_corpus
 from handsat.decoders import aggregate_variant
-from handsat.interaction import satisfaction_to_handoff
+from handsat.interaction import fuse, interact, satisfaction_to_handoff
 from handsat.metrics import evaluate_model, gtt
 from handsat.model import Model
 from handsat.synth import GeneratorSpec, synthesize_corpus
@@ -134,12 +134,15 @@ def test_c03_role_selection_suite(probe_model):
         perturbed = out.satisfaction_view.data.copy()
         perturbed[~is_customer] += rng.standard_normal(
             ((~is_customer).sum(), perturbed.shape[1])) * 5
-        fused_ref, _ = satisfaction_to_handoff(
-            nm.constant(out.handoff_view.data), nm.constant(out.satisfaction_view.data),
-            is_customer, probe_model.interaction)
-        fused_alt, _ = satisfaction_to_handoff(
-            nm.constant(out.handoff_view.data), nm.constant(perturbed),
-            is_customer, probe_model.interaction)
+        views_ref, views_alt = (
+            (nm.constant(out.handoff_view.data), nm.constant(s))
+            for s in (out.satisfaction_view.data, perturbed))
+        context_ref, _ = satisfaction_to_handoff(*views_ref, is_customer)
+        context_alt, _ = satisfaction_to_handoff(*views_alt, is_customer)
+        assert np.array_equal(context_ref.data, context_alt.data)
+        fused_ref, fused_alt = (
+            fuse([views], [interact(views, is_customer)], probe_model.interaction,
+                 len(ids)).handoff_fused for views in (views_ref, views_alt))
         assert np.array_equal(fused_ref.data, fused_alt.data)
         # (c2) perturbing local satisfaction rows at agent positions leaves
         #      the dialogue distribution unchanged
@@ -300,11 +303,11 @@ def test_c08_ablation_consistency(trained, synthetic_splits, probe_model):
 # -- criterion 9 -------------------------------------------------------------
 
 def test_c09_loss_identities():
-    probs = nm.constant(np.full((6, 2), 0.5))
+    probs = nm.constant(np.full((1, 6, 2), 0.5))
     labels = [tr.HandoffLabel.NORMAL, tr.HandoffLabel.TRANSFERABLE] * 3
-    assert abs(tr.handoff_loss(probs, labels).item() - math.log(2.0)) < 1e-9
-    uniform = nm.constant(np.full(3, 1 / 3))
-    assert abs(tr.satisfaction_loss(uniform, SatisfactionLabel.MET).item()
+    assert abs(tr.handoff_loss(probs, [labels]).item() - math.log(2.0)) < 1e-9
+    uniform = nm.constant(np.full((1, 3), 1 / 3))
+    assert abs(tr.satisfaction_loss(uniform, [SatisfactionLabel.MET]).item()
                - math.log(3.0)) < 1e-9
     # exact decomposition: bit-equal to the identically ordered expression
     dialogues, _ = synthesize_corpus(GeneratorSpec(num_dialogues=1, min_len=4,
@@ -314,11 +317,11 @@ def test_c09_loss_identities():
     cfg = tr.TrainConfig(embed_dim=4, hidden_size=4, dense_size=4,
                          attention_units=4, max_dialogue_len=6, heads=2)
     model = Model.build(cfg.model_config(len(vocab)), np.random.default_rng(2))
-    out = model.forward(vocab.encode_dialogue(d), d.roles)
+    out = model.forward_batch([vocab.encode_dialogue(d)], [d.roles])
     eta, delta = 0.37, 7.0
-    l1 = tr.handoff_loss(out.handoff_probs, [u.handoff for u in d.utterances])
-    l2 = tr.satisfaction_loss(out.satisfaction_probs, d.satisfaction)
-    term = tr.dialogue_loss(out, d, eta).item()
+    l1 = tr.handoff_loss(out.handoff_probs, [[u.handoff for u in d.utterances]])
+    l2 = tr.satisfaction_loss(out.satisfaction_probs, [d.satisfaction])
+    term = tr.dialogue_loss(out, [d], eta).item()
     assert term == l1.item() + eta * l2.item()
     assert tr.objective(model, vocab, [d], eta, delta=0.0).item() == term
     assert tr.objective(model, vocab, [d], eta, delta).item() == \

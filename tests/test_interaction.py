@@ -20,6 +20,14 @@ def make_params(in_width, d, rng=None, zero=False):
     )
 
 
+def run_layer(x, is_customer, p, mode="full"):
+    """One dialogue through the whole layer as forward_batch runs it, a
+    batch of one: (padded output, the dialogue's attention)."""
+    views = ia.task_projections(x, p)
+    attention = ia.interact(views, is_customer, mode=mode)
+    return ia.fuse([views], [attention], p, len(is_customer), mode=mode), attention
+
+
 def test_projections_zero_params():
     p = make_params(6, 3, zero=True)
     x = nm.constant(np.random.default_rng(0).standard_normal((4, 6)))
@@ -52,7 +60,7 @@ def test_sat_to_handoff_single_candidate():
     x = nm.constant(rng.standard_normal((3, 6)))
     h, s = ia.task_projections(x, p)
     is_customer = np.array([False, True, False])
-    _, attn = ia.satisfaction_to_handoff(h, s, is_customer, p)
+    _, attn = ia.satisfaction_to_handoff(h, s, is_customer)
     np.testing.assert_array_equal(attn.data[2], [0.0, 1.0, 0.0])
     np.testing.assert_array_equal(attn.data[0], [0.0, 0.0, 0.0])  # no past
 
@@ -65,7 +73,7 @@ def test_sat_to_handoff_zero_agent_mass():
         x = nm.constant(rng.standard_normal((L, 8)))
         h, s = ia.task_projections(x, p)
         is_customer = rng.random(L) < 0.5
-        _, attn = ia.satisfaction_to_handoff(h, s, is_customer, p)
+        _, attn = ia.satisfaction_to_handoff(h, s, is_customer)
         assert np.all(attn.data[:, ~is_customer] == 0.0)
         # strictly-past: diagonal and above are zero
         assert np.all(np.triu(attn.data) == 0.0)
@@ -97,10 +105,11 @@ def test_handoff_to_sat_single_row():
     p = make_params(6, 3, rng=rng)
     x = nm.constant(rng.standard_normal((1, 6)))
     h, s = ia.task_projections(x, p)
-    q, attn = ia.handoff_to_satisfaction(s, h, np.eye(1), p)
+    out, attention = run_layer(x, np.array([True]), p)
+    attn = attention.attn_handoff_to_sat
     np.testing.assert_array_equal(attn.data, [[1.0]])
     expect = nm.layer_norm(nm.add(nm.attend(attn, h), s), p.norm_gain, p.norm_bias)
-    np.testing.assert_allclose(q.data, expect.data, atol=1e-12)
+    np.testing.assert_allclose(out.satisfaction_fused.data[0], expect.data, atol=1e-12)
 
 
 def test_handoff_to_sat_residual_path():
@@ -110,9 +119,10 @@ def test_handoff_to_sat_residual_path():
     p = make_params(6, 3, rng=rng)
     s = nm.constant(rng.standard_normal((1, 3)))
     h = nm.constant(np.zeros((1, 3)))
-    q, _ = ia.handoff_to_satisfaction(s, h, np.eye(1), p)
+    attention = ia.interact((h, s), np.array([True]))
+    q = ia.fuse([(h, s)], [attention], p, 1).satisfaction_fused
     expect = nm.layer_norm(s, p.norm_gain, p.norm_bias)
-    np.testing.assert_allclose(q.data, expect.data, atol=1e-12)
+    np.testing.assert_allclose(q.data[0], expect.data, atol=1e-12)
 
 
 def test_handoff_to_sat_causal_mask():
@@ -122,7 +132,7 @@ def test_handoff_to_sat_causal_mask():
         L = int(rng.integers(2, 9))
         x = nm.constant(rng.standard_normal((L, 8)))
         h, s = ia.task_projections(x, p)
-        _, attn = ia.handoff_to_satisfaction(s, h, ia.position_matrix(L), p)
+        _, attn = ia.handoff_to_satisfaction(s, h, ia.position_matrix(L))
         assert np.all(np.triu(attn.data, k=1) == 0.0)
         np.testing.assert_allclose(attn.data.sum(axis=1), np.ones(L), atol=1e-9)
 
@@ -132,7 +142,7 @@ def test_interact_no_interact_passthrough():
     p = make_params(8, 4, rng=rng)
     x = nm.constant(rng.standard_normal((5, 8)))
     is_customer = np.array([True, False, True, False, True])
-    out = ia.interact(x, is_customer, p, mode="no_interact")
+    out, _ = run_layer(x, is_customer, p, mode="no_interact")
     assert out.handoff_fused is out.handoff_view
     assert out.satisfaction_fused is out.satisfaction_view
 
@@ -142,8 +152,8 @@ def test_interact_no_position_matches_full_at_length_one():
     p = make_params(8, 4, rng=rng)
     x = nm.constant(rng.standard_normal((1, 8)))
     is_customer = np.array([True])
-    full = ia.interact(x, is_customer, p, mode="full")
-    nopos = ia.interact(x, is_customer, p, mode="no_position")
+    full, _ = run_layer(x, is_customer, p, mode="full")
+    nopos, _ = run_layer(x, is_customer, p, mode="no_position")
     np.testing.assert_array_equal(full.satisfaction_fused.data,
                                   nopos.satisfaction_fused.data)
 
@@ -153,16 +163,15 @@ def test_interact_no_select_attends_to_agents():
     p = make_params(8, 4, rng=rng)
     x = nm.constant(rng.standard_normal((6, 8)))
     is_customer = np.array([True, False, True, False, True, False])
-    out = ia.interact(x, is_customer, p, mode="no_select")
-    agent_mass = out.attn_sat_to_handoff.data[:, ~is_customer].sum()
+    _, attention = run_layer(x, is_customer, p, mode="no_select")
+    agent_mass = attention.attn_sat_to_handoff.data[:, ~is_customer].sum()
     assert agent_mass > 0.0
 
 
 def test_interact_unknown_mode():
-    p = make_params(4, 2, zero=True)
+    views = (nm.constant(np.zeros((2, 2))), nm.constant(np.zeros((2, 2))))
     with pytest.raises(ContractError):
-        ia.interact(nm.constant(np.zeros((2, 4))), np.array([True, False]), p,
-                    mode="bogus")
+        ia.interact(views, np.array([True, False]), mode="bogus")
 
 
 def test_interact_role_perturbation_invariance():
@@ -174,12 +183,11 @@ def test_interact_role_perturbation_invariance():
     h = nm.constant(rng.standard_normal((5, 4)))
     is_customer = np.array([True, False, True, False, True])
 
-    s1 = nm.constant(base)
-    fused1, _ = ia.satisfaction_to_handoff(h, s1, is_customer, p)
     altered = base.copy()
     altered[~is_customer] += rng.standard_normal(((~is_customer).sum(), 4)) * 3
-    s2 = nm.constant(altered)
-    fused2, _ = ia.satisfaction_to_handoff(h, s2, is_customer, p)
+    fused1, fused2 = (
+        ia.fuse([(h, s)], [ia.interact((h, s), is_customer)], p, 5).handoff_fused
+        for s in (nm.constant(base), nm.constant(altered)))
     np.testing.assert_array_equal(fused1.data, fused2.data)
 
 
@@ -190,7 +198,7 @@ def test_interaction_grad_check():
     is_customer = np.array([True, False, True, False, True])
 
     def loss():
-        out = ia.interact(x, is_customer, p, mode="full")
+        out, _ = run_layer(x, is_customer, p, mode="full")
         return nm.mean_all(nm.square(
             nm.concat_cols(out.handoff_fused, out.satisfaction_fused)))
 

@@ -286,7 +286,8 @@ def test_profile_charges_each_node_to_its_op(setup, monkeypatch):
         with pytest.raises(ContractError, match="already on"):
             with nm.profile():
                 pass
-        loss = tr.dialogue_loss(model.forward(vocab.encode_dialogue(d), d.roles), d, 0.5)
+        loss = tr.dialogue_loss(model.forward_batch([vocab.encode_dialogue(d)], [d.roles]),
+                                [d], 0.5)
         loss.backward()
     assert ops["masked_softmax"].nodes == len(calls) >= 6
     assert ops["layer_norm"].nodes == 3 and ops["lstm_sequence"].nodes == 3

@@ -43,14 +43,14 @@ def tiny_corpus():
 # ---------------------------------------------------------------------------
 
 def test_handoff_loss_perfect_is_zero():
-    probs = nm.constant(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    loss = tr.handoff_loss(probs, [N, T])
+    probs = nm.constant(np.array([[[1.0, 0.0], [0.0, 1.0]]]))
+    loss = tr.handoff_loss(probs, [[N, T]])
     assert loss.item() == pytest.approx(0.0, abs=1e-10)
 
 
 def test_handoff_loss_uniform_is_ln2():
-    probs = nm.constant(np.full((4, 2), 0.5))
-    loss = tr.handoff_loss(probs, [N, T, T, N])
+    probs = nm.constant(np.full((1, 4, 2), 0.5))
+    loss = tr.handoff_loss(probs, [[N, T, T, N]])
     assert loss.item() == pytest.approx(math.log(2.0), abs=1e-9)
 
 
@@ -59,32 +59,32 @@ def test_handoff_loss_permutation_invariant():
     probs = rng.random((5, 2))
     probs /= probs.sum(axis=1, keepdims=True)
     labels = [N, T, N, N, T]
-    a = tr.handoff_loss(nm.constant(probs), labels).item()
+    a = tr.handoff_loss(nm.constant(probs[None]), [labels]).item()
     perm = [3, 0, 4, 1, 2]
-    b = tr.handoff_loss(nm.constant(probs[perm]),
-                        [labels[i] for i in perm]).item()
+    b = tr.handoff_loss(nm.constant(probs[None, perm]),
+                        [[labels[i] for i in perm]]).item()
     assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_handoff_loss_length_mismatch():
     with pytest.raises(ConfigError):
-        tr.handoff_loss(nm.constant(np.full((2, 2), 0.5)), [N])
+        tr.handoff_loss(nm.constant(np.full((1, 2, 2), 0.5)), [[N]])
 
 
 def test_satisfaction_loss_perfect_and_uniform():
-    perfect = np.zeros(3)
-    perfect[SatisfactionLabel.MET.index] = 1.0
+    perfect = np.zeros((1, 3))
+    perfect[0, SatisfactionLabel.MET.index] = 1.0
     assert tr.satisfaction_loss(nm.constant(perfect),
-                                SatisfactionLabel.MET).item() == pytest.approx(
+                                [SatisfactionLabel.MET]).item() == pytest.approx(
         0.0, abs=1e-10)
-    uniform = nm.constant(np.full(3, 1 / 3))
-    assert tr.satisfaction_loss(uniform, SatisfactionLabel.UNSATISFIED).item() == \
+    uniform = nm.constant(np.full((1, 3), 1 / 3))
+    assert tr.satisfaction_loss(uniform, [SatisfactionLabel.UNSATISFIED]).item() == \
         pytest.approx(math.log(3.0), abs=1e-9)
 
 
 def test_satisfaction_loss_clamped_no_nan():
-    probs = nm.constant(np.array([0.0, 0.5, 0.5]))
-    loss = tr.satisfaction_loss(probs, SatisfactionLabel.WELL_SATISFIED)
+    probs = nm.constant(np.array([[0.0, 0.5, 0.5]]))
+    loss = tr.satisfaction_loss(probs, [SatisfactionLabel.WELL_SATISFIED])
     assert math.isfinite(loss.item())
     assert loss.item() > 20  # -ln(1e-12)
 
@@ -92,13 +92,66 @@ def test_satisfaction_loss_clamped_no_nan():
 def test_dialogue_loss_identity():
     d = Dialogue("d", tuple(Utterance(("w",), Role.CUSTOMER, handoff=h)
                             for h in (N, T)), SatisfactionLabel.MET)
-    out = SimpleNamespace(handoff_probs=nm.constant(np.full((2, 2), 0.5)),
-                          satisfaction_probs=nm.constant(np.array([0.25, 0.5, 0.25])))
-    assert tr.dialogue_loss(out, d, eta=0.0).item() == pytest.approx(math.log(2.0))
+    out = SimpleNamespace(handoff_probs=nm.constant(np.full((1, 2, 2), 0.5)),
+                          satisfaction_probs=nm.constant(np.array([[0.25, 0.5, 0.25]])))
+    assert tr.dialogue_loss(out, [d], eta=0.0).item() == pytest.approx(math.log(2.0))
     # bit-exact decomposition against the identically ordered expression
-    l1 = tr.handoff_loss(out.handoff_probs, [N, T]).item()
-    l2 = tr.satisfaction_loss(out.satisfaction_probs, d.satisfaction).item()
-    assert tr.dialogue_loss(out, d, eta=0.31).item() == l1 + 0.31 * l2
+    l1 = tr.handoff_loss(out.handoff_probs, [[N, T]]).item()
+    l2 = tr.satisfaction_loss(out.satisfaction_probs, [d.satisfaction]).item()
+    assert tr.dialogue_loss(out, [d], eta=0.31).item() == l1 + 0.31 * l2
+
+
+def test_batched_losses_match_per_dialogue_fsum_with_zero_padding_gradient():
+    """handoff_loss and satisfaction_loss on one padded sub-batch of
+    lengths 3, 16 and 17 (across the 16-row block edge), a clamped gold
+    probability included, equal each dialogue's math.fsum of its gold
+    log-probabilities over -L (and minus the gold log-probability) bit for
+    bit; the rows past each dialogue's end, and the entries no label
+    names, get an exactly zero gradient."""
+    rng = np.random.default_rng(31)
+    lengths = [3, 16, 17]
+    probs = rng.random((3, 17, 2))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    golds = [[T if c else N for c in rng.random(n) < 0.3] for n in lengths]
+    probs[1, 4] = [1.0, 0.0] if golds[1][4] is T else [0.0, 1.0]  # clamped
+    overall = rng.random((3, 3))
+    overall /= overall.sum(axis=-1, keepdims=True)
+    labels = [SatisfactionLabel.MET, SatisfactionLabel.UNSATISFIED,
+              SatisfactionLabel.WELL_SATISFIED]
+    handoff, satisfaction = nm.parameter(probs), nm.parameter(overall)
+    l1 = tr.handoff_loss(handoff, golds)
+    l2 = tr.satisfaction_loss(satisfaction, labels)
+    for b, (n, gold) in enumerate(zip(lengths, golds)):
+        logs = np.log(np.maximum(probs[b, :n], 1e-12))
+        picked = [logs[t, int(lab is T)] for t, lab in enumerate(gold)]
+        assert l1.data[b].tobytes() == np.float64(math.fsum(picked) / -n).tobytes()
+        expect = -np.log(max(overall[b, labels[b].index], 1e-12))
+        assert l2.data[b].tobytes() == np.float64(expect).tobytes()
+    nm.exact_sum(nm.add(l1, nm.scale(l2, 0.5))).backward()
+    named = np.zeros(probs.shape, dtype=bool)
+    for b, gold in enumerate(golds):
+        named[b, np.arange(len(gold)), [int(lab is T) for lab in gold]] = True
+    named[1, 4] = False
+    assert np.all(handoff.grad[~named] == 0.0) and np.all(handoff.grad[named] != 0.0)
+    for b, n in enumerate(lengths):
+        assert not handoff.grad[b, n:].any()
+    assert np.count_nonzero(satisfaction.grad) == 3
+
+
+def test_train_epoch_tape_nodes_are_bounded():
+    """One default train() epoch on the acceptance corpus (seed 7, 200/25
+    split), dev evaluation included, makes at most 6,500 tape nodes. Node
+    counts do not depend on timing, so the bound is tight: in a fresh
+    process (position matrices not yet cached) the epoch made 6,184 with
+    the interaction's row-wise maps and the losses once per sub-batch, and
+    9,879 with both once per dialogue."""
+    corpus, _ = synthesize_corpus(
+        GeneratorSpec(num_dialogues=250, complaint_rate=0.2), seed=7)
+    train_set, dev_set, _ = split_corpus(corpus, seed=7)
+    with nm.profile() as ops:
+        tr.train(train_set, dev_set, tr.TrainConfig(max_epochs=1))
+    nodes = sum(s.nodes for s in ops.values())
+    assert nodes <= 6_500, nodes
 
 
 def test_regularization_delta_scaling():
@@ -217,13 +270,12 @@ def test_sub_batch_gradient_matches_per_dialogue_backward(tiny_corpus):
                         np.random.default_rng(6))
     out = model.forward_batch([vocab.encode_dialogue(d) for d in train],
                               [d.roles for d in train])
-    nm.exact_sum(*(tr.dialogue_loss(out[b], d, eta=0.5)
-                   for b, d in enumerate(train))).backward()
+    nm.exact_sum(tr.dialogue_loss(out, train, eta=0.5)).backward()
     batched = {name: t.grad for name, t in model.blocks.items()}
     model.zero_grads()
     for d in train:
-        out = model.forward(vocab.encode_dialogue(d), d.roles)
-        tr.dialogue_loss(out, d, eta=0.5).backward()
+        out = model.forward_batch([vocab.encode_dialogue(d)], [d.roles])
+        tr.dialogue_loss(out, [d], eta=0.5).backward()
     for name, tensor in model.blocks.items():
         difference = np.linalg.norm(batched[name] - tensor.grad)
         assert difference <= 1e-10 * np.linalg.norm(tensor.grad), name
@@ -231,7 +283,10 @@ def test_sub_batch_gradient_matches_per_dialogue_backward(tiny_corpus):
 
 # measured 3,240,696 bytes with SUB_BATCH = 5 (numpy 2.4.6, Python 3.11),
 # and 3,241,351 with each dialogue's loss on its own rows; the bound is
-# the first plus 20%
+# the first plus 20%. With 4 x 4 sub-batches, the interaction's row-wise
+# maps and the losses once per sub-batch: 2,886,958 (the 5+5+5+1 split
+# with per-dialogue interaction and losses read 3,369,970 on the same
+# machine)
 PEAK_BOUND_BYTES = 3_888_835
 
 
