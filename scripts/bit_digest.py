@@ -18,6 +18,9 @@ Sections:
         the model's own attention pool); the model is trained first, so
         these lines also move when training does (its sub-batches or its
         gradient sums)
+    eval untrained <aggregate>
+        the same for a seeded Model.build model with the trained one's
+        vocabulary: these lines move only when evaluation does
     predict
         the stdout of `handsat predict` on a stream whose first two lines
         are agent utterances (customer-free prefixes)
@@ -134,11 +137,14 @@ def eval_sections():
     dialogues, _ = synthesize_corpus(GeneratorSpec(num_dialogues=30), seed=17)
     config = TrainConfig(**SMALL, max_epochs=1, batch_size=8)
     result = train(dialogues[:20], dialogues[20:], config)
-    for aggregate in (None, "average", "voting", "last"):
-        report, rows = evaluate_model(result.model, result.vocab, dialogues,
-                                      SECTIONS, aggregate=aggregate)
-        text = json.dumps([report.to_json(), rows], sort_keys=True)
-        yield f"eval {aggregate}", hashlib.sha256(text.encode())
+    untrained = Model.build(config.model_config(len(result.vocab)),
+                            np.random.default_rng(9))
+    for name, model in (("eval", result.model), ("eval untrained", untrained)):
+        for aggregate in (None, "average", "voting", "last"):
+            report, rows = evaluate_model(model, result.vocab, dialogues,
+                                          SECTIONS, aggregate=aggregate)
+            text = json.dumps([report.to_json(), rows], sort_keys=True)
+            yield f"{name} {aggregate}", hashlib.sha256(text.encode())
 
 
 def predict_section():

@@ -190,8 +190,7 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     model, vocab, _ = load_checkpoint(args.checkpoint)
     stream = _open(args.input, "r", CorpusError) if args.input else sys.stdin
-    ids: list[list[int]] = []
-    roles: list[Role] = []
+    session = model.session()
     try:
         for line_no, line in enumerate(stream, start=1):
             line = line.strip()
@@ -199,35 +198,32 @@ def cmd_predict(args) -> int:
                 continue
             obj = parse_json(line, CorpusError, f"predict stream line {line_no}")
             utterance = parse_utterance(obj, line_no, require_handoff=False)
-            ids.append(vocab.encode(utterance.tokens))
-            roles.append(utterance.role)
-            if len(ids) > model.config.max_dialogue_len:
+            if len(session.roles) == model.config.max_dialogue_len:
                 raise CorpusError(
                     f"stream exceeds max dialogue length "
                     f"{model.config.max_dialogue_len}")
-            with model.untaped():
-                out = model.forward(ids, roles)
-            has_customer = Role.CUSTOMER in roles
+            handoff, estimate = session.push(vocab.encode(utterance.tokens),
+                                             utterance.role)
             _emit({
-                "position": len(ids),
-                "handoff_probs": out.handoff_probs.data[-1].tolist(),
-                "satisfaction_estimate": (out.satisfaction_probs.data.tolist()
-                                          if has_customer else None),
+                "position": len(session.roles),
+                "handoff_probs": handoff.tolist(),
+                "satisfaction_estimate": (None if estimate is None
+                                          else estimate.tolist()),
             })
     except UnicodeDecodeError:
         raise CorpusError("predict stream is not valid UTF-8") from None
     finally:
         if args.input:
             stream.close()
-    if not ids:
+    if not session.roles:
         return EXIT_OK
-    if Role.CUSTOMER not in roles:
+    if Role.CUSTOMER not in session.roles:
         raise CorpusError("stream contained no customer utterance; "
                           "satisfaction is undefined")
     with model.untaped():
-        out = model.forward(ids, roles)
+        out = model.forward(session.token_ids, session.roles)
     _emit({"satisfaction_probs": out.satisfaction_probs.data.tolist(),
-           "trace": out.trace(roles, model.config.interaction_mode,
+           "trace": out.trace(session.roles, model.config.interaction_mode,
                               model.config.aggregate_mode)})
     return EXIT_OK
 

@@ -108,8 +108,13 @@ class Dialogue:
         return [u.role for u in self.utterances]
 
     def strip_sentiment(self) -> "Dialogue":
+        """The dialogue without sentiment labels; it is returned as it is
+        when it has none, and unlabelled utterances are not copied."""
+        if all(u.sentiment is None for u in self.utterances):
+            return self
         return replace(self, utterances=tuple(
-            replace(u, sentiment=None) for u in self.utterances))
+            u if u.sentiment is None else replace(u, sentiment=None)
+            for u in self.utterances))
 
 
 def _parse_enum(cls, raw, what: str, line_no: int | None = None):

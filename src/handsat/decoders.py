@@ -72,11 +72,15 @@ class SatisfactionDecoderParams:
     query: Tensor      # (z,)
 
 
-def decode_handoff(fused: Tensor, params: HandoffDecoderParams) -> Tensor:
-    """Row-stochastic handoff distributions, (B, L_max, 2)."""
-    hidden = nm.lstm_sequence(fused, params.cell)
+def decode_handoff(fused: Tensor, params: HandoffDecoderParams,
+                   carry: tuple[np.ndarray, np.ndarray] | None = None
+                   ) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
+    """Row-stochastic handoff distributions, (B, L_max, 2), and the LSTM's
+    final (h, c). Given the (h, c) of the rows before fused's, as carry
+    (untaped only), the rows have the bits they get after those rows."""
+    hidden, carry = nm.lstm_sequence(fused, params.cell, carry)
     logits = nm.linear_rows(hidden, params.out_w, params.out_b)
-    return nm.masked_softmax(logits, None)
+    return nm.masked_softmax(logits, None), carry
 
 
 def transformer_block(x: Tensor, params: TransformerParams, heads: int) -> Tensor:

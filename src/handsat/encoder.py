@@ -90,8 +90,8 @@ def shared_encode(token_ids: list[list[int]], params: EncoderParams,
     pad = table.data.shape[0] - 1
     fwd = np.where(live, starts[:, None] + step, pad)
     bwd = np.where(live, (starts + lengths - 1)[:, None] - step, pad)
-    h_fwd = nm.lstm_sequence(nm.gather_rows(table, fwd), params.fwd)
-    h_bwd = nm.lstm_sequence(nm.gather_rows(table, bwd), params.bwd)
+    h_fwd, _ = nm.lstm_sequence(nm.gather_rows(table, fwd), params.fwd)
+    h_bwd, _ = nm.lstm_sequence(nm.gather_rows(table, bwd), params.bwd)
     last = (np.arange(lengths.size), lengths - 1)
     vectors = nm.concat_cols(nm.row(h_fwd, last), nm.row(h_bwd, last))
     ends = np.cumsum(sizes)

@@ -13,7 +13,8 @@ interaction.py for why). forward_batch returns the outputs padded to the
 longest dialogue, which training's losses read as they are; result[b] cuts
 one dialogue's ForwardResult, which one dialogue's forward (a batch of one)
 and evaluation use. Training and evaluation forward at most SUB_BATCH
-dialogues at a time.
+dialogues at a time. Model.session() streams one dialogue for predict with
+the same code, carrying the handoff decoder's recurrence between pushes.
 """
 
 from __future__ import annotations
@@ -323,6 +324,21 @@ class Model:
         decoders and the aggregation once on the batch-major (B, L_max, ...)
         rows. result[b] has the bits of dialogue b's forward alone. Dropout
         fires exactly when an rng is passed, and draws once for the batch."""
+        inter, is_customer = self._interaction(token_ids, roles, rng)
+        handoff_probs, _ = decode_handoff(inter.handoff_fused, self.handoff_decoder)
+        overall, local, importance = self._satisfaction(inter, is_customer)
+        return BatchResult(**vars(inter), lengths=[len(ids) for ids in token_ids],
+                           handoff_probs=handoff_probs, satisfaction_probs=overall,
+                           local_satisfaction=local, importance=importance)
+
+    def _interaction(self, token_ids: Sequence[list[list[int]]],
+                     roles: Sequence[Sequence[Role]],
+                     rng: np.random.Generator | None = None
+                     ) -> tuple[InteractionOutput, np.ndarray]:
+        """forward_batch up to the decoders: the encoder, the task
+        projections, each dialogue's attention and the fusion. Returns the
+        interaction's padded rows and the (B, L_max) customer mask, False
+        past each dialogue's end."""
         cfg = self.config
         if len(token_ids) != len(roles) or not token_ids:
             raise ContractError("forward_batch needs token_ids and roles for "
@@ -346,15 +362,24 @@ class Model:
                      for b, (v, n) in enumerate(zip(views, lengths))]
         inter = fuse(views, attention, self.interaction, longest,
                      cfg.interaction_mode, cfg.activation)
-        handoff_probs = decode_handoff(inter.handoff_fused, self.handoff_decoder)
+        return inter, is_customer
+
+    def _satisfaction(self, inter: InteractionOutput, is_customer: np.ndarray
+                      ) -> tuple[Tensor, Tensor, Tensor]:
+        """forward_batch's satisfaction side from _interaction's outputs:
+        the dialogue distributions (B, 3), the local rows and the
+        importance weights."""
+        cfg = self.config
         local, importance = decode_satisfaction(
             inter.satisfaction_fused, is_customer, self.satisfaction_decoder,
             cfg.heads)
         overall = aggregate_variant(local, is_customer, cfg.aggregate_mode,
                                     importance=importance)
-        return BatchResult(**vars(inter), lengths=lengths,
-                           handoff_probs=handoff_probs, satisfaction_probs=overall,
-                           local_satisfaction=local, importance=importance)
+        return overall, local, importance
+
+    def session(self) -> "Session":
+        """An empty stream, to push one utterance at a time."""
+        return Session(self)
 
     def forward_dialogues(self, dialogues: Sequence[Dialogue],
                           vocab: Vocabulary) -> Iterator[ForwardResult]:
@@ -365,3 +390,39 @@ class Model:
                 result = self.forward_batch([vocab.encode_dialogue(d) for d in part],
                                             [d.roles for d in part])
             yield from result
+
+
+class Session:
+    """One dialogue streamed an utterance at a time, as predict reads it.
+
+    Each push runs the encoder, the interaction and the satisfaction side
+    on the whole prefix, as forward does: the satisfaction side depends on
+    the prefix length through the position weights. The handoff decoder is
+    causal, so a push runs its LSTM one step, on the new row only, from the
+    (h, c) the session carries from the push before. Every returned row and
+    estimate has the bits of forward on the prefix: a resumed step meets the
+    same fixed-shape products as in one run over all rows."""
+
+    def __init__(self, model: Model):
+        self.model = model
+        self.token_ids: list[list[int]] = []
+        self.roles: list[Role] = []
+        self._carry: tuple[np.ndarray, np.ndarray] | None = None
+
+    def push(self, ids: list[int], role: Role
+             ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Append one vocabulary-encoded utterance. Returns its handoff
+        distribution (2,) and the prefix's satisfaction distribution (3,),
+        which is None until a customer has spoken."""
+        self.token_ids.append(ids)
+        self.roles.append(role)
+        model = self.model
+        with model.untaped():
+            inter, is_customer = model._interaction([self.token_ids], [self.roles])
+            newest = nm.row(inter.handoff_fused, np.s_[:, -1:])
+            probs, self._carry = decode_handoff(newest, model.handoff_decoder,
+                                                self._carry)
+            if not is_customer.any():
+                return probs.data[0, 0], None
+            overall, _, _ = model._satisfaction(inter, is_customer)
+        return probs.data[0, 0], overall.data[0]

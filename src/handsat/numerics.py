@@ -756,12 +756,20 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor,
     return h, c
 
 
-def lstm_sequence(x: Tensor, params: LstmParams) -> Tensor:
-    """Run the cell from a zero initial state over B sequences and return
-    every hidden state: x is (B, T, in), the result (B, T, k). Every
-    sequence runs all T steps; a caller with shorter sequences reads each
-    one's state at its own last step, and the steps after it get an exactly
-    zero gradient.
+def lstm_sequence(x: Tensor, params: LstmParams,
+                  carry: tuple[Array, Array] | None = None
+                  ) -> tuple[Tensor, tuple[Array, Array]]:
+    """Run the cell over B sequences and return every hidden state and the
+    final (h, c): x is (B, T, in), the hidden states (B, T, k), h and c
+    (B, k) each. Every sequence runs all T steps; a caller with shorter
+    sequences reads each one's state at its own last step, and the steps
+    after it get an exactly zero gradient.
+
+    The cell starts from zero, or from carry: the (h, c) an earlier call
+    returned. Steps resumed from it have the bits of the same
+    steps in one uninterrupted call, as each step's products have the same
+    fixed shapes. Only an untaped call takes a carried state, since the
+    backward starts from zero.
 
     The interface is batch-major, the recurrence time-major: x is copied
     into (T, B, in) order once, and the result is a (B, T, k) view of the
@@ -780,10 +788,13 @@ def lstm_sequence(x: Tensor, params: LstmParams) -> Tensor:
     Backward is hand-written backprop through time that ends in one GEMM
     each for dW, dU and dx.
     """
-    if x.data.ndim != 3:
-        raise ContractError(f"lstm_sequence expects (B, T, in), got {x.data.shape}")
+    if x.data.ndim != 3 or x.data.shape[1] == 0:
+        raise ContractError(f"lstm_sequence expects (B, T >= 1, in), got {x.data.shape}")
     B, T, n = x.data.shape
     params.check(n)
+    if carry is not None and any(t.requires_grad
+                                 for t in (x, params.w, params.u, params.b)):
+        raise ContractError("lstm_sequence takes a carried state only untaped")
     k = params.hidden_size
     wd, ud, bd = params.w.data, params.u.data, params.b.data
     half = np.full(4 * k, 0.5)
@@ -807,6 +818,8 @@ def lstm_sequence(x: Tensor, params: LstmParams) -> Tensor:
     h_prev = state.reshape(-1, k)[:B]
     recurrent = product.reshape(-1, 4 * k)[:B]
     c = np.zeros((B, k))
+    if carry is not None:
+        h_prev[...], c = carry
     for t in range(T):
         act = gates[t]
         np.matmul(state, u_half, out=product)
@@ -846,7 +859,8 @@ def lstm_sequence(x: Tensor, params: LstmParams) -> Tensor:
         _accum(params.u, flat.T @ h_prev)
         _accum(params.b, flat.sum(axis=0))
 
-    return _make(hs.transpose(1, 0, 2), (x, params.w, params.u, params.b), back)
+    return (_make(hs.transpose(1, 0, 2), (x, params.w, params.u, params.b), back),
+            (hs[-1], cs[-1]))
 
 
 # ---------------------------------------------------------------------------

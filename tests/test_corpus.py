@@ -81,6 +81,27 @@ def test_sentiment_on_agent_rejected():
                      sentiment=cp.SentimentLabel.NEUTRAL)
 
 
+def test_strip_sentiment_drops_the_labels_and_nothing_else():
+    """Every sentiment label is gone and every other field is equal; an
+    unlabelled utterance is the same object, and a dialogue without labels
+    comes back as it is."""
+    from handsat.synth import GeneratorSpec, synthesize_corpus
+    dialogues, _ = synthesize_corpus(GeneratorSpec(num_dialogues=20), seed=5)
+    labelled = 0
+    for d in dialogues:
+        stripped = d.strip_sentiment()
+        assert (stripped.id, stripped.satisfaction) == (d.id, d.satisfaction)
+        assert len(stripped.utterances) == len(d.utterances)
+        for u, s in zip(d.utterances, stripped.utterances):
+            assert s.sentiment is None
+            assert (s.tokens, s.role, s.handoff) == (u.tokens, u.role, u.handoff)
+            if u.sentiment is None:
+                assert s is u
+            labelled += u.sentiment is not None
+        assert stripped.strip_sentiment() is stripped
+    assert labelled > 0
+
+
 def test_load_corpus_rejects_customer_free_dialogues(tmp_path):
     p = tmp_path / "c.jsonl"
     agent_only = {

@@ -40,14 +40,14 @@ def satisfaction_params(d, k, z, rng, ff_mult=2):
 
 def test_decode_handoff_zero_params_uniform():
     p = handoff_params(3, 2, zero=True)
-    probs = dec.decode_handoff(nm.constant(np.zeros((1, 4, 3))), p)
+    probs, _ = dec.decode_handoff(nm.constant(np.zeros((1, 4, 3))), p)
     np.testing.assert_allclose(probs.data, np.full((1, 4, 2), 0.5), atol=1e-12)
 
 
 def test_decode_handoff_rows_sum_to_one():
     rng = np.random.default_rng(0)
     p = handoff_params(3, 4, rng=rng)
-    probs = dec.decode_handoff(nm.constant(rng.standard_normal((1, 6, 3))), p)
+    probs, _ = dec.decode_handoff(nm.constant(rng.standard_normal((1, 6, 3))), p)
     np.testing.assert_allclose(probs.data.sum(axis=-1), np.ones((1, 6)), atol=1e-9)
 
 
@@ -55,8 +55,8 @@ def test_decode_handoff_causal():
     rng = np.random.default_rng(1)
     p = handoff_params(3, 4, rng=rng)
     m = rng.standard_normal((1, 6, 3))
-    full = dec.decode_handoff(nm.constant(m), p).data
-    prefix = dec.decode_handoff(nm.constant(m[:, :4]), p).data
+    full = dec.decode_handoff(nm.constant(m), p)[0].data
+    prefix = dec.decode_handoff(nm.constant(m[:, :4]), p)[0].data
     np.testing.assert_array_equal(full[:, :4], prefix)
 
 
@@ -227,7 +227,7 @@ def test_handoff_decoder_grad_check():
     m = nm.parameter(rng.standard_normal((1, 5, 3)))
 
     def loss():
-        return nm.mean_all(nm.square(dec.decode_handoff(m, p)))
+        return nm.mean_all(nm.square(dec.decode_handoff(m, p)[0]))
 
     blocks = {"m": m, "w": p.cell.w, "u": p.cell.u, "b": p.cell.b,
               "ow": p.out_w, "ob": p.out_b}

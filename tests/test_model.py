@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handsat import numerics as nm
 from handsat import training as tr
@@ -110,6 +112,39 @@ def test_prefix_causality_past_one_block(width):
     for t in range(1, length + 1):
         prefix = model.forward(ids[:t], roles[:t])
         assert prefix.handoff_probs.data.tobytes() == full[:t].tobytes(), t
+
+
+@given(mode=st.sampled_from(INTERACTION_MODES),
+       aggregate=st.sampled_from(AGGREGATE_MODES),
+       customers=st.lists(st.booleans(), min_size=49, max_size=56),
+       agents_first=st.integers(0, 5), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=20, deadline=None)
+def test_session_pushes_have_the_bits_of_each_prefix_forward(
+        mode, aggregate, customers, agents_first, seed):
+    """Streaming a dialogue of 49-56 utterances (its prefixes cross the 16,
+    32 and 48 row-block edges) through a session returns, at every push,
+    the bytes of forward(prefix): the last handoff row, and the dialogue
+    distribution once a customer has spoken (None before). Roles are random
+    after agents_first agent utterances, so a stream can start, or stay,
+    customer-free."""
+    rng = np.random.default_rng(seed)
+    model = Model.build(tiny_config(20, max_dialogue_len=56, interaction_mode=mode,
+                                    aggregate_mode=aggregate), rng)
+    roles = [Role.CUSTOMER if c and t >= agents_first else Role.AGENT
+             for t, c in enumerate(customers)]
+    ids = [[int(i) for i in rng.integers(2, 20, size=rng.integers(1, 5))]
+           for _ in roles]
+    session = model.session()
+    for t in range(1, len(roles) + 1):
+        handoff, estimate = session.push(ids[t - 1], roles[t - 1])
+        with model.untaped():
+            prefix = model.forward(ids[:t], roles[:t])
+        assert handoff.tobytes() == prefix.handoff_probs.data[-1].tobytes(), t
+        if Role.CUSTOMER in roles[:t]:
+            assert estimate.tobytes() == prefix.satisfaction_probs.data.tobytes(), t
+        else:
+            assert estimate is None, t
+    assert session.token_ids == ids and session.roles == roles
 
 
 def test_untaped_forward_records_no_tape(setup):

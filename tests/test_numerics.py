@@ -330,7 +330,7 @@ def test_lstm_sequence_matches_composed_steps():
     p = rand_lstm(input_size, k, rng)
     x = rng.standard_normal((T, input_size))
 
-    seq = nm.lstm_sequence(nm.constant(x[None]), p)
+    seq, _ = nm.lstm_sequence(nm.constant(x[None]), p)
     h = nm.constant(np.zeros(k))
     c = nm.constant(np.zeros(k))
     for t in range(T):
@@ -348,7 +348,7 @@ def test_lstm_sequence_backward_matches_composed_steps():
                        u=nm.parameter(p1.u.data.copy()),
                        b=nm.parameter(p1.b.data.copy()))
 
-    loss1 = nm.sum_all(nm.square(nm.lstm_sequence(nm.constant(x[None]), p1)))
+    loss1 = nm.sum_all(nm.square(nm.lstm_sequence(nm.constant(x[None]), p1)[0]))
     loss1.backward()
 
     h = nm.constant(np.zeros(k))
@@ -371,7 +371,7 @@ def test_lstm_sequence_grad_check():
     x = rand_param((1, 5, 3), rng)
 
     def loss():
-        return nm.sum_all(nm.square(nm.lstm_sequence(x, p)))
+        return nm.sum_all(nm.square(nm.lstm_sequence(x, p)[0]))
 
     report = nm.grad_check(loss, {"x": x, "w": p.w, "u": p.u, "b": p.b},
                            samples_per_block=10)
@@ -390,7 +390,7 @@ def test_batched_lstm_sequence_matches_per_sequence_steps(lengths):
     weights[np.arange(T) >= np.array(lengths)[:, None]] = 0.0
     p1 = rand_lstm(input_size, k, rng)
     x1 = rand_param((B, T, input_size), rng)
-    hs = nm.lstm_sequence(x1, p1)
+    hs, _ = nm.lstm_sequence(x1, p1)
     loss1 = nm.sum_all(nm.mul(hs, nm.constant(weights)))
     loss1.backward()
 
@@ -418,7 +418,7 @@ def test_batched_lstm_sequence_grad_check():
     x = rand_param((4, 3, 3), rng)
 
     def loss():
-        return nm.sum_all(nm.square(nm.lstm_sequence(x, p)))
+        return nm.sum_all(nm.square(nm.lstm_sequence(x, p)[0]))
 
     report = nm.grad_check(loss, {"x": x, "w": p.w, "u": p.u, "b": p.b},
                            samples_per_block=12)
@@ -435,7 +435,7 @@ def test_lstm_sequence_saturated_gates_stay_finite(batch):
     p = rand_lstm(input_size, k, rng)
     p.b.data[:] = 1e3 * rng.choice([-1.0, 1.0], size=4 * k)
     x = nm.parameter(rng.standard_normal((batch, T, input_size)))
-    hs = nm.lstm_sequence(x, p)
+    hs, _ = nm.lstm_sequence(x, p)
     nm.sum_all(nm.mul(hs, nm.constant(rng.standard_normal(hs.shape)))).backward()
     for leaf in (x, p.w, p.u, p.b):
         assert np.all(np.isfinite(leaf.grad))
@@ -451,6 +451,35 @@ def test_lstm_sequence_saturated_gates_stay_finite(batch):
 def test_lstm_sequence_rejects_bad_shapes(x_shape):
     with pytest.raises(ContractError):
         nm.lstm_sequence(nm.constant(np.zeros(x_shape)), zero_lstm(3, 2))
+
+
+@pytest.mark.parametrize("batch", [1, 20])
+def test_lstm_sequence_resumed_prefix_has_the_uninterrupted_bits(batch):
+    """Running the first T0 steps and then the rest from the carried (h, c)
+    gives the bytes of one T-step run, for every T0 on either side of the
+    ROW_BLOCK edge; so does running every step alone, as a stream does."""
+    rng = np.random.default_rng(53)
+    T, input_size, k = nm.ROW_BLOCK + 4, 5, 6
+    p = nm.LstmParams(*(nm.constant(rng.standard_normal(shape) * 0.5)
+                        for shape in ((4 * k, input_size), (4 * k, k), 4 * k)))
+    x = rng.standard_normal((batch, T, input_size))
+    whole, (h, c) = nm.lstm_sequence(nm.constant(x), p)
+    for t0 in range(1, T):
+        head, carry = nm.lstm_sequence(nm.constant(x[:, :t0]), p)
+        tail, end = nm.lstm_sequence(nm.constant(x[:, t0:]), p, carry)
+        assert head.data.tobytes() == whole.data[:, :t0].tobytes(), t0
+        assert tail.data.tobytes() == whole.data[:, t0:].tobytes(), t0
+        assert end[0].tobytes() == h.tobytes() and end[1].tobytes() == c.tobytes()
+    carry = None
+    for t in range(T):
+        step, carry = nm.lstm_sequence(nm.constant(x[:, t:t + 1]), p, carry)
+        assert step.data.tobytes() == whole.data[:, t:t + 1].tobytes(), t
+
+
+def test_lstm_sequence_refuses_a_carried_state_on_the_tape():
+    state = (np.zeros((1, 2)), np.zeros((1, 2)))
+    with pytest.raises(ContractError, match="untaped"):
+        nm.lstm_sequence(nm.constant(np.zeros((1, 4, 3))), zero_lstm(3, 2), state)
 
 
 # ---------------------------------------------------------------------------
