@@ -766,10 +766,10 @@ def lstm_sequence(x: Tensor, params: LstmParams,
     after it get an exactly zero gradient.
 
     The cell starts from zero, or from carry: the (h, c) an earlier call
-    returned. Steps resumed from it have the bits of the same
-    steps in one uninterrupted call, as each step's products have the same
-    fixed shapes. Only an untaped call takes a carried state, since the
-    backward starts from zero.
+    returned. Steps resumed from it have the bits of the same steps in one
+    uninterrupted call, as each step's products have the same fixed
+    shapes. Only an untaped call takes a carry, since the backward starts
+    from zero.
 
     The interface is batch-major, the recurrence time-major: x is copied
     into (T, B, in) order once, and the result is a (B, T, k) view of the
