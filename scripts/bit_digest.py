@@ -6,8 +6,9 @@ Sections:
     forward <interaction> <aggregate>
         every forward tensor of each prefix of three synthetic dialogues of
         15-50 utterances (prefix lengths cross the 16/32/48 row-block
-        edges), and of each dialogue of one forward_batch of all three
-        (its result[b], the ForwardResult a forward_batch cuts)
+        edges), and of each dialogue of one forward_batch of all three:
+        the ForwardResult fields of result[b], and the views and fused rows
+        as dialogue b's rows [b, :L] of the padded result
     gradients
         every block's gradient of one 7-dialogue objective, dropout on
     train clip=<c>
@@ -52,7 +53,10 @@ from handsat.model import Model
 from handsat.synth import GeneratorSpec, synthesize_corpus
 from handsat.training import TrainConfig, objective_terms, save_checkpoint, train
 
-# the forward tensors, by name; every other result field is derived or gone
+# the forward tensors, by name; every other result field is derived or gone.
+# The views and fused rows are read from the padded forward_batch result.
+PADDED = ("handoff_fused", "satisfaction_fused", "handoff_view",
+          "satisfaction_view")
 FIELDS = ("handoff_probs", "satisfaction_probs", "local_satisfaction",
           "importance", "handoff_fused", "satisfaction_fused", "handoff_view",
           "satisfaction_view", "attn_sat_to_handoff", "attn_handoff_to_sat",
@@ -68,8 +72,11 @@ def _add(digest, *arrays) -> None:
         digest.update(np.ascontiguousarray(a).tobytes())
 
 
-def _add_result(digest, out) -> None:
-    _add(digest, *(getattr(out, name) for name in FIELDS))
+def _add_result(digest, batch, b: int) -> None:
+    """Dialogue b's forward tensors of a forward_batch result."""
+    out, length = batch[b], batch.lengths[b]
+    _add(digest, *(getattr(batch, name).data[b, :length] if name in PADDED
+                   else getattr(out, name) for name in FIELDS))
 
 
 def _add_blocks(digest, model, attribute: str) -> None:
@@ -101,9 +108,11 @@ def forward_sections():
             with model.untaped():
                 for ids, d in zip(encoded, dialogues):
                     for t in range(1, len(ids) + 1):
-                        _add_result(digest, model.forward(ids[:t], d.roles[:t]))
-                for out in model.forward_batch(encoded, [d.roles for d in dialogues]):
-                    _add_result(digest, out)
+                        prefix = model.forward_batch([ids[:t]], [d.roles[:t]])
+                        _add_result(digest, prefix, 0)
+                batch = model.forward_batch(encoded, [d.roles for d in dialogues])
+                for b in range(len(encoded)):
+                    _add_result(digest, batch, b)
             yield f"forward {mode} {aggregate}", digest
 
 

@@ -13,8 +13,8 @@ importance (the paper's pool), and average / voting / last cover the
 ablation variants.
 
 Both decoders take a batch's (B, L_max, d) rows. The rows past a
-dialogue's end hold finite values that mean nothing (the interaction's
-fusion leaves relu(fusion_b) and norm_bias there). Every step is causal or
+dialogue's end hold finite values that mean nothing (the interaction
+computes them from act(projection bias) view rows). Every step is causal or
 row-wise, and the importance and the pools give those rows exactly zero
 weight, so they never reach a dialogue's own rows or its distribution, and
 they get an exactly zero gradient. The satisfaction side treats any leading

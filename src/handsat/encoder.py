@@ -24,8 +24,9 @@ dialogue's vectors bit for bit.
 
 Several dialogues encode as one batch of utterances: their utterances are
 listed back to back and a size per dialogue says where each ends. The
-matching block is then one batched product over a (B, L_max) grid of
-utterance slots, each dialogue in its own slice, zero past its end.
+vectors are laid out on a (B, L_max) grid of utterance slots, each dialogue
+in its own slice, zero past its end; the matching block is one batched
+product over it, and the representation keeps that layout.
 """
 
 from __future__ import annotations
@@ -65,11 +66,12 @@ def shared_encode(token_ids: list[list[int]], params: EncoderParams,
                   rng: np.random.Generator | None = None,
                   sizes: list[int] | None = None) -> Tensor:
     """Shared representation both task branches start from, one row per
-    utterance, (N, max_len + 2k): matching features, then utterance
-    vectors. token_ids holds one dialogue's utterances, or those of several
-    dialogues back to back with sizes[b] utterances in dialogue b; a row's
-    matching features cover its own dialogue. Dropout applies to the
-    embedded tokens when an rng is given."""
+    utterance slot, (B, L_max, max_len + 2k): matching features, then
+    utterance vectors. token_ids holds one dialogue's utterances, or those
+    of several dialogues back to back with sizes[b] utterances in dialogue
+    b, whose rows are the first sizes[b] of slice b; a row's matching
+    features cover its own dialogue. Dropout applies to the embedded tokens
+    when an rng is given."""
     sizes = [len(token_ids)] if sizes is None else list(sizes)
     if sum(sizes) != len(token_ids):
         raise ContractError(f"{len(token_ids)} utterances for dialogue sizes {sizes}")
@@ -97,8 +99,4 @@ def shared_encode(token_ids: list[list[int]], params: EncoderParams,
     ends = np.cumsum(sizes)
     grid = nm.stack_padded([nm.row(vectors, slice(end - n, end))
                             for end, n in zip(ends, sizes)], max(sizes))
-    # utterance n's slot in the grid: its dialogue and its position there
-    dialogue = np.repeat(np.arange(len(sizes)), sizes)
-    slots = (dialogue, np.arange(lengths.size) - (ends - sizes)[dialogue])
-    matched = nm.row(matching_features(grid, max_len), slots)
-    return nm.concat_cols(matched, vectors)
+    return nm.concat_cols(matching_features(grid, max_len), grid)

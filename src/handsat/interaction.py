@@ -15,10 +15,10 @@ Masked-out attention rows produce zero context vectors, so position 1 (which
 has no past) contributes nothing rather than a uniform leak.
 
 Only the attention compares positions; everything else works row by row.
-Model.forward_batch runs task_projections once on a batch's utterance rows,
-interact once per dialogue on that dialogue's (L, d) view slices (scores,
-masked softmax and attend in both directions), and fuse once on the
-batch's padded (B, L_max, d) stacks of views and contexts. interact stays
+Model.forward_batch runs task_projections once on a batch's padded
+(B, L_max, ·) rows, interact once per dialogue on that dialogue's (L, d)
+view slices (scores, masked softmax and attend in both directions), and
+fuse once on the padded views and the stacked contexts. interact stays
 per dialogue because the benchmark counts the attention's L x L pairs per
 interact call from its role mask; a batched interact waits for that count
 to come from each dialogue's own length. Fixed-shape row blocks keep every
@@ -158,25 +158,25 @@ def interact(
 
 
 def fuse(
-    views: Sequence[tuple[Tensor, Tensor]],
+    handoff_view: Tensor,
+    satisfaction_view: Tensor,
     attention: Sequence[Attention],
     params: InteractionParams,
-    length: int,
     mode: str = "full",
     activation: str = "relu",
 ) -> InteractionOutput:
-    """The row-wise rest of the interaction, once for a batch: each
-    dialogue's views and contexts stacked to (B, length, d), zero past its
-    end, then the satisfaction -> handoff fusion act(fusion_w [context;
-    view] + fusion_b) and the handoff -> satisfaction residual add and layer
-    norm. no_interact passes both views through. Rows past a dialogue's end
-    come out as act(fusion_b) and norm_bias, which no row of the dialogue
-    reads."""
-    handoff_view = nm.stack_padded([h for h, _ in views], length)
-    satisfaction_view = nm.stack_padded([s for _, s in views], length)
+    """The row-wise rest of the interaction, once for a batch, from its
+    padded (B, L_max, d) views: each dialogue's contexts stacked to the
+    same layout, zero past its end, then the satisfaction -> handoff fusion
+    act(fusion_w [context; view] + fusion_b) and the handoff ->
+    satisfaction residual add and layer norm. no_interact passes both views
+    through. Rows past a dialogue's end come out as finite values computed
+    from the views' padded rows, act(projection bias), which no row of the
+    dialogue reads."""
     if mode == "no_interact":
         fused_h, fused_s = handoff_view, satisfaction_view
     else:
+        length = handoff_view.data.shape[1]
         s2h = nm.stack_padded([a.s2h_context for a in attention], length)
         h2s = nm.stack_padded([a.h2s_context for a in attention], length)
         fused_h = ACTIVATIONS[activation](nm.linear_rows(

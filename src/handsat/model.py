@@ -5,16 +5,16 @@ dataclasses the layers read (enc.fwd.w, dec_s.transformer.wq); the flat
 name -> tensor mapping is what the optimizer, the checkpoint container, and
 the gradient checker all operate on.
 
-The forward pass runs a batch of dialogues (forward_batch). Per batch, the
-encoder, the interaction's row-wise maps (task projections, fusion,
-residual and layer norm), both decoders and the aggregation each run once;
-only the interaction's L x L attention runs once per dialogue (see
-interaction.py for why). forward_batch returns the outputs padded to the
-longest dialogue, which training's losses read as they are; result[b] cuts
-one dialogue's ForwardResult, which one dialogue's forward (a batch of one)
-and evaluation use. Training and evaluation forward at most SUB_BATCH
-dialogues at a time. Model.session() streams one dialogue for predict with
-the same code, carrying the handoff decoder's recurrence between pushes.
+The forward pass runs a batch of dialogues (forward_batch) padded to the
+longest, one layout from the encoder to the decoders: the encoder, the
+interaction's row-wise maps, both decoders and the aggregation each run
+once per batch; only the L x L attention runs once per dialogue, on views
+cut from the padded rows (see interaction.py for why). Training's losses
+read the padded outputs; result[b] cuts the ForwardResult that one
+dialogue's forward (a batch of one), evaluation and predict's trace read.
+Training and evaluation forward at most SUB_BATCH dialogues at a time.
+Model.session() streams one dialogue for predict with the same code,
+carrying the handoff decoder's recurrence between pushes.
 """
 
 from __future__ import annotations
@@ -108,15 +108,11 @@ def sub_batches(items: Sequence) -> Iterator[Sequence]:
 
 @dataclass
 class ForwardResult:
-    """Everything one dialogue's forward pass produced, still on the tape."""
+    """One dialogue's outputs and attention, as evaluation and the trace read them."""
     handoff_probs: Tensor         # (L, 2)
     satisfaction_probs: Tensor    # (3,)
     local_satisfaction: Tensor    # (L, 3)
     importance: Tensor            # (L,)
-    handoff_fused: Tensor         # (L, d) input to the handoff decoder
-    satisfaction_fused: Tensor    # (L, d) input to the satisfaction decoder
-    handoff_view: Tensor          # (L, d) projection before interaction
-    satisfaction_view: Tensor     # (L, d)
     attn_sat_to_handoff: Tensor   # (L, L); zero rows where nothing is allowed
     attn_handoff_to_sat: Tensor   # (L, L)
     position_weights: np.ndarray  # (L, L) constant
@@ -149,30 +145,15 @@ class BatchResult(InteractionOutput):
     local_satisfaction: Tensor    # (B, L_max, 3)
     importance: Tensor            # (B, L_max)
 
-    def __len__(self) -> int:
-        return len(self.lengths)
-
     def __getitem__(self, b: int) -> ForwardResult:
-        """Dialogue b's outputs, cut on the tape. Each padded tensor is cut
-        once, so no_interact's fused rows are its view rows."""
+        """Dialogue b's outputs, cut on the tape."""
         rows = (b, slice(0, self.lengths[b]))
-        cuts: dict[int, Tensor] = {}
-
-        def cut(t: Tensor) -> Tensor:
-            if id(t) not in cuts:
-                cuts[id(t)] = nm.row(t, rows)
-            return cuts[id(t)]
-
         attention = self.attention[b]
         return ForwardResult(
-            handoff_probs=cut(self.handoff_probs),
+            handoff_probs=nm.row(self.handoff_probs, rows),
             satisfaction_probs=nm.row(self.satisfaction_probs, b),
-            local_satisfaction=cut(self.local_satisfaction),
-            importance=cut(self.importance),
-            handoff_fused=cut(self.handoff_fused),
-            satisfaction_fused=cut(self.satisfaction_fused),
-            handoff_view=cut(self.handoff_view),
-            satisfaction_view=cut(self.satisfaction_view),
+            local_satisfaction=nm.row(self.local_satisfaction, rows),
+            importance=nm.row(self.importance, rows),
             attn_sat_to_handoff=attention.attn_sat_to_handoff,
             attn_handoff_to_sat=attention.attn_handoff_to_sat,
             position_weights=attention.position_weights)
@@ -319,11 +300,11 @@ class Model:
                       rng: np.random.Generator | None = None) -> BatchResult:
         """Run B dialogues in one pass, token_ids[b] and roles[b] as forward
         takes them, and return their outputs padded to the longest. The
-        encoder and the task projections run once on all their utterances,
-        the interaction's attention once per dialogue, and the fusion, both
-        decoders and the aggregation once on the batch-major (B, L_max, ...)
-        rows. result[b] has the bits of dialogue b's forward alone. Dropout
-        fires exactly when an rng is passed, and draws once for the batch."""
+        encoder, the task projections, the fusion, both decoders and the
+        aggregation run once on the batch-major (B, L_max, ...) rows, the
+        interaction's attention once per dialogue. result[b] has the bits
+        of dialogue b's forward alone. Dropout fires exactly when an rng is
+        passed, and draws once for the batch."""
         inter, is_customer = self._interaction(token_ids, roles, rng)
         handoff_probs, _ = decode_handoff(inter.handoff_fused, self.handoff_decoder)
         overall, local, importance = self._satisfaction(inter, is_customer)
@@ -351,16 +332,16 @@ class Model:
         for b, dialogue_roles in enumerate(roles):
             is_customer[b, :lengths[b]] = [r is Role.CUSTOMER for r in dialogue_roles]
 
-        rows = shared_encode([ids for dialogue in token_ids for ids in dialogue],
-                             self.encoder, cfg.max_dialogue_len,
-                             dropout=cfg.dropout, rng=rng, sizes=lengths)
-        handoff, satisfaction = task_projections(rows, self.interaction,
+        shared = shared_encode([ids for dialogue in token_ids for ids in dialogue],
+                               self.encoder, cfg.max_dialogue_len,
+                               dropout=cfg.dropout, rng=rng, sizes=lengths)
+        handoff, satisfaction = task_projections(shared, self.interaction,
                                                  cfg.activation)
-        cuts = [slice(end - n, end) for end, n in zip(np.cumsum(lengths), lengths)]
-        views = [(nm.row(handoff, cut), nm.row(satisfaction, cut)) for cut in cuts]
-        attention = [interact(v, is_customer[b, :n], mode=cfg.interaction_mode)
-                     for b, (v, n) in enumerate(zip(views, lengths))]
-        inter = fuse(views, attention, self.interaction, longest,
+        cuts = [(b, slice(0, n)) for b, n in enumerate(lengths)]
+        attention = [interact((nm.row(handoff, cut), nm.row(satisfaction, cut)),
+                              is_customer[cut], mode=cfg.interaction_mode)
+                     for cut in cuts]
+        inter = fuse(handoff, satisfaction, attention, self.interaction,
                      cfg.interaction_mode, cfg.activation)
         return inter, is_customer
 

@@ -124,25 +124,27 @@ def test_c03_role_selection_suite(probe_model):
     for _ in range(100):
         ids, roles = random_dialogue(rng, 40)
         is_customer = np.array([r is Role.CUSTOMER for r in roles])
-        out = probe_model.forward(ids, roles)
+        batch = probe_model.forward_batch([ids], [roles])  # padded, B = 1
+        out = batch[0]
         # (a) cross-attention mass on agent columns is exactly zero
         assert np.all(out.attn_sat_to_handoff.data[:, ~is_customer].sum() == 0.0)
         # (b) importance mass on agent positions is exactly zero
         assert out.importance.data[~is_customer].sum() == 0.0
         # (c1) perturbing the satisfaction view at agent rows leaves the
         #      fused handoff representation unchanged
-        perturbed = out.satisfaction_view.data.copy()
+        perturbed = batch.satisfaction_view.data[0].copy()
         perturbed[~is_customer] += rng.standard_normal(
             ((~is_customer).sum(), perturbed.shape[1])) * 5
         views_ref, views_alt = (
-            (nm.constant(out.handoff_view.data), nm.constant(s))
-            for s in (out.satisfaction_view.data, perturbed))
+            (nm.constant(batch.handoff_view.data[0]), nm.constant(s))
+            for s in (batch.satisfaction_view.data[0], perturbed))
         context_ref, _ = satisfaction_to_handoff(*views_ref, is_customer)
         context_alt, _ = satisfaction_to_handoff(*views_alt, is_customer)
         assert np.array_equal(context_ref.data, context_alt.data)
         fused_ref, fused_alt = (
-            fuse([views], [interact(views, is_customer)], probe_model.interaction,
-                 len(ids)).handoff_fused for views in (views_ref, views_alt))
+            fuse(*(nm.row(v, (None,)) for v in views), [interact(views, is_customer)],
+                 probe_model.interaction).handoff_fused
+            for views in (views_ref, views_alt))
         assert np.array_equal(fused_ref.data, fused_alt.data)
         # (c2) perturbing local satisfaction rows at agent positions leaves
         #      the dialogue distribution unchanged
@@ -264,7 +266,7 @@ def test_c08_ablation_consistency(trained, synthetic_splits, probe_model):
     ni_model = Model.build(cfg.model_config(vocab_size=40),
                            np.random.default_rng(1))
     ids, roles = random_dialogue(rng, 40)
-    out = ni_model.forward(ids, roles)
+    out = ni_model.forward_batch([ids], [roles])
     assert out.handoff_fused is out.handoff_view
     assert out.satisfaction_fused is out.satisfaction_view
 

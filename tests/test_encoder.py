@@ -26,14 +26,14 @@ def make_params(vocab, n, k, rng=None, zero=False):
 def test_zero_params_zero_vector():
     p = make_params(5, 3, k=2, zero=True)
     rep = enc.shared_encode([[2, 3, 4], [1]], p, max_len=2)
-    np.testing.assert_array_equal(rep.data[:, 2:], np.zeros((2, 4)))
+    np.testing.assert_array_equal(rep.data[0, :, 2:], np.zeros((2, 4)))
 
 
 def test_utterance_vector_length_2k():
     rng = np.random.default_rng(0)
     p = make_params(6, 3, k=2, rng=rng)
     rep = enc.shared_encode([[1], [2, 3]], p, max_len=3)
-    assert rep.shape == (2, 3 + 4)
+    assert rep.shape == (1, 2, 3 + 4)
 
 
 def test_empty_utterance_rejected():
@@ -49,7 +49,7 @@ def test_encode_matches_unrolled_cells():
     n, k, max_len = 3, 2, 4
     p = make_params(7, n, k, rng=rng)
     dialogue = [[2, 5], [3], [6, 1, 4]]
-    got = enc.shared_encode(dialogue, p, max_len=max_len).data[:, max_len:]
+    got = enc.shared_encode(dialogue, p, max_len=max_len).data[0, :, max_len:]
 
     emb = p.embedding.data
     zero = nm.constant(np.zeros(k))
@@ -100,18 +100,18 @@ def test_shared_encode_single_utterance():
     rng = np.random.default_rng(2)
     p = make_params(9, 3, k=2, rng=rng)
     rep = enc.shared_encode([[1, 2]], p, max_len=6)
-    assert rep.shape == (1, 6 + 4)
-    np.testing.assert_array_equal(rep.data[0, :6], np.zeros(6))
+    assert rep.shape == (1, 1, 6 + 4)
+    np.testing.assert_array_equal(rep.data[0, 0, :6], np.zeros(6))
 
 
 def test_shared_encode_causal_rows():
     rng = np.random.default_rng(3)
     p = make_params(12, 3, k=2, rng=rng)
     base = [[1, 2, 3], [4, 5], [6, 7], [8, 9]]
-    full = enc.shared_encode(base, p, max_len=6).data
+    full = enc.shared_encode(base, p, max_len=6).data[0]
     perturbed = [row[:] for row in base]
     perturbed[2] = [10, 11]
-    alt = enc.shared_encode(perturbed, p, max_len=6).data
+    alt = enc.shared_encode(perturbed, p, max_len=6).data[0]
     np.testing.assert_array_equal(full[:2], alt[:2])
     assert not np.array_equal(full[2], alt[2])
 
@@ -139,9 +139,9 @@ def test_shared_encode_prefixes_are_bit_identical():
     lengths = list(rng.integers(1, 9, size=23)) + [12]
     dialogue = [list(rng.integers(1, 30, size=n)) for n in lengths]
     max_len = 64
-    full = enc.shared_encode(dialogue, p, max_len=max_len).data
+    full = enc.shared_encode(dialogue, p, max_len=max_len).data[0]
     for cut in range(1, len(dialogue) + 1):
-        prefix = enc.shared_encode(dialogue[:cut], p, max_len=max_len).data
+        prefix = enc.shared_encode(dialogue[:cut], p, max_len=max_len).data[0]
         assert prefix[:, max_len:].tobytes() == full[:cut, max_len:].tobytes(), cut
         np.testing.assert_array_equal(prefix, full[:cut])
 
@@ -157,8 +157,8 @@ def test_ragged_utterance_vectors_bits_match_solo_encoding():
     max_len = 8
     full = enc.shared_encode(dialogue, p, max_len=max_len)
     for t, ids in enumerate(dialogue):
-        solo = enc.shared_encode([ids], p, max_len=max_len).data[0, max_len:]
-        assert solo.tobytes() == full.data[t, max_len:].tobytes(), t
+        solo = enc.shared_encode([ids], p, max_len=max_len).data[0, 0, max_len:]
+        assert solo.tobytes() == full.data[0, t, max_len:].tobytes(), t
     for dropout_rng in (None, np.random.default_rng(7)):
         p.embedding.grad = None
         rep = enc.shared_encode(dialogue, p, max_len=max_len, dropout=0.3,

@@ -20,12 +20,18 @@ def make_params(in_width, d, rng=None, zero=False):
     )
 
 
+def batch_of_one(t):
+    """(L, ...) -> the (1, L, ...) padded layout of a one-dialogue batch."""
+    return nm.row(t, (None,))
+
+
 def run_layer(x, is_customer, p, mode="full"):
     """One dialogue through the whole layer as forward_batch runs it, a
     batch of one: (padded output, the dialogue's attention)."""
-    views = ia.task_projections(x, p)
+    handoff, satisfaction = ia.task_projections(batch_of_one(x), p)
+    views = (nm.row(handoff, 0), nm.row(satisfaction, 0))
     attention = ia.interact(views, is_customer, mode=mode)
-    return ia.fuse([views], [attention], p, len(is_customer), mode=mode), attention
+    return ia.fuse(handoff, satisfaction, [attention], p, mode=mode), attention
 
 
 def test_projections_zero_params():
@@ -120,7 +126,7 @@ def test_handoff_to_sat_residual_path():
     s = nm.constant(rng.standard_normal((1, 3)))
     h = nm.constant(np.zeros((1, 3)))
     attention = ia.interact((h, s), np.array([True]))
-    q = ia.fuse([(h, s)], [attention], p, 1).satisfaction_fused
+    q = ia.fuse(batch_of_one(h), batch_of_one(s), [attention], p).satisfaction_fused
     expect = nm.layer_norm(s, p.norm_gain, p.norm_bias)
     np.testing.assert_allclose(q.data[0], expect.data, atol=1e-12)
 
@@ -186,7 +192,8 @@ def test_interact_role_perturbation_invariance():
     altered = base.copy()
     altered[~is_customer] += rng.standard_normal(((~is_customer).sum(), 4)) * 3
     fused1, fused2 = (
-        ia.fuse([(h, s)], [ia.interact((h, s), is_customer)], p, 5).handoff_fused
+        ia.fuse(batch_of_one(h), batch_of_one(s), [ia.interact((h, s), is_customer)],
+                p).handoff_fused
         for s in (nm.constant(base), nm.constant(altered)))
     np.testing.assert_array_equal(fused1.data, fused2.data)
 

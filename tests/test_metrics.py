@@ -145,9 +145,7 @@ class _StubModel:
             importance=nm.constant(np.zeros(length)),
             attn_sat_to_handoff=zeros,
             attn_handoff_to_sat=zeros,
-            position_weights=np.zeros((length, length)),
-            handoff_view=zeros, satisfaction_view=zeros,
-            handoff_fused=zeros, satisfaction_fused=zeros)
+            position_weights=np.zeros((length, length)))
 
 
 def oracle_predict(dialogue):

@@ -18,6 +18,11 @@ from handsat.model import Model, ModelConfig
 from handsat.synth import GeneratorSpec, synthesize_corpus
 
 
+# the padded rows a BatchResult carries and a ForwardResult does not
+PADDED_ROWS = ("handoff_view", "satisfaction_view", "handoff_fused",
+               "satisfaction_fused")
+
+
 def tiny_config(vocab_size, **overrides):
     base = dict(embed_dim=6, hidden_size=4, dense_size=4, attention_units=4,
                 max_dialogue_len=8, heads=2, dropout=0.0)
@@ -187,7 +192,7 @@ def test_trace_json_roundtrip(setup):
 def test_task_views_project_one_shared_tensor(setup):
     model, vocab, dialogues = setup
     d = dialogues[0]
-    out = model.forward(vocab.encode_dialogue(d), d.roles)
+    out = model.forward_batch([vocab.encode_dialogue(d)], [d.roles])
     shared = shared_encode(vocab.encode_dialogue(d), model.encoder,
                            model.config.max_dialogue_len)
     handoff, satisfaction = task_projections(shared, model.interaction,
@@ -201,7 +206,7 @@ def test_ablation_no_interact_exact_passthrough(setup):
     cfg = tiny_config(len(vocab), interaction_mode="no_interact")
     model = Model.build(cfg, np.random.default_rng(1))
     d = dialogues[0]
-    out = model.forward(vocab.encode_dialogue(d), d.roles)
+    out = model.forward_batch([vocab.encode_dialogue(d)], [d.roles])
     assert out.handoff_fused is out.handoff_view
     assert out.satisfaction_fused is out.satisfaction_view
 
@@ -221,7 +226,8 @@ def test_full_model_grad_check(setup):
 def test_forward_batch_bits_match_solo(mode, aggregate):
     """Every ForwardResult tensor of each dialogue of a batch of B = 1..16,
     with mixed lengths (across ROW_BLOCK) and roles, some without a
-    customer, has the bytes of the dialogue's forward alone."""
+    customer, and its rows of the padded views and fused rows, have the
+    bytes of the dialogue's forward alone (its batch of one)."""
     rng = np.random.default_rng(17)
     model = Model.build(tiny_config(30, max_dialogue_len=24, interaction_mode=mode,
                                     aggregate_mode=aggregate), rng)
@@ -236,13 +242,19 @@ def test_forward_batch_bits_match_solo(mode, aggregate):
             dialogues.append((ids, roles))
         out = model.forward_batch(*zip(*dialogues))
         for b, (ids, roles) in enumerate(dialogues):
-            solo = model.forward(ids, roles)
+            alone = model.forward_batch([ids], [roles])
+            solo = alone[0]
             cut = out[b]
             for f in dataclasses.fields(solo):
                 expect, got = (getattr(getattr(r, f.name), "data", getattr(r, f.name))
                                for r in (solo, cut))
                 assert got.shape == expect.shape, (batch, b, f.name)
                 assert got.tobytes() == expect.tobytes(), (batch, b, f.name)
+            for name in PADDED_ROWS:
+                expect = getattr(alone, name).data[0]
+                got = getattr(out, name).data[b, :len(ids)]
+                assert got.shape == expect.shape, (batch, b, name)
+                assert got.tobytes() == expect.tobytes(), (batch, b, name)
 
 
 @pytest.mark.parametrize("aggregate", AGGREGATE_MODES)
