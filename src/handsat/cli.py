@@ -25,7 +25,7 @@ from .corpus import (Role, build_vocab, corpus_stats, handoff_position_hist,
                      load_corpus, load_embeddings, parse_utterance, save_corpus)
 from .decoders import AGGREGATE_MODES
 from .errors import (CheckpointError, ConfigError, ContractError, CorpusError,
-                     HandsatError)
+                     HandsatError, path_reason)
 from .metrics import SECTIONS, evaluate_model
 from .model import Model, ModelConfig
 from .synth import GeneratorSpec, load_generator_spec, synthesize_corpus
@@ -57,8 +57,8 @@ def _open(path: str | Path, mode: str, error: type[HandsatError]):
     opened raises `error` with one line."""
     try:
         return open(path, mode, encoding="utf-8")
-    except OSError as e:
-        raise error(f"cannot open {path}: {e.strerror}") from None
+    except (OSError, ValueError) as e:
+        raise error(f"cannot open {path}: {path_reason(e)}") from None
 
 
 @dataclass
@@ -117,9 +117,9 @@ def cmd_train(args) -> int:
     ckpt_dir = Path(run.checkpoint_dir)
     try:
         ckpt_dir.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as e:  # ValueError: NUL or a lone surrogate
+    except (OSError, ValueError) as e:
         raise ConfigError(f"cannot create checkpoint_dir {ckpt_dir}: "
-                          f"{getattr(e, 'strerror', None) or e}") from None
+                          f"{path_reason(e)}") from None
 
     # progress lines only once every input has loaded, so a run that fails
     # on its inputs prints its one error line and nothing else
@@ -235,8 +235,8 @@ def cmd_synth(args) -> int:
     dialogues, report = synthesize_corpus(spec, seed=args.seed)
     try:
         save_corpus(dialogues, args.out)
-    except OSError as e:
-        raise ConfigError(f"cannot write {args.out}: {e.strerror}") from None
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"cannot write {args.out}: {path_reason(e)}") from None
     _log(f"wrote {len(dialogues)} dialogues to {args.out}")
     _emit(report.to_json())
     return EXIT_OK

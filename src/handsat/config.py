@@ -9,7 +9,7 @@ import math
 import reprlib
 from pathlib import Path
 
-from .errors import ConfigError, HandsatError
+from .errors import ConfigError, HandsatError, path_reason
 
 # field annotation -> (what the value must be, check); a JSON bool is never
 # accepted, although Python counts it as an int
@@ -66,8 +66,9 @@ def read_json(path: str | Path, what: str):
         text = path.read_bytes().decode("utf-8")
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}") from None
-    except OSError as e:
-        raise ConfigError(f"{what} file {path} cannot be read: {e.strerror}") from None
     except UnicodeDecodeError:
         raise ConfigError(f"{what} file {path} is not valid UTF-8") from None
+    except (OSError, ValueError) as e:
+        raise ConfigError(
+            f"{what} file {path} cannot be read: {path_reason(e)}") from None
     return parse_json(text, ConfigError, f"{what} file {path}")

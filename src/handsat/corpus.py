@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .config import parse_json
-from .errors import ConfigError, ContractError, CorpusError
+from .errors import ConfigError, ContractError, CorpusError, path_reason
 from .numerics import glorot_uniform
 
 
@@ -191,9 +191,8 @@ def _utf8_lines(path: Path) -> Iterator[tuple[int, str]]:
     opened and a line that is not valid UTF-8 raise CorpusError."""
     try:
         fh = path.open("rb")
-    except (OSError, ValueError) as e:  # ValueError: NUL or a lone surrogate
-        raise CorpusError(f"cannot open {path}: "
-                          f"{getattr(e, 'strerror', None) or e}") from None
+    except (OSError, ValueError) as e:
+        raise CorpusError(f"cannot open {path}: {path_reason(e)}") from None
     with fh:
         for line_no, raw in enumerate(fh, start=1):
             try:

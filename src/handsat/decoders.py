@@ -90,11 +90,10 @@ def transformer_block(x: Tensor, params: TransformerParams, heads: int) -> Tenso
     q = nm.split_heads(nm.linear_rows(x, params.wq, params.bq), heads)
     k = nm.split_heads(nm.linear_rows(x, params.wk), heads)
     v = nm.split_heads(nm.linear_rows(x, params.wv, params.bv), heads)
-    scores = nm.scale(nm.pairwise_scores(q, k), 1.0 / np.sqrt(width // heads))
-    allowed = np.broadcast_to(nm.tril(length), scores.data.shape)
-    attn = nm.masked_softmax(scores, allowed)
-    ctx = nm.merge_heads(nm.attend(attn, v))
-    attended = nm.linear_rows(ctx, params.wo, params.bo)
+    allowed = np.broadcast_to(nm.tril(length), q.data.shape[:-1] + (length,))
+    ctx, _ = nm.attention(q, k, v, allowed, reweight=lambda scores:
+                          nm.scale(scores, 1.0 / np.sqrt(width // heads)))
+    attended = nm.linear_rows(nm.merge_heads(ctx), params.wo, params.bo)
     x1 = nm.layer_norm(nm.add(x, attended), params.ln1_gain, params.ln1_bias)
     ff = nm.linear_rows(nm.relu(nm.linear_rows(x1, params.ff1_w, params.ff1_b)),
                         params.ff2_w, params.ff2_b)

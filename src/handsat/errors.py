@@ -20,3 +20,8 @@ class CorpusError(HandsatError):
 
 class CheckpointError(HandsatError):
     """Unreadable, corrupt, or incompatible checkpoint file."""
+
+
+def path_reason(error: OSError | ValueError) -> str:
+    """An OSError's strerror, or the ValueError of a NUL or lone surrogate."""
+    return getattr(error, "strerror", None) or str(error)

@@ -11,18 +11,19 @@ both directions:
     re-weighted by a position matrix that favors later positions, followed
     by a residual add and layer normalization.
 
-Masked-out attention rows produce zero context vectors, so position 1 (which
-has no past) contributes nothing rather than a uniform leak.
+Each direction is one numerics.attention call; only its mask and
+re-weighting say which. Masked-out attention rows produce zero context
+vectors, so position 1 (which has no past) contributes nothing rather than
+a uniform leak.
 
 Only the attention compares positions; everything else works row by row.
 Model.forward_batch runs task_projections once on a batch's padded
 (B, L_max, ·) rows, interact once per dialogue on that dialogue's (L, d)
-view slices (scores, masked softmax and attend in both directions), and
-fuse once on the padded views and the stacked contexts. interact stays
-per dialogue because the benchmark counts the attention's L x L pairs per
-interact call from its role mask; a batched interact waits for that count
-to come from each dialogue's own length. Fixed-shape row blocks keep every
-row's bits the same whichever rows share its products.
+view slices, and fuse once on the padded views and the stacked contexts.
+interact stays per dialogue because the benchmark counts the attention's
+L x L pairs per interact call from its role mask; a batched interact waits
+for that count to come from each dialogue's own length. Fixed-shape row
+blocks keep every row's bits the same whichever rows share its products.
 """
 
 from __future__ import annotations
@@ -89,24 +90,6 @@ def task_projections(shared: Tensor, params: InteractionParams,
     return handoff, satisfaction
 
 
-def satisfaction_to_handoff(
-    handoff_view: Tensor,
-    satisfaction_view: Tensor,
-    is_customer: np.ndarray,
-    select_roles: bool = True,
-) -> tuple[Tensor, Tensor]:
-    """The satisfaction context of each handoff position and its attention.
-    Each position may attend to strictly earlier positions; with role
-    selection on, only to earlier *customer* positions."""
-    length = handoff_view.data.shape[0]
-    allowed = nm.tril(length, -1)
-    if select_roles:
-        allowed = allowed & np.asarray(is_customer, dtype=bool)  # key columns
-    attn = nm.masked_softmax(nm.pairwise_scores(handoff_view, satisfaction_view),
-                             allowed)
-    return nm.attend(attn, satisfaction_view), attn
-
-
 @nm.per_length
 def position_matrix(length: int) -> np.ndarray:
     """(L, L) positional weights: row t - 1 is query position t's softmax of
@@ -116,30 +99,14 @@ def position_matrix(length: int) -> np.ndarray:
     return nm.masked_softmax(nm.constant(raw), nm.tril(length)).data
 
 
-def handoff_to_satisfaction(
-    satisfaction_view: Tensor,
-    handoff_view: Tensor,
-    position: np.ndarray,
-) -> tuple[Tensor, Tensor]:
-    """The handoff context of each satisfaction position and its attention:
-    past-inclusive, its scores re-weighted by the position matrix."""
-    length = satisfaction_view.data.shape[0]
-    if position.shape != (length, length):
-        raise ContractError("position matrix shape mismatch")
-    scores = nm.attend(nm.pairwise_scores(satisfaction_view, handoff_view),
-                       nm.constant(position))
-    attn = nm.masked_softmax(scores, nm.tril(length))
-    return nm.attend(attn, handoff_view), attn
-
-
 def interact(
     views: tuple[Tensor, Tensor],
     is_customer: np.ndarray,
     mode: str = "full",
 ) -> Attention:
     """The attention of one dialogue, from its (L, d) handoff and
-    satisfaction views and its (L,) role mask: scores, masked softmax and
-    attend in both directions. no_interact attends nowhere."""
+    satisfaction views and its (L,) role mask: one masked attention per
+    direction. no_interact attends nowhere."""
     if mode not in INTERACTION_MODES:
         raise ContractError(f"unknown interaction mode {mode!r}")
     handoff_view, satisfaction_view = views
@@ -149,11 +116,15 @@ def interact(
     if mode == "no_interact":
         zeros = nm.constant(np.zeros((length, length)))
         return Attention(None, None, zeros, zeros, np.zeros((length, length)))
-    s2h, attn_s2h = satisfaction_to_handoff(
-        handoff_view, satisfaction_view, is_customer,
-        select_roles=(mode != "no_select"))
+    allowed = nm.tril(length, -1)
+    if mode != "no_select":
+        allowed = allowed & np.asarray(is_customer, dtype=bool)  # key columns
+    s2h, attn_s2h = nm.attention(handoff_view, satisfaction_view,
+                                 satisfaction_view, allowed)
     position = np.eye(length) if mode == "no_position" else position_matrix(length)
-    h2s, attn_h2s = handoff_to_satisfaction(satisfaction_view, handoff_view, position)
+    h2s, attn_h2s = nm.attention(
+        satisfaction_view, handoff_view, handoff_view, nm.tril(length),
+        reweight=lambda scores: nm.attend(scores, nm.constant(position)))
     return Attention(s2h, h2s, attn_s2h, attn_h2s, position)
 
 

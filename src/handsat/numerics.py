@@ -39,11 +39,11 @@ runs beside it.
 Backward closures use plain BLAS products, where speed matters and bitwise
 prefix reproducibility does not.
 
-pairwise_scores and attend treat leading axes as batch axes. Multi-head
-attention uses that: split_heads turns (L, heads * h) into (heads, L, h),
-every head runs in one op on that axis, and merge_heads restores
-(L, heads * h). Each head's entries come from GEMMs of the same shapes and
-layouts as a 2-D call on that head alone, so they are bit-identical to it.
+Every attention is one attention() call; leading axes are batch axes, so
+split_heads' (L, heads * h) -> (heads, L, h) runs all heads in one call,
+and merge_heads restores (L, heads * h). Each head's entries come from
+GEMMs of the same shapes and layouts as a 2-D call on that head alone, so
+they are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -684,6 +684,20 @@ def masked_softmax(scores: Tensor, allowed: Array | None) -> Tensor:
         _accum(scores, out * (g - inner))
 
     return _make(out, (scores,), back)
+
+
+def attention(queries: Tensor, keys: Tensor, values: Tensor, allowed: Array,
+              reweight: Callable[[Tensor], Tensor] | None = None,
+              ) -> tuple[Tensor, Tensor]:
+    """(context, weights) of masked dot-product attention (Vaswani et al.,
+    2017), from the ops above in this order: pairwise_scores, reweight if
+    given, masked_softmax over `allowed` (the scores' shape), attend. A row
+    with nothing allowed gets a zero context."""
+    scores = pairwise_scores(queries, keys)
+    if reweight is not None:
+        scores = reweight(scores)
+    weights = masked_softmax(scores, allowed)
+    return attend(weights, values), weights
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

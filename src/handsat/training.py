@@ -26,7 +26,7 @@ from . import numerics as nm
 from .config import decode_config, parse_json
 from .corpus import (Dialogue, HandoffLabel, SatisfactionLabel, Vocabulary,
                      build_vocab, check_dialogues)
-from .errors import CheckpointError, ConfigError, CorpusError
+from .errors import CheckpointError, ConfigError, CorpusError, path_reason
 from .metrics import evaluate_model
 from .model import BatchResult, Model, ModelConfig, sub_batches
 from .numerics import Tensor
@@ -428,8 +428,9 @@ def load_checkpoint(path: str | Path) -> tuple[Model, Vocabulary, dict]:
     path = Path(path)
     try:
         content = path.read_bytes()
-    except OSError as e:
-        raise CheckpointError(f"cannot read checkpoint {path}: {e.strerror}") from None
+    except (OSError, ValueError) as e:
+        raise CheckpointError(
+            f"cannot read checkpoint {path}: {path_reason(e)}") from None
     reader = _Reader(content, end=len(content) - 4)  # the CRC is not read
     if reader.take(4) != MAGIC:
         raise CheckpointError(f"{path} is not a handsat checkpoint "

@@ -18,7 +18,7 @@ from handsat import numerics as nm
 from handsat import training as tr
 from handsat.corpus import Role, SatisfactionLabel, build_vocab, split_corpus
 from handsat.decoders import aggregate_variant
-from handsat.interaction import fuse, interact, satisfaction_to_handoff
+from handsat.interaction import fuse, interact
 from handsat.metrics import evaluate_model, gtt
 from handsat.model import Model
 from handsat.synth import GeneratorSpec, synthesize_corpus
@@ -138,8 +138,8 @@ def test_c03_role_selection_suite(probe_model):
         views_ref, views_alt = (
             (nm.constant(batch.handoff_view.data[0]), nm.constant(s))
             for s in (batch.satisfaction_view.data[0], perturbed))
-        context_ref, _ = satisfaction_to_handoff(*views_ref, is_customer)
-        context_alt, _ = satisfaction_to_handoff(*views_alt, is_customer)
+        context_ref, context_alt = (interact(views, is_customer).s2h_context
+                                    for views in (views_ref, views_alt))
         assert np.array_equal(context_ref.data, context_alt.data)
         fused_ref, fused_alt = (
             fuse(*(nm.row(v, (None,)) for v in views), [interact(views, is_customer)],

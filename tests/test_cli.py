@@ -234,6 +234,30 @@ def test_train_unopenable_path_is_data_error(workspace, tmp_path, capsys, key, n
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["predict", "{bad}"], 3, "data error: cannot read checkpoint"),
+    (["predict", "{ckpt}", "--input", "{bad}"], 3, "data error: cannot open"),
+    (["eval", "{bad}", "{corpus}"], 3, "data error: cannot read checkpoint"),
+    (["eval", "{ckpt}", "{corpus}", "--per-dialogue", "{bad}"], 2,
+     "config error: cannot open"),
+    (["train", "{bad}"], 2, "config error: config file"),
+    (["synth", "{bad}"], 2, "config error: cannot write"),
+    (["synth", "{out}", "--spec", "{bad}"], 2, "config error: generator spec file"),
+], ids=["predict", "predict_input", "eval", "eval_per_dialogue", "train", "synth",
+        "synth_spec"])
+@pytest.mark.parametrize("bad", ["a\x00b", "\ud800"], ids=["nul", "lone_surrogate"])
+def test_unopenable_path_argument_is_one_line(workspace, trained_run, tmp_path,
+                                              capsys, argv, code, message, bad):
+    """A path argument the OS cannot be asked about exits with one error
+    line and nothing on stdout, with the command's usual exit code."""
+    _, _, _, dev_path = workspace
+    names = {"bad": bad, "ckpt": str(trained_run / "model.ckpt"),
+             "corpus": str(dev_path), "out": str(tmp_path / "out.jsonl")}
+    got, out, err = run_cli(capsys, *(a.format(**names) for a in argv))
+    assert got == code and out == ""
+    assert err.count("\n") == 1 and err.startswith(message), err
+
+
 def test_train_checkpoint_dir_that_cannot_be_made_is_config_error(
         workspace, tmp_path, capsys):
     _, config_path, _, _ = workspace

@@ -66,7 +66,7 @@ def test_sat_to_handoff_single_candidate():
     x = nm.constant(rng.standard_normal((3, 6)))
     h, s = ia.task_projections(x, p)
     is_customer = np.array([False, True, False])
-    _, attn = ia.satisfaction_to_handoff(h, s, is_customer)
+    attn = ia.interact((h, s), is_customer).attn_sat_to_handoff
     np.testing.assert_array_equal(attn.data[2], [0.0, 1.0, 0.0])
     np.testing.assert_array_equal(attn.data[0], [0.0, 0.0, 0.0])  # no past
 
@@ -79,7 +79,7 @@ def test_sat_to_handoff_zero_agent_mass():
         x = nm.constant(rng.standard_normal((L, 8)))
         h, s = ia.task_projections(x, p)
         is_customer = rng.random(L) < 0.5
-        _, attn = ia.satisfaction_to_handoff(h, s, is_customer)
+        attn = ia.interact((h, s), is_customer).attn_sat_to_handoff
         assert np.all(attn.data[:, ~is_customer] == 0.0)
         # strictly-past: diagonal and above are zero
         assert np.all(np.triu(attn.data) == 0.0)
@@ -138,7 +138,7 @@ def test_handoff_to_sat_causal_mask():
         L = int(rng.integers(2, 9))
         x = nm.constant(rng.standard_normal((L, 8)))
         h, s = ia.task_projections(x, p)
-        _, attn = ia.handoff_to_satisfaction(s, h, ia.position_matrix(L))
+        attn = ia.interact((h, s), np.ones(L, dtype=bool)).attn_handoff_to_sat
         assert np.all(np.triu(attn.data, k=1) == 0.0)
         np.testing.assert_allclose(attn.data.sum(axis=1), np.ones(L), atol=1e-9)
 

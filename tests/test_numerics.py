@@ -591,6 +591,64 @@ def test_batched_pairwise_scores_and_attend_match_2d_slices():
                 np.testing.assert_array_equal(batched.grad[idx], sliced.grad)
 
 
+def test_attention_is_the_op_chain_forward_and_backward():
+    """attention() is pairwise_scores, the re-weighting, masked_softmax and
+    attend in that order: the same bits forward and the same gradients."""
+    rng = np.random.default_rng(31)
+    allowed = np.tril(np.ones((6, 6), dtype=bool), k=-1)
+    allowed[:, 2] = False
+    position = nm.constant(rng.random((6, 6)))
+    g = rng.standard_normal((6, 4))
+    runs = []
+    for composite in (True, False):
+        q, k, v = (rand_param((6, 4), np.random.default_rng(i)) for i in range(3))
+        if composite:
+            ctx, weights = nm.attention(q, k, v, allowed,
+                                        reweight=lambda s: nm.attend(s, position))
+        else:
+            scores = nm.attend(nm.pairwise_scores(q, k), position)
+            weights = nm.masked_softmax(scores, allowed)
+            ctx = nm.attend(weights, v)
+        nm.sum_all(nm.mul(ctx, nm.constant(g))).backward()
+        runs.append([ctx.data, weights.data, q.grad, k.grad, v.grad])
+    for a, b in zip(*runs):
+        assert a.tobytes() == b.tobytes()
+    np.testing.assert_array_equal(runs[0][0][0], 0.0)  # a row with no key
+
+
+def test_attention_padded_batch_bits_match_each_dialogue():
+    """A (B, L_max, d) batch whose masks are False past each dialogue's
+    length gives each dialogue the context and weights bits of its own
+    unpadded call, whatever the padded rows hold, without and with a
+    row-wise re-weighting; a row with nothing allowed gets a zero context."""
+    rng = np.random.default_rng(37)
+    for case in range(200):
+        batch, width = int(rng.integers(1, 6)), int(rng.choice([4, 8, 32]))
+        lengths = rng.integers(1, 50, size=batch)
+        longest = int(lengths.max())
+        q, k, v = (rng.standard_normal((batch, longest, width)) for _ in range(3))
+        allowed = np.zeros((batch, longest, longest), dtype=bool)
+        for b, n in enumerate(lengths):
+            allowed[b, :n, :n] = np.tri(n, n, -int(rng.integers(0, 2)), dtype=bool)
+            allowed[b, :n, :n] &= rng.random(n) < 0.7
+        reweight = None if case % 2 else (lambda s: nm.scale(s, 0.3))
+
+        def call(*arrays):
+            ctx, weights = nm.attention(*map(nm.constant, arrays[:3]), arrays[3],
+                                        reweight)
+            return ctx.data, weights.data
+
+        ctx, weights = call(q, k, v, allowed)
+        for b, n in enumerate(lengths):
+            solo_ctx, solo_weights = call(q[b, :n], k[b, :n], v[b, :n],
+                                          allowed[b, :n, :n])
+            assert ctx[b, :n].tobytes() == solo_ctx.tobytes(), case
+            assert weights[b, :n, :n].tobytes() == solo_weights.tobytes(), case
+            assert np.all(weights[b, :n, n:] == 0.0)
+            empty = ~allowed[b, :n, :n].any(axis=1)
+            assert np.all(ctx[b, :n][empty] == 0.0)
+
+
 def test_pairwise_scores_and_attend_match_blas():
     rng = np.random.default_rng(19)
     a = rng.standard_normal((5, 4))
