@@ -10,6 +10,7 @@ failure (divergence or a failed gradient check).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -175,13 +176,16 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"unknown section {s!r}; choose from {SECTIONS}")
     model, vocab, _ = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.corpus, model.config.max_dialogue_len)
-    report, per_dialogue = evaluate_model(model, vocab, corpus,
-                                          sections=sections,
-                                          aggregate=args.aggregate)
-    if args.per_dialogue:
-        with _open(args.per_dialogue, "w", ConfigError) as fh:
+    # Opened before evaluating, so a path that cannot be written fails first.
+    with (_open(args.per_dialogue, "w", ConfigError) if args.per_dialogue
+          else contextlib.nullcontext()) as fh:
+        report, per_dialogue = evaluate_model(model, vocab, corpus,
+                                              sections=sections,
+                                              aggregate=args.aggregate)
+        if fh is not None:
             for row in per_dialogue:
                 fh.write(json.dumps(row) + "\n")
+    if fh is not None:
         _log(f"per-dialogue breakdown written to {args.per_dialogue}")
     _emit(report.to_json())
     return EXIT_OK

@@ -52,7 +52,9 @@ from .numerics import LstmParams, Tensor
 # even split keeps the 4 forwards per optimizer batch of 5+5+5+1 with the
 # smaller tape of size 4: with the row-wise interaction and the losses per
 # sub-batch, 4 x 4 read 46.57 [46.52, 46.61] MB against 46.95 [46.91,
-# 46.99] for 5+5+5+1 with them per dialogue (10 pairs).
+# 46.99] for 5+5+5+1 with them per dialogue (10 pairs). These peak RSS
+# figures were taken while glibc still trimmed the heap top after each
+# backward (before numerics raised its trim threshold).
 SUB_BATCH = 5
 
 

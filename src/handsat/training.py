@@ -22,6 +22,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # Unix only
+    resource = None
+
 from . import numerics as nm
 from .config import decode_config, parse_json
 from .corpus import (Dialogue, HandoffLabel, SatisfactionLabel, Vocabulary,
@@ -233,6 +238,13 @@ class TrainResult:
     message: str = ""
 
 
+def _minor_page_faults() -> int | None:
+    """The process's minor page faults so far; None without resource."""
+    if resource is None:
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _selection_metric(report) -> float:
     return report.mhch["macro_f1"] + report.ssa["macro_f1"]
 
@@ -253,8 +265,9 @@ def train(
     they are evaluation-only. Each history entry also records the epoch's
     largest gradient norm before clipping and the number of clipped batches.
     Wall times go to result.timing, one record per epoch (its seconds,
-    training steps and dev evaluation, and training dialogues per second),
-    so same-seed histories stay equal.
+    training steps and dev evaluation, training dialogues per second, and
+    the process's minor page faults over the epoch, None where the resource
+    module is missing), so same-seed histories stay equal.
     """
     config.validate()
     if not train_corpus or not dev_corpus:
@@ -277,7 +290,7 @@ def train(
     epochs_since_best = 0
 
     for epoch in range(config.max_epochs):
-        started = time.perf_counter()
+        started, faults_before = time.perf_counter(), _minor_page_faults()
         order = order_rng.permutation(len(encoded))
         epoch_losses: list[float] = []
         grad_norm_preclip, clipped = 0.0, 0
@@ -316,9 +329,12 @@ def train(
             "dev_satisfaction_accuracy": report.ssa["accuracy"],
             "dev_selection": selection,
         })
-        seconds = time.perf_counter() - started
-        result.timing.append({"epoch": epoch, "epoch_seconds": seconds,
-                              "dialogues_per_second": len(encoded) / seconds})
+        seconds, faults = time.perf_counter() - started, _minor_page_faults()
+        result.timing.append({
+            "epoch": epoch, "epoch_seconds": seconds,
+            "dialogues_per_second": len(encoded) / seconds,
+            "minor_page_faults": None if faults is None else faults - faults_before,
+        })
         if selection > result.best_selection:
             result.best_selection = selection
             result.best_epoch = epoch

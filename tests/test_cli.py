@@ -247,9 +247,15 @@ def test_train_unopenable_path_is_data_error(workspace, tmp_path, capsys, key, n
         "synth_spec"])
 @pytest.mark.parametrize("bad", ["a\x00b", "\ud800"], ids=["nul", "lone_surrogate"])
 def test_unopenable_path_argument_is_one_line(workspace, trained_run, tmp_path,
-                                              capsys, argv, code, message, bad):
+                                              capsys, monkeypatch, argv, code,
+                                              message, bad):
     """A path argument the OS cannot be asked about exits with one error
-    line and nothing on stdout, with the command's usual exit code."""
+    line and nothing on stdout, with the command's usual exit code, and
+    before eval evaluates anything."""
+    def evaluation_started(*args, **kwargs):
+        raise AssertionError("evaluate_model ran before the path was opened")
+
+    monkeypatch.setattr(cli, "evaluate_model", evaluation_started)
     _, _, _, dev_path = workspace
     names = {"bad": bad, "ckpt": str(trained_run / "model.ckpt"),
              "corpus": str(dev_path), "out": str(tmp_path / "out.jsonl")}
