@@ -49,15 +49,15 @@ Importing this module sets one allocator policy: glibc's trim threshold
 (M_TRIM_THRESHOLD, mallopt(3)) is raised to TRIM_THRESHOLD = 64 MiB. A
 training sub-batch's tape is freed at once by its backward, and with the
 default threshold glibc handed the heap top back to the kernel, so the next
-sub-batch faulted the same pages in again: 17.5k-19.9k minor page faults per
-epoch of the benchmark's train workload (seed 7, 2 vCPUs), 98% of them in
-lstm_sequence's forward calls and in backward, against 5-71 per epoch from
-the third on with the threshold raised. Raising the mmap threshold as well
-gave 6-53 per epoch and no lower peak RSS, so that one stays at glibc's
-default. The policy is process-wide: it holds for every malloc in the
-process. It applies to glibc only; where the C library has no mallopt
-(macOS, Windows) nothing is set. It changes no arithmetic, so every output
-keeps its bits.
+sub-batch faulted the same pages in again: 9.6k-19.9k minor page faults per
+epoch of the benchmark's train workload (seed 7, 2 vCPUs, three processes
+of 6-10 epochs), 98% of them in lstm_sequence's forward calls and in
+backward, against 4-98 per epoch from the third on with the threshold
+raised. Raising the mmap threshold as well gave 6-53 per epoch after the
+first and no lower peak RSS, so that one stays at glibc's default. The
+policy is process-wide: it holds for every malloc in the process. It
+applies to glibc only; where the C library has no mallopt (macOS, Windows)
+nothing is set. It changes no arithmetic, so every output keeps its bits.
 """
 
 from __future__ import annotations
