@@ -28,6 +28,9 @@ Sections:
     gradcheck
         the stdout of `handsat gradcheck --samples 4 --seed 0`: the
         dropout-free objective's sampled gradients against finite differences
+    checkpoint
+        the bytes of a seeded model's checkpoint saved, loaded and saved
+        again: these lines move when the container's format does
 
 Run it on both versions, at each BLAS thread count, and compare the lines:
 
@@ -51,7 +54,8 @@ from handsat.interaction import INTERACTION_MODES
 from handsat.metrics import SECTIONS, evaluate_model
 from handsat.model import Model
 from handsat.synth import GeneratorSpec, synthesize_corpus
-from handsat.training import TrainConfig, objective_terms, save_checkpoint, train
+from handsat.training import (TrainConfig, load_checkpoint, objective_terms,
+                              save_checkpoint, train)
 
 # the forward tensors, by name; every other result field is derived or gone.
 # The views and fused rows are read from the padded forward_batch result.
@@ -176,9 +180,23 @@ def gradcheck_section():
     yield "gradcheck", _cli_digest(["gradcheck", "--samples", "4", "--seed", "0"])
 
 
+def checkpoint_section():
+    dialogues, _ = synthesize_corpus(GeneratorSpec(num_dialogues=3), seed=19)
+    vocab = build_vocab(dialogues)
+    model = Model.build(TrainConfig(**SMALL).model_config(len(vocab)),
+                        np.random.default_rng(10))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.ckpt", Path(tmp) / "second.ckpt"
+        save_checkpoint(model, vocab, first, extra={"best_epoch": 0})
+        loaded, loaded_vocab, extra = load_checkpoint(first)
+        save_checkpoint(loaded, loaded_vocab, second, extra=extra)
+        yield "checkpoint", hashlib.sha256(second.read_bytes())
+
+
 def main() -> int:
     for sections in (forward_sections, gradient_section, train_sections,
-                     eval_sections, predict_section, gradcheck_section):
+                     eval_sections, predict_section, gradcheck_section,
+                     checkpoint_section):
         for name, digest in sections():
             print(f"{digest.hexdigest()}  {name}", flush=True)
     return 0

@@ -134,13 +134,15 @@ def cmd_train(args) -> int:
         _log("epoch timing: " + json.dumps(record))
 
     ckpt_path = ckpt_dir / "model.ckpt"
-    save_checkpoint(result.model, result.vocab, ckpt_path,
-                    extra={"train_config": cfg.to_json(),
-                           "best_epoch": result.best_epoch})
-    history_path = ckpt_dir / "history.jsonl"
-    with history_path.open("w", encoding="utf-8") as fh:
-        for line in result.history:
-            fh.write(json.dumps(line) + "\n")
+    try:
+        save_checkpoint(result.model, result.vocab, ckpt_path,
+                        extra={"train_config": cfg.to_json(),
+                               "best_epoch": result.best_epoch})
+        (ckpt_dir / "history.jsonl").write_text(
+            "".join(json.dumps(line) + "\n" for line in result.history), "utf-8")
+    except OSError as e:
+        raise ConfigError(f"cannot write {e.filename or ckpt_dir}: "
+                          f"{path_reason(e)}") from None
     _log(f"checkpoint written to {ckpt_path}")
     if result.diverged:
         _log(f"training diverged: {result.message}")

@@ -10,15 +10,16 @@ classes, present or not.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import (SENTIMENT_CLASSES, SATISFACTION_CLASSES, Dialogue,
-                     HandoffLabel, Role, check_dialogues)
-from .decoders import aggregate_variant, map_sentiment
+                     HandoffLabel, check_dialogues)
+from .decoders import map_sentiment
 from .errors import ContractError, CorpusError
+from .model import Model, sub_batches
 
 GT_TOLERANCES = (1, 2, 3)
 SECTIONS = ("mhch", "ssa", "sentiment")
@@ -100,8 +101,9 @@ def evaluate_model(
     of its forward alone. A corpus that check_dialogues refuses raises
     CorpusError before any forward.
 
-    aggregate overrides the checkpoint's aggregation mode for the
-    satisfaction section only. mhch's gt (GT-I..III) averages the rows' gt.
+    aggregate overrides the model's aggregation mode: the forward runs the
+    same blocks under a config with that mode, which only the dialogue
+    distributions read. mhch's gt (GT-I..III) averages the rows' gt.
     """
     for s in sections:
         if s not in SECTIONS:
@@ -124,44 +126,47 @@ def evaluate_model(
     sent_preds, sent_golds = [], []
     per_dialogue: list[dict] = []
 
-    ordered = sorted(corpus, key=lambda d: d.id)
-    for d, result in zip(ordered, model.forward_dialogues(ordered, vocab)):
-        probs = result.handoff_probs.data
-        pred_labels = [HandoffLabel.TRANSFERABLE if int(np.argmax(row)) == 1
-                       else HandoffLabel.NORMAL for row in probs]
-        gold_labels = [u.handoff for u in d.utterances]
-        handoff_preds.extend(pred_labels)
-        handoff_golds.extend(gold_labels)
-        pred_pos = [t + 1 for t, lab in enumerate(pred_labels)
-                    if lab is HandoffLabel.TRANSFERABLE]
-        gold_pos = [t + 1 for t, lab in enumerate(gold_labels)
-                    if lab is HandoffLabel.TRANSFERABLE]
+    if aggregate is not None:
+        model = Model(replace(model.config, aggregate_mode=aggregate), model.encoder,
+                      model.interaction, model.handoff_decoder,
+                      model.satisfaction_decoder)
+    for part in sub_batches(sorted(corpus, key=lambda d: d.id)):
+        with model.untaped():
+            batch = model.forward_batch([vocab.encode_dialogue(d) for d in part],
+                                        [d.roles for d in part])
+        for d, result in zip(part, batch):
+            probs = result.handoff_probs.data
+            pred_labels = [HandoffLabel.TRANSFERABLE if int(np.argmax(row)) == 1
+                           else HandoffLabel.NORMAL for row in probs]
+            gold_labels = [u.handoff for u in d.utterances]
+            handoff_preds.extend(pred_labels)
+            handoff_golds.extend(gold_labels)
+            pred_pos = [t + 1 for t, lab in enumerate(pred_labels)
+                        if lab is HandoffLabel.TRANSFERABLE]
+            gold_pos = [t + 1 for t, lab in enumerate(gold_labels)
+                        if lab is HandoffLabel.TRANSFERABLE]
 
-        sat_probs = result.satisfaction_probs
-        if aggregate is not None and aggregate != model.config.aggregate_mode:
-            is_customer = np.array([r is Role.CUSTOMER for r in d.roles])
-            sat_probs = aggregate_variant(result.local_satisfaction, is_customer,
-                                          aggregate, importance=result.importance)
-        sat_pred = SATISFACTION_CLASSES[int(np.argmax(sat_probs.data))]
-        sat_preds.append(sat_pred)
-        sat_golds.append(d.satisfaction)
+            sat_pred = SATISFACTION_CLASSES[
+                int(np.argmax(result.satisfaction_probs.data))]
+            sat_preds.append(sat_pred)
+            sat_golds.append(d.satisfaction)
 
-        if "sentiment" in sections:
-            mapped = map_sentiment(result.local_satisfaction.data, d.roles)
-            for t, u in enumerate(d.utterances):
-                if u.sentiment is not None:
-                    sent_preds.append(mapped[t])
-                    sent_golds.append(u.sentiment)
+            if "sentiment" in sections:
+                mapped = map_sentiment(result.local_satisfaction.data, d.roles)
+                for t, u in enumerate(d.utterances):
+                    if u.sentiment is not None:
+                        sent_preds.append(mapped[t])
+                        sent_golds.append(u.sentiment)
 
-        per_dialogue.append({
-            "id": d.id,
-            "gold_satisfaction": d.satisfaction.value,
-            "pred_satisfaction": sat_pred.value,
-            "gold_handoff_positions": gold_pos,
-            "pred_handoff_positions": pred_pos,
-            "gt": {str(tol): gtt(pred_pos, gold_pos, tol)
-                   for tol in GT_TOLERANCES},
-        })
+            per_dialogue.append({
+                "id": d.id,
+                "gold_satisfaction": d.satisfaction.value,
+                "pred_satisfaction": sat_pred.value,
+                "gold_handoff_positions": gold_pos,
+                "pred_handoff_positions": pred_pos,
+                "gt": {str(tol): gtt(pred_pos, gold_pos, tol)
+                       for tol in GT_TOLERANCES},
+            })
 
     report = MetricsReport()
     if "mhch" in sections:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import numerics as nm
 from .config import decode_config
-from .corpus import Dialogue, Role, Vocabulary, init_embeddings
+from .corpus import Role, init_embeddings
 from .decoders import (AGGREGATE_MODES, HandoffDecoderParams,
                        SatisfactionDecoderParams, TransformerParams,
                        aggregate_variant, decode_handoff, decode_satisfaction)
@@ -363,16 +363,6 @@ class Model:
     def session(self) -> "Session":
         """An empty stream, to push one utterance at a time."""
         return Session(self)
-
-    def forward_dialogues(self, dialogues: Sequence[Dialogue],
-                          vocab: Vocabulary) -> Iterator[ForwardResult]:
-        """forward() of each corpus dialogue in order, from one forward_batch
-        per sub-batch, untaped (the results are constants)."""
-        for part in sub_batches(dialogues):
-            with self.untaped():
-                result = self.forward_batch([vocab.encode_dialogue(d) for d in part],
-                                            [d.roles for d in part])
-            yield from result
 
 
 class Session:

@@ -9,10 +9,10 @@ per-batch reductions run in a fixed order.
 from __future__ import annotations
 
 import functools
-import io
 import json
 import math
 import os
+import reprlib
 import struct
 import time
 import zlib
@@ -361,105 +361,81 @@ def _restore(model: Model, snapshot: dict[str, np.ndarray]) -> None:
 #
 # Byte layout (little-endian):
 #   magic   4 bytes  b"HSAT"
-#   version u32      currently 3 (2 had no crc and other block names, 1 also
-#                    stored layer_norm_eps in model_config)
-#   meta    u64 length + UTF-8 JSON:
-#           {"model_config": {...}, "vocab": [...], "extra": {...}}
-#   count   u32      number of parameter blocks
-#   per block:
-#     name  u32 length + UTF-8
-#     dtype u32 length + UTF-8 (numpy dtype string, always "<f8")
-#     ndim  u32, then ndim * u64 dims
-#     data  raw C-order bytes
+#   version u32      currently 4 (README "Checkpoints" says what 1-3 held)
+#   meta    u64 length + UTF-8 JSON: {"model_config": {...}, "vocab": {...},
+#           "extra": {...}, "blocks": [[name, shape], ...]}
+#   body    each block's raw C-order float64 values, in "blocks" order
 #   crc     u32      zlib.crc32 of every byte before it
 #
-# Round-trips are bit-exact: values are written as raw float64. Block names
-# are the dotted field paths of Model.blocks.
+# The stored config fixes every block's name (its dotted field path in
+# Model.blocks), order and shape, so the list in "blocks" only restates them
+# once and the body needs no per-block headers. Round-trips are bit-exact.
 
 MAGIC = b"HSAT"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def save_checkpoint(model: Model, vocab: Vocabulary, path: str | Path,
                     extra: dict | None = None) -> None:
-    path = Path(path)
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<I", FORMAT_VERSION))
     meta = json.dumps({
         "model_config": model.config.to_json(),
         "vocab": vocab.to_json(),
         "extra": extra or {},
+        "blocks": [[name, list(t.data.shape)] for name, t in model.blocks.items()],
     }, sort_keys=True).encode("utf-8")
-    buf.write(struct.pack("<Q", len(meta)))
-    buf.write(meta)
-    buf.write(struct.pack("<I", len(model.blocks)))
-    for name, tensor in model.blocks.items():
-        raw = name.encode("utf-8")
-        buf.write(struct.pack("<I", len(raw)))
-        buf.write(raw)
-        arr = np.ascontiguousarray(tensor.data, dtype="<f8")
-        dt = arr.dtype.str.encode("ascii")
-        buf.write(struct.pack("<I", len(dt)))
-        buf.write(dt)
-        buf.write(struct.pack("<I", arr.ndim))
-        for dim in arr.shape:
-            buf.write(struct.pack("<Q", dim))
-        buf.write(arr.tobytes())
-    buf.write(struct.pack("<I", zlib.crc32(buf.getvalue())))
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(buf.getvalue())
+    content = b"".join([MAGIC, struct.pack("<IQ", FORMAT_VERSION, len(meta)), meta,
+                        *(np.ascontiguousarray(t.data, dtype="<f8").tobytes()
+                          for t in model.blocks.values())])
+    tmp = Path(f"{path}.tmp")
+    tmp.write_bytes(content + struct.pack("<I", zlib.crc32(content)))
     os.replace(tmp, path)
 
 
-class _Reader:
-    """Sequential reads from a checkpoint's bytes up to `end`. Every length
-    is checked against the bytes left before anything is read or
-    allocated."""
-
-    def __init__(self, data: bytes, end: int):
-        self.data, self.pos, self.end = data, 0, end
-
-    def take(self, n: int) -> bytes:
-        if n > self.end - self.pos:
-            raise CheckpointError("checkpoint truncated")
-        self.pos += n
-        return self.data[self.pos - n:self.pos]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+def _block_mismatch(stored, blocks: dict[str, Tensor]) -> str:
+    """Why the stored block list (untrusted JSON) is not blocks' own."""
+    if not (isinstance(stored, list) and all(
+            isinstance(b, list) and len(b) == 2 and isinstance(b[0], str)
+            for b in stored)):
+        return "invalid checkpoint metadata: blocks is not a list of [name, shape]"
+    shapes = dict(stored)
+    missing, surplus = blocks.keys() - shapes, shapes.keys() - blocks.keys()
+    if missing or surplus:
+        return (f"block mismatch: missing {sorted(missing)}, "
+                f"surplus {reprlib.repr(sorted(surplus))}")
+    for name, tensor in blocks.items():
+        if shapes[name] != list(tensor.data.shape):
+            return (f"block {name!r}: stored shape {reprlib.repr(shapes[name])} "
+                    f"!= configured {list(tensor.data.shape)}")
+    return "blocks stored out of order or repeated"
 
 
 def load_checkpoint(path: str | Path) -> tuple[Model, Vocabulary, dict]:
-    """Rebuild the model from a container. The stored config must name
-    every ModelConfig field, and the vocabulary must hold vocab_size
-    distinct tokens. The stored block names and shapes are checked against
-    those the stored config implies before the model takes the stored
-    arrays, so no config can make loading allocate more than the file
-    holds. The CRC32 is checked before the metadata is read, and bytes
-    between the last block and the CRC are refused."""
-    path = Path(path)
+    """Rebuild the model from a container, refusing it at the first of: the
+    magic, the version, the CRC32, the metadata (a config naming every
+    ModelConfig field, vocab_size distinct tokens, the config's block list)
+    and the body's length, so that no config can make loading allocate more
+    than the file holds."""
     try:
-        content = path.read_bytes()
+        content = Path(path).read_bytes()
     except (OSError, ValueError) as e:
         raise CheckpointError(
             f"cannot read checkpoint {path}: {path_reason(e)}") from None
-    reader = _Reader(content, end=len(content) - 4)  # the CRC is not read
-    if reader.take(4) != MAGIC:
+    if content[:4] != MAGIC:
         raise CheckpointError(f"{path} is not a handsat checkpoint "
                               "(bad magic bytes)")
-    version = reader.u32()
+    if len(content) < 20:
+        raise CheckpointError("checkpoint truncated")
+    version, meta_len = struct.unpack_from("<IQ", content, 4)
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     if zlib.crc32(memoryview(content)[:-4]) != struct.unpack("<I", content[-4:])[0]:
         raise CheckpointError(f"checkpoint {path} is truncated or corrupt "
                               "(CRC32 mismatch)")
-    meta_bytes = reader.take(reader.u64())
+    offset = 16 + meta_len
+    if offset > len(content) - 4:
+        raise CheckpointError("checkpoint truncated")
     try:
-        meta = parse_json(meta_bytes.decode("utf-8"), CheckpointError,
+        meta = parse_json(content[16:offset].decode("utf-8"), CheckpointError,
                           "checkpoint metadata")
         if not isinstance(meta, dict):
             raise ValueError("metadata is not a JSON object")
@@ -469,32 +445,19 @@ def load_checkpoint(path: str | Path) -> tuple[Model, Vocabulary, dict]:
             raise ValueError(f"{len(vocab)} vocabulary tokens for "
                              f"vocab_size {config.vocab_size}")
         extra = meta.get("extra", {})
+        stored = meta["blocks"]
         model = Model.skeleton(config)
     except (KeyError, ValueError, ConfigError) as e:
         raise CheckpointError(f"invalid checkpoint metadata: {e}") from None
-    stored: dict[str, tuple[int, ...]] = {}  # name -> shape
-    for _ in range(reader.u32()):
-        name = reader.take(reader.u32()).decode("utf-8", "replace")
-        dtype = reader.take(reader.u32())
-        if dtype != b"<f8":
-            raise CheckpointError(f"block {name!r}: unsupported dtype {dtype!r}")
-        shape = tuple(reader.u64() for _ in range(reader.u32()))
-        data = reader.take(math.prod(shape) * 8)
-        stored[name] = shape
-        # only configured shapes are built (a stored one may have 65 axes)
-        if name in model.blocks and shape == model.blocks[name].data.shape:
-            model.blocks[name].data = np.frombuffer(data, "<f8").reshape(shape).copy()
-
-    if reader.pos != reader.end:
-        raise CheckpointError("trailing bytes after the last block")
-    missing = set(model.blocks) - set(stored)
-    surplus = set(stored) - set(model.blocks)
-    if missing or surplus:
-        raise CheckpointError(
-            f"block mismatch: missing {sorted(missing)}, surplus {sorted(surplus)}")
-    for name, tensor in model.blocks.items():
-        if stored[name] != tensor.data.shape:
-            raise CheckpointError(
-                f"block {name!r}: stored shape {stored[name]} != "
-                f"configured {tensor.data.shape}")
+    if stored != [[name, list(t.data.shape)] for name, t in model.blocks.items()]:
+        raise CheckpointError(_block_mismatch(stored, model.blocks))
+    size = sum(t.data.size for t in model.blocks.values())
+    surplus = len(content) - 4 - offset - 8 * size
+    if surplus:
+        raise CheckpointError("trailing bytes after the last block" if surplus > 0
+                              else "checkpoint truncated")
+    for tensor in model.blocks.values():
+        count, shape = tensor.data.size, tensor.data.shape
+        tensor.data = np.frombuffer(content, "<f8", count, offset).reshape(shape).copy()
+        offset += 8 * count
     return model, vocab, extra

@@ -1,5 +1,6 @@
 """scripts/bit_digest.py prints one SHA-256 per section of what the model
-computes (forward, gradients, training, evaluation, predict, gradcheck).
+computes (forward, gradients, training, evaluation, predict, gradcheck)
+and of the checkpoint container's bytes.
 OpenBLAS reads its thread count once, at import, so the digest runs in two
 fresh interpreters, at 1 and at 2 BLAS threads, side by side."""
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from handsat import cli
 from handsat.corpus import (Vocabulary, build_vocab, dialogue_to_json, load_corpus,
                             save_corpus)
-from handsat.model import Model
+from handsat.model import Model, ModelConfig
 from handsat.synth import GeneratorSpec, synthesize_corpus
 from handsat.training import FORMAT_VERSION, TrainConfig, save_checkpoint
 
@@ -279,6 +279,25 @@ def test_train_checkpoint_dir_that_cannot_be_made_is_config_error(
     assert err.splitlines()[-1].startswith("config error: cannot create checkpoint_dir")
 
 
+@pytest.mark.parametrize("name", ["model.ckpt.tmp", "history.jsonl"])
+def test_train_output_that_cannot_be_written_is_config_error(
+        workspace, tmp_path, capsys, name):
+    """A directory where train writes the checkpoint (through its .tmp
+    file) or the history ends the run with one 'cannot write' line."""
+    _, config_path, _, _ = workspace
+    (tmp_path / "run" / name).mkdir(parents=True)
+    cfg = json.loads(config_path.read_text())
+    cfg["paths"]["checkpoint_dir"] = str(tmp_path / "run")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, "train", str(path))
+    assert code == 2
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert errors == [err.splitlines()[-1]]
+    assert errors[0].startswith("config error: cannot write ")
+    assert errors[0].endswith(f"{name}: Is a directory")
+
+
 def test_train_unknown_config_key(workspace, tmp_path, capsys):
     _, config_path, _, _ = workspace
     cfg = json.loads(config_path.read_text())
@@ -498,32 +517,38 @@ def seal(body: bytes) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def checkpoint_bytes(meta=None, meta_len=None, dtype=b"<f8", dims=(2,)):
-    """A sealed one-block HSAT container with the given fields."""
+def checkpoint_bytes(meta=None, meta_len=None, blocks=(("w", (2,)),)):
+    """A sealed HSAT container with a 16-byte body and the given fields; a
+    metadata object without a block list gets `blocks`."""
     if meta is None:
         meta = {"model_config": stored_config(),
                 "vocab": {"tokens": ["<pad>", "<unk>"]}, "extra": {}}
+    if isinstance(meta, dict):
+        meta = {"blocks": blocks, **meta}
     raw = meta.encode() if isinstance(meta, str) else json.dumps(meta).encode()
     out = b"HSAT" + struct.pack("<IQ", FORMAT_VERSION,
                                 len(raw) if meta_len is None else meta_len)
-    out += raw + struct.pack("<II", 1, 1) + b"w"
-    out += struct.pack("<I", len(dtype)) + dtype + struct.pack("<I", len(dims))
-    return seal(out + b"".join(struct.pack("<Q", d) for d in dims) + bytes(16))
+    return seal(out + raw + bytes(16))
+
+
+def first_shape(shape):
+    """The default config's block list with the first block's shape replaced."""
+    skeleton = Model.skeleton(ModelConfig.from_json(stored_config()))
+    blocks = [[name, list(t.shape)] for name, t in skeleton.blocks.items()]
+    return [[blocks[0][0], list(shape)], *blocks[1:]]
 
 
 @pytest.mark.parametrize("data", [
     checkpoint_bytes(meta_len=2 ** 62),
     checkpoint_bytes(meta=[1, 2]),
-    checkpoint_bytes(dtype=b"zzz"),
-    checkpoint_bytes(dtype=b"|O8"),
-    checkpoint_bytes(dims=(2 ** 32, 2 ** 32)),
-    checkpoint_bytes(dims=(0,) * 65),
-    checkpoint_bytes(dims=(2 ** 40, 2 ** 40, 0)),
+    checkpoint_bytes(blocks=first_shape((2 ** 32, 2 ** 32))),
+    checkpoint_bytes(blocks=first_shape((0,) * 65)),
+    checkpoint_bytes(blocks=first_shape((2 ** 40, 2 ** 40, 0))),
     checkpoint_bytes(meta={"model_config": stored_config(hidden_size="x"),
                            "vocab": {"tokens": ["<pad>", "<unk>"]}}),
     checkpoint_bytes(meta={"model_config": stored_config(), "vocab": [1]}),
-], ids=["meta_len", "meta_list", "dtype_zzz", "dtype_object", "dims_2_32",
-        "dims_65_zeros", "dims_huge_with_zero", "config_type", "vocab_list"])
+], ids=["meta_len", "meta_list", "dims_2_32", "dims_65_zeros",
+        "dims_huge_with_zero", "config_type", "vocab_list"])
 def test_corrupt_checkpoint_is_data_error(tmp_path, capsys, data):
     ckpt = tmp_path / "corrupt.ckpt"
     ckpt.write_bytes(data)
@@ -540,7 +565,16 @@ def test_corrupt_checkpoint_is_data_error(tmp_path, capsys, data):
     (lambda data: data[:-5] + bytes([data[-5] ^ 1]) + data[-4:], "CRC32"),
     (lambda data: seal(data[:-4] + b"garbage"), "trailing bytes"),
     (lambda data: data[:4] + struct.pack("<I", 2) + data[8:-4], "version 2"),
-], ids=["appended", "crc_flipped", "weight_flipped", "sealed_trailing", "format_2"])
+    (lambda data: data[:4] + struct.pack("<I", 3) + data[8:], "version 3"),
+    (lambda data: rewrite_meta(data, lambda meta: meta.pop("blocks")), "'blocks'"),
+    (lambda data: rewrite_meta(data, widen_second_block),
+     "block 'enc.fwd.w': stored shape"),
+    (lambda data: rewrite_meta(data, swap_lstm_input_weights), "out of order"),
+    (lambda data: seal(data[:-5]), "truncated"),
+    (lambda data: seal(data[:-4] + b"\0"), "trailing bytes"),
+], ids=["appended", "crc_flipped", "weight_flipped", "sealed_trailing", "format_2",
+        "format_3", "blocks_missing", "shape_off_by_one", "blocks_swapped",
+        "body_short", "body_long"])
 def test_damaged_checkpoint_is_data_error(trained_run, tmp_path, capsys, damage,
                                           named):
     ckpt = tmp_path / "model.ckpt"
@@ -551,6 +585,19 @@ def test_damaged_checkpoint_is_data_error(trained_run, tmp_path, capsys, damage,
     assert code == 3 and out == ""
     assert err.startswith("data error:") and err.count("\n") == 1
     assert named in err
+
+
+def widen_second_block(meta):
+    """One more row in the stored shape of the second block."""
+    meta["blocks"][1][1][0] += 1
+
+
+def swap_lstm_input_weights(meta):
+    """The two encoder directions' input weights, of one shape, listed in
+    each other's place (the body is read in list order)."""
+    names = [name for name, _ in meta["blocks"]]
+    i, j = names.index("enc.fwd.w"), names.index("enc.bwd.w")
+    meta["blocks"][i], meta["blocks"][j] = meta["blocks"][j], meta["blocks"][i]
 
 
 DEEP_JSON = "[" * 100_000 + "]" * 100_000

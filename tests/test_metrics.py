@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,14 @@ class _StubConfig:
     max_dialogue_len = 64
 
 
+class _StubVocab:
+    """Encodes a dialogue as itself, so that _StubModel sees the gold labels."""
+
+    @staticmethod
+    def encode_dialogue(dialogue):
+        return dialogue
+
+
 class _StubModel:
     """Emits predictions computed from the gold dialogue by `predict`."""
 
@@ -129,9 +139,12 @@ class _StubModel:
     def __init__(self, predict):
         self._predict = predict
 
-    def forward_dialogues(self, dialogues, vocab):
-        for dialogue in dialogues:
-            yield self._forward_dialogue(dialogue)
+    @contextlib.contextmanager
+    def untaped(self):
+        yield
+
+    def forward_batch(self, dialogues, roles):
+        return [self._forward_dialogue(dialogue) for dialogue in dialogues]
 
     def _forward_dialogue(self, dialogue):
         import handsat.numerics as nm
@@ -178,7 +191,7 @@ def corpus():
 
 def test_perfect_oracle_scores_one(corpus):
     report, per_dlg = mt.evaluate_model(
-        _StubModel(oracle_predict), None, corpus,
+        _StubModel(oracle_predict), _StubVocab(), corpus,
         sections=("mhch", "ssa", "sentiment"))
     assert report.mhch["f1_transferable"] == 1.0
     assert report.mhch["macro_f1"] == 1.0
@@ -190,7 +203,7 @@ def test_perfect_oracle_scores_one(corpus):
 
 
 def test_all_normal_gt1_equals_transfer_free_fraction(corpus):
-    report, _ = mt.evaluate_model(_StubModel(all_normal_predict), None, corpus,
+    report, _ = mt.evaluate_model(_StubModel(all_normal_predict), _StubVocab(), corpus,
                                   sections=("mhch",))
     free = sum(1 for d in corpus
                if all(u.handoff is HandoffLabel.NORMAL for u in d.utterances))
@@ -210,7 +223,7 @@ def test_macro_is_mean_of_per_class(corpus):
         local /= local.sum(axis=1, keepdims=True)
         return handoff, satisfaction, local
 
-    report, _ = mt.evaluate_model(_StubModel(random_predict), None, corpus,
+    report, _ = mt.evaluate_model(_StubModel(random_predict), _StubVocab(), corpus,
                                   sections=("mhch", "ssa", "sentiment"))
     assert report.ssa["macro_f1"] == pytest.approx(
         np.mean(list(report.ssa["f1"].values())), abs=1e-12)
@@ -232,14 +245,14 @@ def noisy_stub(seed):
 
 
 def test_gt_monotone_on_corpus(corpus):
-    report, _ = mt.evaluate_model(noisy_stub(1), None, corpus,
+    report, _ = mt.evaluate_model(noisy_stub(1), _StubVocab(), corpus,
                                   sections=("mhch",))
     gt = report.mhch["gt"]
     assert gt["1"] <= gt["2"] <= gt["3"]
 
 
 def test_report_gt_is_the_mean_of_the_rows_gt(corpus):
-    report, rows = mt.evaluate_model(noisy_stub(1), None, corpus,
+    report, rows = mt.evaluate_model(noisy_stub(1), _StubVocab(), corpus,
                                      sections=("mhch",))
     for tol in mt.GT_TOLERANCES:
         mean = sum(r["gt"][str(tol)] for r in rows) / len(rows)
@@ -250,11 +263,11 @@ def test_report_gt_is_the_mean_of_the_rows_gt(corpus):
 def test_sentiment_section_requires_labels(corpus):
     stripped = [d.strip_sentiment() for d in corpus]
     with pytest.raises(CorpusError, match="sentiment"):
-        mt.evaluate_model(_StubModel(oracle_predict), None, stripped,
+        mt.evaluate_model(_StubModel(oracle_predict), _StubVocab(), stripped,
                           sections=("sentiment",))
 
 
 def test_evaluate_idempotent(corpus):
-    a, _ = mt.evaluate_model(_StubModel(oracle_predict), None, corpus)
-    b, _ = mt.evaluate_model(_StubModel(oracle_predict), None, corpus)
+    a, _ = mt.evaluate_model(_StubModel(oracle_predict), _StubVocab(), corpus)
+    b, _ = mt.evaluate_model(_StubModel(oracle_predict), _StubVocab(), corpus)
     assert a.to_json() == b.to_json()
