@@ -140,8 +140,8 @@ def cmd_train(args) -> int:
                                "best_epoch": result.best_epoch})
         (ckpt_dir / "history.jsonl").write_text(
             "".join(json.dumps(line) + "\n" for line in result.history), "utf-8")
-    except OSError as e:
-        raise ConfigError(f"cannot write {e.filename or ckpt_dir}: "
+    except OSError as e:  # a rename's filename2 is its destination
+        raise ConfigError(f"cannot write {e.filename2 or e.filename or ckpt_dir}: "
                           f"{path_reason(e)}") from None
     _log(f"checkpoint written to {ckpt_path}")
     if result.diverged:

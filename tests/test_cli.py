@@ -279,11 +279,11 @@ def test_train_checkpoint_dir_that_cannot_be_made_is_config_error(
     assert err.splitlines()[-1].startswith("config error: cannot create checkpoint_dir")
 
 
-@pytest.mark.parametrize("name", ["model.ckpt.tmp", "history.jsonl"])
+@pytest.mark.parametrize("name", ["model.ckpt.tmp", "model.ckpt", "history.jsonl"])
 def test_train_output_that_cannot_be_written_is_config_error(
         workspace, tmp_path, capsys, name):
-    """A directory where train writes the checkpoint (through its .tmp
-    file) or the history ends the run with one 'cannot write' line."""
+    """A directory where train writes the checkpoint, its .tmp file or the
+    history ends the run with one 'cannot write' line naming that path."""
     _, config_path, _, _ = workspace
     (tmp_path / "run" / name).mkdir(parents=True)
     cfg = json.loads(config_path.read_text())
