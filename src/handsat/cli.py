@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -22,8 +23,9 @@ import numpy as np
 
 from . import numerics as nm
 from .config import parse_json, read_json
-from .corpus import (Role, build_vocab, corpus_stats, handoff_position_hist,
-                     load_corpus, load_embeddings, parse_utterance, save_corpus)
+from .corpus import (Dialogue, Role, build_vocab, corpus_stats,
+                     handoff_position_hist, load_corpus, load_embeddings,
+                     parse_utterance, save_corpus)
 from .decoders import AGGREGATE_MODES
 from .errors import (CheckpointError, ConfigError, ContractError, CorpusError,
                      HandsatError, path_reason)
@@ -51,6 +53,18 @@ def _one_line(error: Exception) -> str:
 
 def _emit(obj: dict) -> None:
     print(json.dumps(obj), flush=True)
+
+
+def _load_corpus(path: str, max_dialogue_len: int) -> tuple[list[Dialogue], str]:
+    """load_corpus(path), and a stderr line giving the path, the counts and
+    the seconds taken, for the caller to log once its run cannot fail on
+    its inputs any more."""
+    start = time.perf_counter()
+    corpus = load_corpus(path, max_dialogue_len)
+    record = {"path": str(path), "dialogues": len(corpus),
+              "utterances": sum(map(len, corpus)),
+              "seconds": round(time.perf_counter() - start, 6)}
+    return corpus, "corpus loaded: " + json.dumps(record)
 
 
 def _open(path: str | Path, mode: str, error: type[HandsatError]):
@@ -104,8 +118,8 @@ class RunConfig:
 def cmd_train(args) -> int:
     run = RunConfig.load(args.config)
     cfg = run.train
-    train_set = load_corpus(run.train_corpus, cfg.max_dialogue_len)
-    dev_set = load_corpus(run.dev_corpus, cfg.max_dialogue_len)
+    train_set, train_line = _load_corpus(run.train_corpus, cfg.max_dialogue_len)
+    dev_set, dev_line = _load_corpus(run.dev_corpus, cfg.max_dialogue_len)
 
     vocab = build_vocab(train_set, min_freq=cfg.min_freq)
     _check_model_fits(cfg.model_config(len(vocab)))
@@ -125,6 +139,8 @@ def cmd_train(args) -> int:
     # progress lines only once every input has loaded, so a run that fails
     # on its inputs prints its one error line and nothing else
     _log("resolved config: " + json.dumps(run.to_json(), sort_keys=True))
+    _log(train_line)
+    _log(dev_line)
     if run.embeddings:
         _log(f"embedding coverage: {loaded.coverage:.3f}")
     result = train(train_set, dev_set, cfg, vocab=vocab, embedding=embedding)
@@ -177,7 +193,7 @@ def cmd_eval(args) -> int:
         if s not in SECTIONS:
             raise ConfigError(f"unknown section {s!r}; choose from {SECTIONS}")
     model, vocab, _ = load_checkpoint(args.checkpoint)
-    corpus = load_corpus(args.corpus, model.config.max_dialogue_len)
+    corpus, corpus_line = _load_corpus(args.corpus, model.config.max_dialogue_len)
     # Opened before evaluating, so a path that cannot be written fails first.
     with (_open(args.per_dialogue, "w", ConfigError) if args.per_dialogue
           else contextlib.nullcontext()) as fh:
@@ -187,6 +203,7 @@ def cmd_eval(args) -> int:
         if fh is not None:
             for row in per_dialogue:
                 fh.write(json.dumps(row) + "\n")
+    _log(corpus_line)
     if fh is not None:
         _log(f"per-dialogue breakdown written to {args.per_dialogue}")
     _emit(report.to_json())
@@ -251,9 +268,10 @@ def cmd_synth(args) -> int:
 def cmd_stats(args) -> int:
     if args.max_len < 1:
         raise ConfigError("--max-len must be >= 1")
-    corpus = load_corpus(args.corpus, max_dialogue_len=args.max_len)
+    corpus, corpus_line = _load_corpus(args.corpus, args.max_len)
     stats = corpus_stats(corpus)
     hist = handoff_position_hist(corpus, bins=args.bins)
+    _log(corpus_line)
     _emit({"stats": stats.to_json(), "handoff_position_hist": hist})
     return EXIT_OK
 

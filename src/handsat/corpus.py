@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -112,45 +112,68 @@ class Dialogue:
         when it has none, and unlabelled utterances are not copied."""
         if all(u.sentiment is None for u in self.utterances):
             return self
-        return replace(self, utterances=tuple(
-            u if u.sentiment is None else replace(u, sentiment=None)
-            for u in self.utterances))
+        return Dialogue(self.id, tuple(
+            u if u.sentiment is None else Utterance(u.tokens, u.role, u.handoff)
+            for u in self.utterances), self.satisfaction)
 
 
-def _parse_enum(cls, raw, what: str, line_no: int | None = None):
+# value -> member; a label must equal a value exactly, in type and in case
+_ROLES = {m.value: m for m in Role}
+_HANDOFFS = {m.value: m for m in HandoffLabel}
+_SATISFACTIONS = {m.value: m for m in SatisfactionLabel}
+_SENTIMENTS = {m.value: m for m in SentimentLabel}
+
+
+def _parse_label(members: dict, raw, what: str, line_no: int | None):
     try:
-        return cls(raw)
-    except ValueError:
+        return members[raw]
+    except (KeyError, TypeError):  # TypeError: unhashable, a list or an object
         where = f" (line {line_no})" if line_no is not None else ""
-        valid = ", ".join(m.value for m in cls)
         raise CorpusError(f"unknown {what} {reprlib.repr(raw)}{where}; "
-                          f"expected one of: {valid}")
+                          f"expected one of: {', '.join(members)}") from None
 
 
 def parse_utterance(obj: dict, line_no: int | None = None,
                     require_handoff: bool = True) -> Utterance:
     if not isinstance(obj, dict):
         raise CorpusError(f"utterance record is not an object (line {line_no})")
-    role = _parse_enum(Role, obj.get("role"), "role", line_no)
+    role = _parse_label(_ROLES, obj.get("role"), "role", line_no)
     tokens = obj.get("tokens")
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens) \
-            or len(tokens) == 0:
+    try:
+        if not isinstance(tokens, list) or not tokens:
+            raise TypeError
+        "".join(tokens)  # one C loop that refuses any token but a str
+    except TypeError:
         raise CorpusError(f"utterance tokens must be a non-empty list of strings"
-                          f" (line {line_no})")
+                          f" (line {line_no})") from None
     handoff = obj.get("handoff")
-    if handoff is None:
-        if require_handoff:
-            raise CorpusError(f"missing handoff label (line {line_no})")
-    else:
-        handoff = _parse_enum(HandoffLabel, handoff, "handoff label", line_no)
+    if handoff is not None:
+        handoff = _parse_label(_HANDOFFS, handoff, "handoff label", line_no)
+    elif require_handoff:
+        raise CorpusError(f"missing handoff label (line {line_no})")
     sentiment = obj.get("sentiment")
     if sentiment is not None:
-        sentiment = _parse_enum(SentimentLabel, sentiment, "sentiment label", line_no)
-    try:
-        return Utterance(tokens=tuple(tokens), role=role, handoff=handoff,
-                         sentiment=sentiment)
-    except CorpusError as e:
-        raise CorpusError(f"{e} (line {line_no})") from None
+        sentiment = _parse_label(_SENTIMENTS, sentiment, "sentiment label", line_no)
+        if role is not Role.CUSTOMER:
+            raise CorpusError(f"sentiment label on a non-customer utterance"
+                              f" (line {line_no})")
+    return _checked_utterance(tuple(tokens), role, handoff, sentiment)
+
+
+def _checked_utterance(tokens: tuple[str, ...], role: Role,
+                       handoff: HandoffLabel | None,
+                       sentiment: SentimentLabel | None) -> Utterance:
+    """Utterance(tokens, role, handoff, sentiment) for fields that have
+    passed Utterance.__post_init__'s checks, without the generated __init__,
+    which sets each frozen field through a looked-up object.__setattr__ and
+    then runs those checks again."""
+    utterance = object.__new__(Utterance)
+    set_field = object.__setattr__
+    set_field(utterance, "tokens", tokens)
+    set_field(utterance, "role", role)
+    set_field(utterance, "handoff", handoff)
+    set_field(utterance, "sentiment", sentiment)
+    return utterance
 
 
 def parse_dialogue(obj: dict, line_no: int | None = None) -> Dialogue:
@@ -159,15 +182,16 @@ def parse_dialogue(obj: dict, line_no: int | None = None) -> Dialogue:
     did = obj.get("id")
     if not isinstance(did, str) or not did:
         raise CorpusError(f"missing or invalid dialogue id (line {line_no})")
-    if "satisfaction" not in obj or obj["satisfaction"] is None:
+    satisfaction = obj.get("satisfaction")
+    if satisfaction is None:
         raise CorpusError(f"dialogue {did!r} missing satisfaction (line {line_no})")
-    satisfaction = _parse_enum(SatisfactionLabel, obj["satisfaction"],
-                               "satisfaction label", line_no)
+    satisfaction = _parse_label(_SATISFACTIONS, satisfaction,
+                                "satisfaction label", line_no)
     utts = obj.get("utterances")
     if not isinstance(utts, list) or len(utts) == 0:
         raise CorpusError(f"dialogue {did!r} has no utterances (line {line_no})")
-    utterances = tuple(parse_utterance(u, line_no) for u in utts)
-    return Dialogue(id=did, utterances=utterances, satisfaction=satisfaction)
+    return Dialogue(did, tuple([parse_utterance(u, line_no) for u in utts]),
+                    satisfaction)
 
 
 def dialogue_to_json(d: Dialogue) -> dict:

@@ -388,7 +388,11 @@ def save_checkpoint(model: Model, vocab: Vocabulary, path: str | Path,
                           for t in model.blocks.values())])
     tmp = Path(f"{path}.tmp")
     tmp.write_bytes(content + struct.pack("<I", zlib.crc32(content)))
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _block_mismatch(stored, blocks: dict[str, Tensor]) -> str:

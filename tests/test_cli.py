@@ -296,6 +296,8 @@ def test_train_output_that_cannot_be_written_is_config_error(
     assert errors == [err.splitlines()[-1]]
     assert errors[0].startswith("config error: cannot write ")
     assert errors[0].endswith(f"{name}: Is a directory")
+    # a failed rename removes the .tmp file it was to move
+    assert (tmp_path / "run" / "model.ckpt.tmp").exists() == (name == "model.ckpt.tmp")
 
 
 def test_train_unknown_config_key(workspace, tmp_path, capsys):
@@ -505,6 +507,127 @@ def test_stats_nonpositive_max_len_is_config_error(workspace, capsys, max_len):
                              "--max-len", str(max_len))
     assert code == 2 and out == ""
     assert err == "config error: --max-len must be >= 1\n"
+
+
+# (field, what the message calls it, its values in order)
+LABELS = {"role": ("role", "customer, agent"),
+          "handoff": ("handoff label", "normal, transferable"),
+          "sentiment": ("sentiment label", "positive, neutral, negative"),
+          "satisfaction": ("satisfaction label", "well_satisfied, met, unsatisfied")}
+WRONG_CASE = {"role": "Customer", "handoff": "Normal", "sentiment": "Positive",
+              "satisfaction": "Met"}
+# (JSON value, how the message shows it); None stands for the wrong case
+NOT_A_LABEL = [(["customer"], "['customer']"), ({"a": 1}, "{'a': 1}"), (1, "1"),
+               (True, "True"), (1.5, "1.5"), (None, None)]
+
+
+def bad_label(field, value):
+    """`value` for `field` (a wrong-case string for None), and the message."""
+    raw, shown = value
+    if raw is None:
+        raw, shown = WRONG_CASE[field], repr(WRONG_CASE[field])
+    what, valid = LABELS[field]
+    return raw, f"unknown {what} {shown} (line 3); expected one of: {valid}"
+
+
+def customer_first(dialogue: dict) -> dict:
+    """The dialogue's utterances from its first customer utterance on."""
+    utterances = dialogue["utterances"]
+    first = next(i for i, u in enumerate(utterances) if u["role"] == "customer")
+    return {**dialogue, "utterances": utterances[first:]}
+
+
+@pytest.mark.parametrize("value", NOT_A_LABEL,
+                         ids=["list", "object", "int", "bool", "float", "wrong_case"])
+@pytest.mark.parametrize("field", list(LABELS))
+def test_label_that_is_not_a_value_is_one_line(workspace, tmp_path, capsys, field,
+                                               value):
+    """A label must equal one of its values exactly, in type and in case.
+    Anything else on line 3, hashable or not, exits 3 with one line naming
+    the value, the line and the values expected."""
+    _, _, train_path, _ = workspace
+    lines = [customer_first(json.loads(line))
+             for line in train_path.read_text().splitlines()[:4]]
+    raw, message = bad_label(field, value)
+    if field == "satisfaction":
+        lines[2]["satisfaction"] = raw
+    else:
+        lines[2]["utterances"][0][field] = raw
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    code, out, err = run_cli(capsys, "stats", str(corpus))
+    assert (code, out, err) == (3, "", f"data error: {message}\n")
+
+
+@pytest.mark.parametrize("value", NOT_A_LABEL,
+                         ids=["list", "object", "int", "bool", "float", "wrong_case"])
+@pytest.mark.parametrize("field", ["role", "handoff", "sentiment"])
+def test_predict_label_that_is_not_a_value_is_one_line(workspace, trained_run,
+                                                       tmp_path, capsys, field,
+                                                       value):
+    _, _, train_path, _ = workspace
+    utterances = customer_first(json.loads(train_path.read_text().splitlines()[0]))[
+        "utterances"]
+    lines = [dict(u) for u in (utterances[0], utterances[1], utterances[0])]
+    raw, message = bad_label(field, value)
+    lines[2][field] = raw
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    code, out, err = run_cli(capsys, "predict", str(trained_run / "model.ckpt"),
+                             "--input", str(stream))
+    assert (code, err) == (3, f"data error: {message}\n")
+    assert [json.loads(row)["position"] for row in out.splitlines()] == [1, 2]
+
+
+GOOD_DIALOGUE = json.dumps({"id": "d", "satisfaction": "met", "utterances": [
+    {"role": "customer", "tokens": ["hi"], "handoff": "normal"}]}).encode()
+
+
+@pytest.mark.parametrize("lines, error", [
+    ([b"{not json", b'{"id": "caf\xe9"}'],
+     "data error: corpus line 1 is not valid JSON: "),
+    ([b'{"id": "caf\xe9"}', b"{not json"], "line 1 is not valid UTF-8"),
+    ([GOOD_DIALOGUE, GOOD_DIALOGUE.replace(b'"met"', b'"MET"'), b"{not json",
+      b"\xff"], "data error: unknown satisfaction label 'MET' (line 2)"),
+    ([GOOD_DIALOGUE, b"{not json", GOOD_DIALOGUE.replace(b'"met"', b'"MET"')],
+     "data error: corpus line 2 is not valid JSON: "),
+    ([GOOD_DIALOGUE, GOOD_DIALOGUE, b"\xff"],
+     "data error: duplicate dialogue id 'd' (line 2)"),
+], ids=["json_then_utf8", "utf8_then_json", "label_then_json", "json_then_label",
+        "duplicate_then_utf8"])
+def test_corpus_error_is_the_first_failing_line(tmp_path, capsys, lines, error):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(b"\n".join(lines) + b"\n")
+    code, out, err = run_cli(capsys, "stats", str(corpus))
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert error in err and err.startswith("data error: "), err
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "stats"])
+def test_loaded_corpus_is_logged_on_stderr_only(workspace, trained_run, tmp_path,
+                                                 capsys, command):
+    """train, eval and stats log one line per corpus they load, with its
+    path, counts and seconds, on stderr; stdout carries none of it."""
+    _, config_path, train_path, dev_path = workspace
+    cfg = json.loads(config_path.read_text())
+    cfg["paths"]["checkpoint_dir"] = str(tmp_path / "run")
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    argv, loaded = {
+        "train": (["train", str(tmp_path / "config.json")], [train_path, dev_path]),
+        "eval": (["eval", str(trained_run / "model.ckpt"), str(dev_path)], [dev_path]),
+        "stats": (["stats", str(train_path)], [train_path]),
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    records = [json.loads(line.split("corpus loaded: ", 1)[1])
+               for line in err.splitlines() if line.startswith("corpus loaded: ")]
+    assert [r["path"] for r in records] == [str(p) for p in loaded]
+    for record, path in zip(records, loaded):
+        corpus = load_corpus(path, 64)
+        assert record["dialogues"] == len(corpus)
+        assert record["utterances"] == sum(len(d) for d in corpus)
+        assert record["seconds"] >= 0.0
+    assert "corpus loaded" not in out and "seconds" not in out
 
 
 def stored_config(**changes):

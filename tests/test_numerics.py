@@ -696,6 +696,32 @@ def test_gather_rows_accumulates_repeated_ids():
     np.testing.assert_array_equal(table.grad, [[0, 0], [1, 1], [2, 2], [0, 0]])
 
 
+@pytest.mark.parametrize("ids_shape", [(60,), (7, 40)], ids=["ids_1d", "ids_2d"])
+def test_gather_rows_backward_has_the_bits_of_add_at(ids_shape):
+    """The table's gradient is bit for bit np.add.at's into zeros: repeated
+    ids (9 rows for 60 or 280 ids), magnitudes from 1e-8 to 1e8 and -0.0
+    entries, some rows receiving only -0.0."""
+    rng = np.random.default_rng(43)
+    table = nm.parameter(rng.normal(size=(9, 5)))
+    ids = rng.integers(0, 8, size=ids_shape)  # row 8 is never gathered
+    ids.flat[:4] = 7
+    g = rng.normal(size=ids_shape + (5,))
+    g *= 10.0 ** rng.integers(-8, 9, g.shape)
+    g[rng.random(g.shape) < 0.2] = -0.0
+    g[ids == 7] = -0.0
+    out = nm.gather_rows(table, ids)
+    nm.sum_all(nm.mul(out, nm.constant(g))).backward()
+    expected = np.zeros_like(table.data)
+    np.add.at(expected, ids, g)
+    assert table.grad.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("ids", [[], [2, -1]], ids=["empty", "negative"])
+def test_gather_rows_refuses_ids_it_cannot_gather(ids):
+    with pytest.raises(ContractError, match="gather_rows"):
+        nm.gather_rows(nm.parameter(np.ones((4, 2))), ids)
+
+
 def test_dropout_train_scaling_and_grad():
     rng = np.random.default_rng(29)
     x = nm.parameter(np.ones((200,)))
