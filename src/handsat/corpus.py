@@ -154,26 +154,10 @@ def parse_utterance(obj: dict, line_no: int | None = None,
     sentiment = obj.get("sentiment")
     if sentiment is not None:
         sentiment = _parse_label(_SENTIMENTS, sentiment, "sentiment label", line_no)
-        if role is not Role.CUSTOMER:
-            raise CorpusError(f"sentiment label on a non-customer utterance"
-                              f" (line {line_no})")
-    return _checked_utterance(tuple(tokens), role, handoff, sentiment)
-
-
-def _checked_utterance(tokens: tuple[str, ...], role: Role,
-                       handoff: HandoffLabel | None,
-                       sentiment: SentimentLabel | None) -> Utterance:
-    """Utterance(tokens, role, handoff, sentiment) for fields that have
-    passed Utterance.__post_init__'s checks, without the generated __init__,
-    which sets each frozen field through a looked-up object.__setattr__ and
-    then runs those checks again."""
-    utterance = object.__new__(Utterance)
-    set_field = object.__setattr__
-    set_field(utterance, "tokens", tokens)
-    set_field(utterance, "role", role)
-    set_field(utterance, "handoff", handoff)
-    set_field(utterance, "sentiment", sentiment)
-    return utterance
+    try:
+        return Utterance(tuple(tokens), role, handoff, sentiment)
+    except CorpusError as e:
+        raise CorpusError(f"{e} (line {line_no})") from None
 
 
 def parse_dialogue(obj: dict, line_no: int | None = None) -> Dialogue:

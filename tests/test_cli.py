@@ -579,6 +579,34 @@ def test_predict_label_that_is_not_a_value_is_one_line(workspace, trained_run,
     assert [json.loads(row)["position"] for row in out.splitlines()] == [1, 2]
 
 
+@pytest.mark.parametrize("command", ["stats", "predict"])
+def test_sentiment_on_agent_utterance_is_one_line(workspace, trained_run, tmp_path,
+                                                  capsys, command):
+    """A sentiment label is allowed on customer utterances only; on an agent
+    utterance on line 3 it exits 3 with one line naming the line."""
+    _, _, train_path, _ = workspace
+    dialogues = [json.loads(line) for line in train_path.read_text().splitlines()[:4]]
+    agent = next(u for d in dialogues for u in d["utterances"] if u["role"] == "agent")
+    agent = {**agent, "sentiment": "negative"}
+    if command == "stats":
+        lines = [customer_first(d) for d in dialogues]
+        lines[2]["utterances"].append(agent)
+        argv = ["stats"]
+    else:
+        first = customer_first(dialogues[0])["utterances"][0]
+        lines = [first, first, agent]
+        argv = ["predict", str(trained_run / "model.ckpt"), "--input"]
+    path = tmp_path / "input.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, err) == (
+        3, "data error: sentiment label on a non-customer utterance (line 3)\n")
+    if command == "stats":
+        assert out == ""
+    else:
+        assert [json.loads(row)["position"] for row in out.splitlines()] == [1, 2]
+
+
 GOOD_DIALOGUE = json.dumps({"id": "d", "satisfaction": "met", "utterances": [
     {"role": "customer", "tokens": ["hi"], "handoff": "normal"}]}).encode()
 
