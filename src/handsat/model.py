@@ -55,7 +55,7 @@ from .numerics import LstmParams, Tensor
 # 46.99] for 5+5+5+1 with them per dialogue (10 pairs). These peak RSS
 # figures were taken while glibc still trimmed the heap top after each
 # backward (before numerics raised its trim threshold).
-SUB_BATCH = 5
+SUB_BATCH = 8
 
 
 @dataclass

@@ -167,8 +167,10 @@ def objective_terms(model: Model, batch: Sequence[tuple[list[list[int]], Dialogu
         dialogues = [d for _, d in part]
         out = model.forward_batch([ids for ids, _ in part],
                                   [d.roles for d in dialogues], rng=rng)
-        losses = dialogue_loss(out, dialogues, eta)
-        yield nm.divide(nm.exact_sum(losses), len(batch))
+        term = nm.divide(nm.exact_sum(dialogue_loss(out, dialogues, eta)),
+                         len(batch))
+        del out
+        yield term
     penalty = regularization(model.blocks, delta)
     if penalty is not None:
         yield penalty

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -423,6 +424,119 @@ def test_batched_lstm_sequence_grad_check():
     report = nm.grad_check(loss, {"x": x, "w": p.w, "u": p.u, "b": p.b},
                            samples_per_block=12)
     assert report.passed, report.to_json()
+
+
+def reference_lstm_gradients(x, w, u, b, grad_h):
+    """hs and the gradients for x, w, u and b of lstm_sequence on x (B, T,
+    in) with upstream grad_h (B, T, k), from a forward that keeps every
+    intermediate (the time-major copy of x and tanh of every cell state
+    included) and the all-steps backward that read them: c_prev by
+    concatenation, the four step derivatives stacked, a separate dpre."""
+    B, T, n = x.shape
+    k = u.shape[1]
+    half = np.full(4 * k, 0.5)
+    half[2 * k:3 * k] = 1.0
+    shift = 1.0 - half
+    xs = x.transpose(1, 0, 2).reshape(T * B, n)
+    pre_x = nm.fixed_matmul(xs, (w * half[:, None]).T)
+    pre_x += b * half
+    pre_x = pre_x.reshape(T, B, 4 * k)
+    u_half = np.ascontiguousarray((u * half[:, None]).T)
+    gates = np.empty((T, B, 4 * k))
+    i, f, g, o = (gates[..., j * k:(j + 1) * k] for j in range(4))
+    tcs, hs, cs = (np.empty((T, B, k)) for _ in range(3))
+    blocks = -(-B // nm.ROW_BLOCK)
+    state = np.zeros((blocks, nm.ROW_BLOCK, k))
+    product = np.empty((blocks, nm.ROW_BLOCK, 4 * k))
+    h_prev = state.reshape(-1, k)[:B]
+    recurrent = product.reshape(-1, 4 * k)[:B]
+    c = np.zeros((B, k))
+    for t in range(T):
+        act = gates[t]
+        np.matmul(state, u_half, out=product)
+        np.add(recurrent, pre_x[t], out=act)
+        np.tanh(act, out=act)
+        act *= half
+        act += shift
+        np.multiply(f[t], c, out=cs[t])
+        cs[t] += i[t] * g[t]
+        np.tanh(cs[t], out=tcs[t])
+        np.multiply(o[t], tcs[t], out=hs[t])
+        h_prev[...] = hs[t]
+        c = cs[t]
+
+    c_prev = np.concatenate([np.zeros((1, B, k)), cs[:-1]])
+    dgate = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f),
+                      i * (1.0 - g * g), tcs * o * (1.0 - o)], axis=2)
+    dc_dh = o * (1.0 - tcs * tcs)
+    grad_h = grad_h.transpose(1, 0, 2)
+    dpre = np.empty((T, B, 4, k))
+    dh = np.zeros((B, k))
+    dc = np.zeros((B, k))
+    for t in range(T - 1, -1, -1):
+        dh += grad_h[t]
+        dc += dh * dc_dh[t]
+        np.multiply(dgate[t, :, :3], dc[:, None], out=dpre[t, :, :3])
+        np.multiply(dgate[t, :, 3], dh, out=dpre[t, :, 3])
+        dh = dpre[t].reshape(B, 4 * k) @ u
+        dc *= f[t]
+    flat = dpre.reshape(T * B, 4 * k)
+    h_prev = np.concatenate([np.zeros((1, B, k)), hs[:-1]]).reshape(T * B, k)
+    return (hs.transpose(1, 0, 2),
+            (flat @ w).reshape(T, B, n).transpose(1, 0, 2),
+            flat.T @ xs, flat.T @ h_prev, flat.sum(axis=0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(B=st.integers(1, 40), T=st.integers(1, 8), k=st.integers(1, 12),
+       n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_lstm_sequence_backward_keeps_the_bits_of_the_all_steps_backward(
+        B, T, k, n, seed):
+    """The in-place backward, with its cell states and their tanh
+    recomputed, gives every gradient bit for bit as the backward that kept
+    them all."""
+    rng = np.random.default_rng(seed)
+    p = rand_lstm(n, k, rng)
+    x = rand_param((B, T, n), rng, scale=1.5)
+    grad_h = rng.standard_normal((B, T, k))
+    hs, _ = nm.lstm_sequence(x, p)
+    nm.sum_all(nm.mul(hs, nm.constant(grad_h))).backward()
+    expected = reference_lstm_gradients(x.data, p.w.data, p.u.data, p.b.data,
+                                        grad_h)
+    got = (hs.data, x.grad, p.w.grad, p.u.grad, p.b.grad)
+    for name, a, b in zip(("hs", "x", "w", "u", "b"), got, expected):
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_taped_lstm_sequence_keeps_only_gates_and_hidden_states():
+    """What a taped call leaves allocated, its output included, is the
+    gates (4k per step and row) and the hidden states (k), plus the final
+    cell state it returns and a few objects."""
+    rng = np.random.default_rng(37)
+    B, T, n, k = 40, 8, 6, 16
+    p = rand_lstm(n, k, rng)
+    x = rand_param((B, T, n), rng)
+    tracemalloc.start()
+    try:
+        out, carry = nm.lstm_sequence(x, p)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 8 * (5 * k * T * B + B * k) + 4096, kept
+
+
+def test_dropout_keeps_the_bits_of_its_scaled_mask():
+    """dropout forms keep / (1 - p) from a boolean mask, forward and
+    backward, with the bits of the float mask (r >= p) / (1 - p)."""
+    rng = np.random.default_rng(41)
+    p = 0.3
+    x = rand_param((50, 7), rng)
+    g = rng.standard_normal((50, 7))
+    out = nm.dropout(x, p, np.random.default_rng(5))
+    nm.sum_all(nm.mul(out, nm.constant(g))).backward()
+    mask = (np.random.default_rng(5).random((50, 7)) >= p) / (1.0 - p)
+    assert out.data.tobytes() == (x.data * mask).tobytes()
+    assert x.grad.tobytes() == (g * mask).tobytes()
 
 
 @pytest.mark.parametrize("batch", [1, 3], ids=["one", "equal"])
