@@ -39,22 +39,20 @@ from .numerics import LstmParams, Tensor
 
 # Most dialogues per forward in training and evaluation; sub_batches splits
 # a batch into as few parts as that allows, as evenly as it can, so the
-# default 16-dialogue optimizer batch runs as 4 x 4 (not 5+5+5+1) and the
-# 25-dialogue acceptance dev set as 5 x 5. A sub-batch's tape holds all of
-# its dialogues' activations until its one backward, so memory sets the
-# size. perfbench train, seed 7, 2 vCPUs, one BLAS thread, 10 rounds of
-# alternating 55 s runs with the per-dialogue interaction and losses,
-# median [quartiles] of peak_rss_mb: one dialogue per forward 44.31 [44.12,
-# 44.49]; 4 dialogues 46.41 [46.38, 46.46] (+4.7%); 5 dialogues 47.07
-# [47.02, 47.09] (+6.2%); 6 dialogues 47.54 [47.50, 47.61] (+7.3%). Of
-# dialogues_per_s: 233 [211, 243]; 333 [320, 353]; 317 [285, 330]; 317
-# [312, 327]. Sizes 4-6 do not separate in speed beyond that spread. The
-# even split keeps the 4 forwards per optimizer batch of 5+5+5+1 with the
-# smaller tape of size 4: with the row-wise interaction and the losses per
-# sub-batch, 4 x 4 read 46.57 [46.52, 46.61] MB against 46.95 [46.91,
-# 46.99] for 5+5+5+1 with them per dialogue (10 pairs). These peak RSS
-# figures were taken while glibc still trimmed the heap top after each
-# backward (before numerics raised its trim threshold).
+# default 16-dialogue optimizer batch runs as 8 + 8 and the 25-dialogue
+# acceptance dev set as 7 + 6 + 6 + 6. A sub-batch's tape holds all of its
+# dialogues' activations until its one backward, so memory sets the size:
+# test_optimizer_step_traced_peak_is_bounded keeps one optimizer step's
+# tracemalloc peak under 3,888,835 bytes. With the tape the 4 x 4 split ran
+# with (2,886,958), 8 + 8 read 5,047,373. The LSTM keeps only its gates and
+# hidden states now, dropout a boolean mask, and objective_terms drops each
+# sub-batch's outputs before the next forward: 4 x 4 reads 2,098,390, 8 + 8
+# 3,580,036, and one forward of all 16 6,378,064 (out of reach). perfbench
+# train, seed 7, 2 vCPUs, one BLAS thread, 10 alternating 55 s pairs,
+# median [quartiles], 4 x 4 at the parent against 8 + 8 with the lean tape
+# (BENCH_7da106d_train.json): dialogues_per_s 579.2 [564.7, 604.4] ->
+# 704.1 [685.2, 714.7], won 10 of 10; peak_rss_mb 46.45 [46.41, 46.48] ->
+# 46.93 [46.89, 46.98] (+1.0%).
 SUB_BATCH = 8
 
 

@@ -87,7 +87,7 @@ _creation = itertools.count()  # Tensor._seq: a parent is older than its consume
 
 # mallopt(3)'s M_TRIM_THRESHOLD, and the value the tape needs: well above a
 # training sub-batch's working set (the tracemalloc peak of one optimizer
-# step is 3.24 MB), so the memory one backward frees stays mapped for the
+# step is 3.58 MB), so the memory one backward frees stays mapped for the
 # next sub-batch.
 _M_TRIM_THRESHOLD = -1
 TRIM_THRESHOLD = 64 << 20
@@ -831,7 +831,7 @@ def lstm_sequence(x: Tensor, params: LstmParams,
     from zero.
 
     The interface is batch-major, the recurrence time-major: x is copied
-    into (T, B, in) order once, and the result is a (B, T, k) view of the
+    into (T, B, in) order, and the result is a (B, T, k) view of the
     (T, B, k) states. The input projection of all steps is one fixed_matmul.
     The recurrence keeps the previous states in one preallocated
     (16 * blocks, k) buffer, zero past row B, and multiplies it in 16-row

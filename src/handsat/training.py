@@ -160,9 +160,10 @@ def objective_terms(model: Model, batch: Sequence[tuple[list[list[int]], Dialogu
     exact sum of its dialogue_loss, over len(batch); then the penalty.
     Dropout fires exactly when an rng is passed.
 
-    Each term is built only when the previous one has been consumed, so
-    train() holds one sub-batch's tape at a time (SUB_BATCH says what that
-    costs)."""
+    Each term is built only when the previous one has been consumed, and a
+    sub-batch's outputs are dropped before its term is yielded, so train()
+    holds one sub-batch's tape at a time: nothing of the sub-batch before
+    it lives through a forward (SUB_BATCH says what that costs)."""
     for part in sub_batches(batch):
         dialogues = [d for _, d in part]
         out = model.forward_batch([ids for ids, _ in part],

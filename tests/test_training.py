@@ -289,8 +289,8 @@ def test_sub_batch_gradient_matches_per_dialogue_backward(tiny_corpus):
 # with per-dialogue interaction and losses read 3,369,970 on the same
 # machine). 8 + 8 read 5,047,373 with that tape; with the LSTM tape cut
 # to the gates and hidden states, dropout's mask kept as booleans and each
-# sub-batch's outputs released before the next forward: 3,578,459, in
-# the second term's backward
+# sub-batch's outputs released before the next forward: 3,580,036, in
+# the second term
 PEAK_BOUND_BYTES = 3_888_835
 
 
