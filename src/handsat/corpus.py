@@ -359,7 +359,10 @@ class Vocabulary:
         return len(self.token_to_index)
 
     def lookup(self, token: str) -> int:
-        return self.token_to_index.get(token, UNK_INDEX)
+        """The token's id; UNK_INDEX for a token outside the vocabulary and
+        for the padding token, whose row only padded positions read."""
+        index = self.token_to_index.get(token, UNK_INDEX)
+        return UNK_INDEX if index == PAD_INDEX else index
 
     def encode(self, tokens: Sequence[str]) -> list[int]:
         return [self.lookup(t) for t in tokens]

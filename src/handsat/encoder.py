@@ -31,6 +31,7 @@ product over it, and the representation keeps that layout.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,20 +81,27 @@ def shared_encode(token_ids: list[list[int]], params: EncoderParams,
         raise ContractError("cannot encode an empty dialogue or utterance")
     if max(sizes) > max_len:
         raise ContractError(f"dialogue length {max(sizes)} exceeds max {max_len}")
-    # token table in dialogue order; its last row is the padding row, which
-    # fills the grids past each utterance's end and is part of the dropout draw
-    table = nm.gather_rows(params.embedding,
-                           [i for ids in token_ids for i in ids] + [PAD_INDEX])
+    # the token table: one row per token in dialogue order, and last the
+    # padding row, which fills the grids past each utterance's end; dropout
+    # draws once per row. With nothing to draw and no gradient to return to
+    # the embedding, each distinct id is one row; slot maps the token
+    # positions, padding last, to their rows.
+    ids = np.fromiter(itertools.chain(*token_ids, (PAD_INDEX,)), dtype=np.intp)
+    if rng is None and not params.embedding.requires_grad:
+        ids, slot = np.unique(ids, return_inverse=True)
+    else:
+        slot = np.arange(ids.size)
+    table = nm.gather_rows(params.embedding, ids)
     if rng is not None:
         table = nm.dropout(table, dropout, rng)
     starts = np.cumsum(lengths) - lengths
     step = np.arange(lengths.max())
     live = step < lengths[:, None]
-    pad = table.data.shape[0] - 1
-    fwd = np.where(live, starts[:, None] + step, pad)
-    bwd = np.where(live, (starts + lengths - 1)[:, None] - step, pad)
-    h_fwd, _ = nm.lstm_sequence(nm.gather_rows(table, fwd), params.fwd)
-    h_bwd, _ = nm.lstm_sequence(nm.gather_rows(table, bwd), params.bwd)
+    pad = slot.size - 1
+    fwd = slot[np.where(live, starts[:, None] + step, pad)]
+    bwd = slot[np.where(live, (starts + lengths - 1)[:, None] - step, pad)]
+    h_fwd, _ = nm.lstm_sequence(table, params.fwd, index=fwd)
+    h_bwd, _ = nm.lstm_sequence(table, params.bwd, index=bwd)
     last = (np.arange(lengths.size), lengths - 1)
     vectors = nm.concat_cols(nm.row(h_fwd, last), nm.row(h_bwd, last))
     ends = np.cumsum(sizes)

@@ -45,19 +45,24 @@ and merge_heads restores (L, heads * h). Each head's entries come from
 GEMMs of the same shapes and layouts as a 2-D call on that head alone, so
 they are bit-identical to it.
 
-Importing this module sets one allocator policy: glibc's trim threshold
-(M_TRIM_THRESHOLD, mallopt(3)) is raised to TRIM_THRESHOLD = 64 MiB. A
-training sub-batch's tape is freed at once by its backward, and with the
-default threshold glibc handed the heap top back to the kernel, so the next
-sub-batch faulted the same pages in again: 9.6k-19.9k minor page faults per
-epoch of the benchmark's train workload (seed 7, 2 vCPUs, three processes
-of 6-10 epochs), 98% of them in lstm_sequence's forward calls and in
-backward, against 4-98 per epoch from the third on with the threshold
-raised. Raising the mmap threshold as well gave 6-53 per epoch after the
-first and no lower peak RSS, so that one stays at glibc's default. The
-policy is process-wide: it holds for every malloc in the process. It
-applies to glibc only; where the C library has no mallopt (macOS, Windows)
-nothing is set. It changes no arithmetic, so every output keeps its bits.
+Importing this module sets one allocator policy, through mallopt(3):
+glibc's trim threshold (M_TRIM_THRESHOLD) is raised to TRIM_THRESHOLD =
+64 MiB, and its mmap threshold (M_MMAP_THRESHOLD) to MMAP_THRESHOLD =
+16 MiB. A training sub-batch's tape is freed at once by its backward, and
+with the default trim threshold glibc handed the heap top back to the
+kernel, so the next sub-batch faulted the same pages in again: 9.6k-19.9k
+minor page faults per epoch of the benchmark's train workload (seed 7, 2
+vCPUs, three processes of 6-10 epochs), 98% of them in lstm_sequence's
+forward calls and in backward, against 4-98 per epoch from the third on
+with the threshold raised. At the default mmap threshold, glibc serves an
+array of 128 KiB or more that no free heap chunk fits with a fresh mmap,
+faulted in page by page and unmapped again when freed; the gates of an
+untaped lstm_sequence call at a 64-utterance prefix's shape (5 * 64 * 128
+floats) faulted 81 pages on every call in a process whose heap had not
+grown, and none with the threshold raised. The policy is process-wide: it
+holds for every malloc in the process. It applies to glibc only; where the
+C library has no mallopt (macOS, Windows) nothing is set. It changes no
+arithmetic, so every output keeps its bits.
 """
 
 from __future__ import annotations
@@ -91,11 +96,18 @@ _creation = itertools.count()  # Tensor._seq: a parent is older than its consume
 # next sub-batch.
 _M_TRIM_THRESHOLD = -1
 TRIM_THRESHOLD = 64 << 20
+# mallopt(3)'s M_MMAP_THRESHOLD, and a value above any one array the model
+# allocates, so that no array gets a fresh mmap of its own (at glibc's 128
+# KiB default, a streamed 64-utterance prefix's gate buffers did), and below
+# glibc's 32 MiB cap on 64-bit systems.
+_M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 16 << 20
 
 
 def _keep_freed_memory_mapped() -> None:
-    """Raise glibc's trim threshold to TRIM_THRESHOLD for this process; do
-    nothing where the C library has no mallopt."""
+    """Raise glibc's trim threshold to TRIM_THRESHOLD and its mmap threshold
+    to MMAP_THRESHOLD for this process; do nothing where the C library has
+    no mallopt."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):
@@ -103,6 +115,7 @@ def _keep_freed_memory_mapped() -> None:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
 
 
 _keep_freed_memory_mapped()
@@ -599,12 +612,18 @@ def gather_rows(table: Tensor, ids: Sequence[int] | Array) -> Tensor:
     out = table.data[idx]
 
     def back(g: Array) -> None:
-        width = math.prod(table.data.shape[1:])
-        bins = (idx[..., None] * width + np.arange(width)).ravel()
-        full = np.bincount(bins, weights=g.ravel(), minlength=table.data.size)
-        _accum(table, full.reshape(table.data.shape))
+        _accum(table, _scatter_rows(idx, g, table.data.shape))
 
     return _make(out, (table,), back)
+
+
+def _scatter_rows(idx: Array, g: Array, shape: tuple[int, ...]) -> Array:
+    """The gradient of table[idx] for a table of this shape: g's rows added
+    into zeros by id, each bin in the ids' order (C order of idx)."""
+    width = math.prod(shape[1:])
+    bins = (idx[..., None] * width + np.arange(width)).ravel()
+    return np.bincount(bins, weights=g.ravel(),
+                       minlength=math.prod(shape)).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -816,7 +835,8 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor,
 
 
 def lstm_sequence(x: Tensor, params: LstmParams,
-                  carry: tuple[Array, Array] | None = None
+                  carry: tuple[Array, Array] | None = None,
+                  index: Array | None = None
                   ) -> tuple[Tensor, tuple[Array, Array]]:
     """Run the cell over B sequences and return every hidden state and the
     final (h, c): x is (B, T, in), the hidden states (B, T, k), h and c
@@ -824,20 +844,27 @@ def lstm_sequence(x: Tensor, params: LstmParams,
     sequences reads each one's state at its own last step, and the steps
     after it get an exactly zero gradient.
 
+    With a (B, T) index, x is (R, in) rows and the sequences are x[index]:
+    a row that several steps read, as a token table's rows are, is
+    projected once, and the backward adds each step's gradient into its
+    row in (b, t) order, as gather_rows' backward does for x[index].
+
     The cell starts from zero, or from carry: the (h, c) an earlier call
     returned. Steps resumed from it have the bits of the same steps in one
     uninterrupted call, as each step's products have the same fixed
     shapes. Only an untaped call takes a carry, since the backward starts
     from zero.
 
-    The interface is batch-major, the recurrence time-major: x is copied
-    into (T, B, in) order, and the result is a (B, T, k) view of the
-    (T, B, k) states. The input projection of all steps is one fixed_matmul.
-    The recurrence keeps the previous states in one preallocated
-    (16 * blocks, k) buffer, zero past row B, and multiplies it in 16-row
-    blocks into another with np.matmul(..., out=), so a sequence's bits do
-    not depend on how many sequences run beside it or on their contents,
-    and no step allocates.
+    The interface is batch-major, the recurrence time-major. The input
+    projection is one fixed_matmul over the rows of x (the B * T grid rows
+    without an index), so each row has the bits it has in any other row
+    count; the projections are then gathered time-major into the
+    (T, B, 4k) gate buffer, and the result is a (B, T, k) view of the
+    (T, B, k) states. The recurrence keeps the previous states in one
+    preallocated (16 * blocks, k) buffer, zero past row B, and multiplies
+    it in 16-row blocks into another with np.matmul(..., out=), so a
+    sequence's bits do not depend on how many sequences run beside it or
+    on their contents, and no step allocates.
 
     Each step takes one tanh for all four gates, as sigmoid(x) =
     (1 + tanh(x / 2)) / 2: the sigmoid gates' rows of W, U and b are halved
@@ -846,16 +873,28 @@ def lstm_sequence(x: Tensor, params: LstmParams,
 
     Backward is hand-written backprop through time that ends in one GEMM
     each for dW, dU and dx. The tape keeps only the gates, (T, B, 4k), and
-    the hidden states; the backward recomputes the cell states from the
-    gates, step by step with the forward's operations, and their tanh in
-    one call, and rebuilds the time-major copy of x from x.data. Each
-    step's derivatives are written over the gates they are formed from, as
-    the backward runs once; only the forget gate is copied, for the
-    recurrence.
+    the hidden states (and the index); the backward recomputes the cell
+    states from the gates, step by step with the forward's operations, and
+    their tanh in one call, and rebuilds the time-major (T * B, in) grid
+    rows from x.data. Each step's derivatives are written over the gates
+    they are formed from, as the backward runs once; only the forget gate
+    is copied, for the recurrence.
     """
-    if x.data.ndim != 3 or x.data.shape[1] == 0:
-        raise ContractError(f"lstm_sequence expects (B, T >= 1, in), got {x.data.shape}")
-    B, T, n = x.data.shape
+    if index is None:
+        if x.data.ndim != 3 or x.data.shape[1] == 0:
+            raise ContractError(
+                f"lstm_sequence expects (B, T >= 1, in), got {x.data.shape}")
+        B, T, n = x.data.shape
+        rows = x.data.reshape(B * T, n)
+    else:
+        index = np.asarray(index, dtype=np.intp)
+        if x.data.ndim != 2 or index.ndim != 2 or index.shape[1] == 0:
+            raise ContractError(f"lstm_sequence expects (R, in) rows and a (B, T >= 1) "
+                                f"index, got {x.data.shape} and {index.shape}")
+        if index.min() < 0 or index.max() >= x.data.shape[0]:
+            raise ContractError(f"lstm_sequence index outside rows 0-{x.data.shape[0] - 1}")
+        (B, T), n = index.shape, x.data.shape[1]
+        rows = x.data
     params.check(n)
     if carry is not None and any(t.requires_grad
                                  for t in (x, params.w, params.u, params.b)):
@@ -865,14 +904,18 @@ def lstm_sequence(x: Tensor, params: LstmParams,
     half = np.full(4 * k, 0.5)
     half[2 * k:3 * k] = 1.0           # the candidate gate is a plain tanh
     shift = 1.0 - half
-    pre_x = fixed_matmul(x.data.transpose(1, 0, 2).reshape(T * B, n),
-                         (wd * half[:, None]).T)
+    pre_x = fixed_matmul(rows, (wd * half[:, None]).T)
     pre_x += bd * half
-    pre_x = pre_x.reshape(T, B, 4 * k)
     # (k, 4k), C-ordered: 1.7x faster in a 16-row GEMM than the .T view
     u_half = np.ascontiguousarray((ud * half[:, None]).T)
 
-    gates = np.empty((T, B, 4 * k))   # i, f, g, o after their nonlinearity
+    # (T, B, 4k): the projections, then in place i, f, g, o after their
+    # nonlinearity
+    if index is None:
+        gates = pre_x.reshape(B, T, 4 * k).transpose(1, 0, 2).copy()
+    else:
+        gates = pre_x.take(index.T, axis=0)
+    del pre_x
     i, f, g, o = (gates[..., j * k:(j + 1) * k] for j in range(4))
     hs = np.empty((T, B, k))
     blocks = -(-B // ROW_BLOCK)
@@ -887,7 +930,7 @@ def lstm_sequence(x: Tensor, params: LstmParams,
     for t in range(T):
         act = gates[t]
         np.matmul(state, u_half, out=product)
-        np.add(recurrent, pre_x[t], out=act)
+        np.add(recurrent, act, out=act)
         np.tanh(act, out=act)
         act *= half
         act += shift
@@ -939,8 +982,14 @@ def lstm_sequence(x: Tensor, params: LstmParams,
         del f_kept, dc_dh
         flat = gates.reshape(T * B, 4 * k)
         h_prev = np.concatenate([np.zeros((1, B, k)), hs[:-1]]).reshape(T * B, k)
-        _accum(x, (flat @ wd).reshape(T, B, n).transpose(1, 0, 2))
-        _accum(params.w, flat.T @ x.data.transpose(1, 0, 2).reshape(T * B, n))
+        dx = (flat @ wd).reshape(T, B, n).transpose(1, 0, 2)
+        if index is None:
+            _accum(x, dx)
+            grid = x.data.transpose(1, 0, 2)
+        else:
+            _accum(x, _scatter_rows(index, dx, x.data.shape))
+            grid = x.data[index.T]
+        _accum(params.w, flat.T @ grid.reshape(T * B, n))
         _accum(params.u, flat.T @ h_prev)
         _accum(params.b, flat.sum(axis=0))
 

@@ -234,6 +234,19 @@ def test_build_vocab_min_freq():
     assert v2.lookup("zzz") == cp.UNK_INDEX
 
 
+def test_pad_token_in_a_corpus_is_unknown():
+    """A corpus token spelled <pad> is encoded as <unk>, so only padded
+    grid positions read the padding row."""
+    d = cp.Dialogue(
+        id="p", satisfaction=cp.SatisfactionLabel.MET,
+        utterances=(cp.Utterance(tokens=("a", "<pad>", "<unk>"),
+                                 role=cp.Role.CUSTOMER,
+                                 handoff=cp.HandoffLabel.NORMAL),))
+    v = cp.build_vocab([d])
+    assert v.token_to_index == {"<pad>": 0, "<unk>": 1, "a": 2}
+    assert v.encode_dialogue(d) == [[2, cp.UNK_INDEX, cp.UNK_INDEX]]
+
+
 def test_build_vocab_empty():
     with pytest.raises(CorpusError):
         cp.build_vocab([])

@@ -167,3 +167,20 @@ def test_ragged_utterance_vectors_bits_match_solo_encoding():
         nm.sum_all(nm.mul(rep, weights)).backward()
         assert not p.embedding.grad[PAD_INDEX].any()
         assert p.embedding.grad[1:].any()
+
+
+def test_untaped_encode_of_repeated_tokens_has_the_taped_bits():
+    """Untaped, the token table holds each distinct id once (the padding id
+    among them here, as a token); the representation has the bits of the
+    taped, dropout-free call, whose table has one row per token."""
+    rng = np.random.default_rng(8)
+    p = make_params(6, 8, k=6, rng=rng)
+    lengths = [4, 1, 9, 3, 17, 2, 6, 5]
+    dialogues = [list(rng.integers(0, 6, size=n)) for n in lengths]
+    taped = enc.shared_encode(dialogues, p, max_len=8, sizes=[3, 5])
+    blocks = (p.embedding, p.fwd.w, p.fwd.u, p.fwd.b, p.bwd.w, p.bwd.u, p.bwd.b)
+    for t in blocks:
+        t.requires_grad = False
+    untaped = enc.shared_encode(dialogues, p, max_len=8, sizes=[3, 5])
+    assert taped.requires_grad and not untaped.requires_grad
+    assert untaped.data.tobytes() == taped.data.tobytes()

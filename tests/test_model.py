@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from handsat import numerics as nm
 from handsat import training as tr
-from handsat.corpus import Role, build_vocab
+from handsat.corpus import PAD_INDEX, Role, build_vocab
 from handsat.encoder import shared_encode
 from handsat.errors import ConfigError, ContractError
 from handsat.decoders import AGGREGATE_MODES, aggregate_variant
@@ -162,6 +162,37 @@ def test_untaped_forward_records_no_tape(setup):
     assert not out.handoff_probs.requires_grad
     assert out.handoff_probs._parents == () and out.handoff_probs._backward is None
     assert out.handoff_probs.data.tobytes() == taped.handoff_probs.data.tobytes()
+
+
+def test_untaped_encoder_projects_each_distinct_token_once(monkeypatch):
+    """An untaped forward of a 64-utterance dialogue (320 token positions,
+    23 distinct ids) runs each encoder direction's input
+    projection on the distinct ids plus the padding row, not on the
+    padded (64, T) grid: at most that many rows, rounded up to whole
+    16-row blocks, in each of the two projections."""
+    dialogues, _ = synthesize_corpus(GeneratorSpec(
+        num_dialogues=1, min_len=64, max_len=64, min_tokens=5, max_tokens=5,
+        filler_vocab_size=20), seed=7)
+    vocab = build_vocab(dialogues)
+    config = tiny_config(len(vocab), max_dialogue_len=64)
+    model = Model.build(config, np.random.default_rng(4))
+    ids = vocab.encode_dialogue(dialogues[0])
+    distinct = len({i for u in ids for i in u} | {PAD_INDEX})
+    encoder_input = (config.embed_dim, 4 * config.hidden_size)
+    projected, fixed_matmul = [], nm.fixed_matmul
+
+    def recorded(a, b, *args, **kwargs):
+        if b.shape == encoder_input:
+            projected.append(a.shape[0])
+        return fixed_matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(nm, "fixed_matmul", recorded)
+    with model.untaped():
+        model.forward(ids, dialogues[0].roles)
+    blocks = -(-distinct // nm.ROW_BLOCK)
+    assert len(projected) == 2
+    assert all(-(-m // nm.ROW_BLOCK) <= blocks for m in projected), (
+        projected, distinct)
 
 
 def test_forward_deterministic_in_eval_mode(setup):

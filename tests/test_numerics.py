@@ -508,17 +508,55 @@ def test_lstm_sequence_backward_keeps_the_bits_of_the_all_steps_backward(
         assert a.tobytes() == b.tobytes(), name
 
 
-def test_taped_lstm_sequence_keeps_only_gates_and_hidden_states():
+@settings(max_examples=40, deadline=None)
+@given(B=st.integers(1, 40), T=st.integers(1, 8), k=st.integers(1, 12),
+       n=st.integers(1, 6), R=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_lstm_sequence_on_indexed_rows_has_the_bits_of_the_gathered_grid(
+        B, T, k, n, R, seed):
+    """lstm_sequence(rows, p, index=i) gives hs and the rows', w's, u's and
+    b's gradients bit for bit as lstm_sequence(rows[i], p) after
+    gather_rows: the ids repeat (R rows for B * T steps) and row 0 is a
+    zero padding row."""
+    rng = np.random.default_rng(seed)
+    p = rand_lstm(n, k, rng)
+    table = rng.standard_normal((R, n)) * 1.5
+    table[0] = 0.0
+    index = rng.integers(0, R, size=(B, T))
+    grad_h = rng.standard_normal((B, T, k))
+    got, expected = [], []
+    for indexed in (True, False):
+        rows = nm.parameter(table.copy())
+        for leaf in (p.w, p.u, p.b):
+            leaf.grad = None
+        if indexed:
+            hs, _ = nm.lstm_sequence(rows, p, index=index)
+        else:
+            hs, _ = nm.lstm_sequence(nm.gather_rows(rows, index), p)
+        nm.sum_all(nm.mul(hs, nm.constant(grad_h))).backward()
+        (got if indexed else expected).extend(
+            [hs.data, rows.grad, p.w.grad, p.u.grad, p.b.grad])
+    for name, a, b in zip(("hs", "x", "w", "u", "b"), got, expected):
+        assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("indexed", [False, True], ids=["grid", "index"])
+def test_taped_lstm_sequence_keeps_only_gates_and_hidden_states(indexed):
     """What a taped call leaves allocated, its output included, is the
     gates (4k per step and row) and the hidden states (k), plus the final
-    cell state it returns and a few objects."""
+    cell state it returns and a few objects. Called on indexed rows, it
+    keeps no (B, T, in) grid of them (40 * 8 * 6 floats, 15,360 bytes,
+    above the slack)."""
     rng = np.random.default_rng(37)
     B, T, n, k = 40, 8, 6, 16
     p = rand_lstm(n, k, rng)
-    x = rand_param((B, T, n), rng)
+    if indexed:
+        x = rand_param((B * T // 3, n), rng)
+        index = rng.integers(0, B * T // 3, size=(B, T))
+    else:
+        x, index = rand_param((B, T, n), rng), None
     tracemalloc.start()
     try:
-        out, carry = nm.lstm_sequence(x, p)
+        out, carry = nm.lstm_sequence(x, p, index=index)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -565,6 +603,18 @@ def test_lstm_sequence_saturated_gates_stay_finite(batch):
 def test_lstm_sequence_rejects_bad_shapes(x_shape):
     with pytest.raises(ContractError):
         nm.lstm_sequence(nm.constant(np.zeros(x_shape)), zero_lstm(3, 2))
+
+
+@pytest.mark.parametrize("x_shape, index", [
+    ((4, 3), np.zeros(3, dtype=int)), ((4, 3), np.zeros((2, 0), dtype=int)),
+    ((2, 4, 3), np.zeros((2, 4), dtype=int)), ((4, 5), np.zeros((2, 3), dtype=int)),
+    ((4, 3), np.full((2, 3), 4)), ((4, 3), np.full((2, 3), -1))],
+    ids=["1d_index", "no_steps", "3d_rows", "wrong_width", "past_the_rows",
+         "negative"])
+def test_lstm_sequence_rejects_bad_indexed_rows(x_shape, index):
+    with pytest.raises(ContractError):
+        nm.lstm_sequence(nm.constant(np.zeros(x_shape)), zero_lstm(3, 2),
+                         index=index)
 
 
 @pytest.mark.parametrize("batch", [1, 20])
