@@ -8,19 +8,22 @@ length) is prepended, giving the shared representation both task branches
 start from.
 
 All N utterances of a dialogue are encoded together, as a batch of N token
-sequences. The tokens are embedded once, in dialogue order, plus one
-padding row; dropout applies to that table, so both directions see the same
-dropped tokens. Two (N, T) index grids, T the longest utterance's length,
-pick each direction's inputs from it: row n of the forward grid holds
+sequences. The tokens are embedded into one table. On the tape it has one
+row per token, in dialogue order, then the padding row, and dropout
+applies to it, so both directions see the same dropped tokens; untaped
+(evaluation and prediction) it has one row per distinct id, the padding
+id among them. Two (N, T) index grids into the table, T the longest utterance's
+length, give each direction's inputs: row n of the forward grid holds
 utterance n's tokens in order, row n of the backward grid holds them
 reversed, and both hold the padding row past the utterance's length. One
-lstm_sequence per direction then runs all rows for all T steps, and each
-direction's state is picked at the utterance's own last step, entry
-length - 1 of its row; the padded steps after it get an exactly zero
-gradient. Because the batched recurrence computes its rows in fixed-shape
-blocks, an utterance's vector has the same bits whichever utterances run
-beside it, and a dialogue prefix gives the first rows of the full
-dialogue's vectors bit for bit.
+lstm_sequence per direction takes the table and its grid: it projects each
+table row once and runs all grid rows for all T steps. Each direction's
+state is picked at the utterance's own last step, entry length - 1 of its
+row; the padded steps after it get an exactly zero gradient. A row's
+projection has the same bits in any table, and the batched recurrence
+computes its rows in fixed-shape blocks, so an utterance's vector has the
+same bits whichever utterances run beside it, taped or not, and a dialogue
+prefix gives the first rows of the full dialogue's vectors bit for bit.
 
 Several dialogues encode as one batch of utterances: their utterances are
 listed back to back and a size per dialogue says where each ends. The
@@ -84,7 +87,7 @@ def shared_encode(token_ids: list[list[int]], params: EncoderParams,
     # the token table: one row per token in dialogue order, and last the
     # padding row, which fills the grids past each utterance's end; dropout
     # draws once per row. With nothing to draw and no gradient to return to
-    # the embedding, each distinct id is one row; slot maps the token
+    # the embedding, one row per distinct id. slot maps the token
     # positions, padding last, to their rows.
     ids = np.fromiter(itertools.chain(*token_ids, (PAD_INDEX,)), dtype=np.intp)
     if rng is None and not params.embedding.requires_grad:

@@ -46,8 +46,11 @@ from .numerics import LstmParams, Tensor
 # tracemalloc peak under 3,888,835 bytes. With the tape the 4 x 4 split ran
 # with (2,886,958), 8 + 8 read 5,047,373. The LSTM keeps only its gates and
 # hidden states now, dropout a boolean mask, and objective_terms drops each
-# sub-batch's outputs before the next forward: 4 x 4 reads 2,098,390, 8 + 8
-# 3,580,036, and one forward of all 16 6,378,064 (out of reach). perfbench
+# sub-batch's outputs before the next forward, and the encoder's LSTMs read
+# the token table through index grids, so the tape holds no gathered
+# (B, T, n) grids: 4 x 4 reads 1,964,829, 8 + 8 3,326,792, and one forward
+# of all 16 5,867,916 (out of reach; 2,098,375, 3,578,651 and 6,377,826
+# with the gathered grids). perfbench
 # train, seed 7, 2 vCPUs, one BLAS thread, 10 alternating 55 s pairs,
 # median [quartiles], 4 x 4 at the parent against 8 + 8 with the lean tape
 # (BENCH_7da106d_train.json): dialogues_per_s 579.2 [564.7, 604.4] ->

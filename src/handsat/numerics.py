@@ -92,7 +92,7 @@ _creation = itertools.count()  # Tensor._seq: a parent is older than its consume
 
 # mallopt(3)'s M_TRIM_THRESHOLD, and the value the tape needs: well above a
 # training sub-batch's working set (the tracemalloc peak of one optimizer
-# step is 3.58 MB), so the memory one backward frees stays mapped for the
+# step is 3.33 MB), so the memory one backward frees stays mapped for the
 # next sub-batch.
 _M_TRIM_THRESHOLD = -1
 TRIM_THRESHOLD = 64 << 20

@@ -295,7 +295,8 @@ def test_sub_batch_gradient_matches_per_dialogue_backward(tiny_corpus):
 # machine). 8 + 8 read 5,047,373 with that tape; with the LSTM tape cut
 # to the gates and hidden states, dropout's mask kept as booleans and each
 # sub-batch's outputs released before the next forward: 3,580,036, in
-# the second term
+# the second term; with the encoder's LSTMs reading the token table through
+# index grids, no gathered grid taped: 3,326,792
 PEAK_BOUND_BYTES = 3_888_835
 
 
@@ -386,7 +387,7 @@ def test_train_epoch_reuses_the_memory_freed_by_the_last_one():
 # pushes of the default model. Prints the minor page faults per call, after
 # 3 warm-up calls, and those of the second session.
 _PUSH_FAULTS = """
-import resource, sys
+import resource
 import numpy as np
 from handsat import numerics as nm
 from handsat.corpus import Role
