@@ -45,24 +45,19 @@ and merge_heads restores (L, heads * h). Each head's entries come from
 GEMMs of the same shapes and layouts as a 2-D call on that head alone, so
 they are bit-identical to it.
 
-Importing this module sets one allocator policy, through mallopt(3):
-glibc's trim threshold (M_TRIM_THRESHOLD) is raised to TRIM_THRESHOLD =
-64 MiB, and its mmap threshold (M_MMAP_THRESHOLD) to MMAP_THRESHOLD =
-16 MiB. A training sub-batch's tape is freed at once by its backward, and
-with the default trim threshold glibc handed the heap top back to the
-kernel, so the next sub-batch faulted the same pages in again: 9.6k-19.9k
-minor page faults per epoch of the benchmark's train workload (seed 7, 2
-vCPUs, three processes of 6-10 epochs), 98% of them in lstm_sequence's
-forward calls and in backward, against 4-98 per epoch from the third on
-with the threshold raised. At the default mmap threshold, glibc serves an
-array of 128 KiB or more that no free heap chunk fits with a fresh mmap,
-faulted in page by page and unmapped again when freed; the gates of an
-untaped lstm_sequence call at a 64-utterance prefix's shape (5 * 64 * 128
-floats) faulted 81 pages on every call in a process whose heap had not
-grown, and none with the threshold raised. The policy is process-wide: it
-holds for every malloc in the process. It applies to glibc only; where the
-C library has no mallopt (macOS, Windows) nothing is set. It changes no
-arithmetic, so every output keeps its bits.
+Importing this module sets one allocator policy: glibc's trim threshold
+(M_TRIM_THRESHOLD, mallopt(3)) is raised to TRIM_THRESHOLD = 64 MiB. A
+training sub-batch's tape is freed at once by its backward, and with the
+default threshold glibc handed the heap top back to the kernel, so the next
+sub-batch faulted the same pages in again: 9.6k-19.9k minor page faults per
+epoch of the benchmark's train workload (seed 7, 2 vCPUs, three processes
+of 6-10 epochs), 98% of them in lstm_sequence's forward calls and in
+backward, against 4-98 per epoch from the third on with the threshold
+raised. Raising the mmap threshold as well gave 6-53 per epoch after the
+first and no lower peak RSS, so that one stays at glibc's default. The
+policy is process-wide: it holds for every malloc in the process. It
+applies to glibc only; where the C library has no mallopt (macOS, Windows)
+nothing is set. It changes no arithmetic, so every output keeps its bits.
 """
 
 from __future__ import annotations
@@ -96,18 +91,11 @@ _creation = itertools.count()  # Tensor._seq: a parent is older than its consume
 # next sub-batch.
 _M_TRIM_THRESHOLD = -1
 TRIM_THRESHOLD = 64 << 20
-# mallopt(3)'s M_MMAP_THRESHOLD, and a value above any one array the model
-# allocates, so that no array gets a fresh mmap of its own (at glibc's 128
-# KiB default, a streamed 64-utterance prefix's gate buffers did), and below
-# glibc's 32 MiB cap on 64-bit systems.
-_M_MMAP_THRESHOLD = -3
-MMAP_THRESHOLD = 16 << 20
 
 
 def _keep_freed_memory_mapped() -> None:
-    """Raise glibc's trim threshold to TRIM_THRESHOLD and its mmap threshold
-    to MMAP_THRESHOLD for this process; do nothing where the C library has
-    no mallopt."""
+    """Raise glibc's trim threshold to TRIM_THRESHOLD for this process; do
+    nothing where the C library has no mallopt."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):
@@ -115,7 +103,6 @@ def _keep_freed_memory_mapped() -> None:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
-    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
 
 
 _keep_freed_memory_mapped()

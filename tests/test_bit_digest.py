@@ -30,10 +30,14 @@ GOLDEN = Path(__file__).resolve().parent / "bit_digest_golden.json"
 
 
 def openblas_core() -> str | None:
-    """The core OpenBLAS picked its kernels for, from numpy's own copy."""
+    """The core OpenBLAS picked its kernels for, from numpy's own copy; None
+    where that copy cannot be found or loaded."""
     libdir = Path(np.__file__).parent.parent / "numpy.libs"
     for lib in glob.glob(str(libdir / "*openblas*")):
-        cdll = ctypes.CDLL(lib)
+        try:
+            cdll = ctypes.CDLL(lib)
+        except OSError:
+            return None
         for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
             fn = getattr(cdll, symbol, None)
             if fn is not None:

@@ -1,14 +1,10 @@
 import dataclasses
 import json
 import math
-import os
 import platform
 import struct
-import subprocess
-import sys
 import tracemalloc
 import zlib
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,7 +22,6 @@ from handsat.model import Model, ModelConfig, sub_batches
 from handsat.synth import GeneratorSpec, synthesize_corpus
 
 T, N = HandoffLabel.TRANSFERABLE, HandoffLabel.NORMAL
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def small_config(**overrides):
@@ -379,68 +374,6 @@ def test_train_epoch_reuses_the_memory_freed_by_the_last_one():
     r = tr.train(train, dev, tr.TrainConfig(max_epochs=4))
     assert len(r.timing) == 4
     assert r.timing[-1]["minor_page_faults"] < 500
-
-
-# Run in a fresh interpreter, whose heap has not grown yet: the encoder's two
-# untaped LSTM calls at the shape of a 64-utterance push (64 utterances of 5
-# tokens, 33 distinct ids, default widths) first, then whole sessions of 64
-# pushes of the default model. Prints the minor page faults per call, after
-# 3 warm-up calls, and those of the second session.
-_PUSH_FAULTS = """
-import resource
-import numpy as np
-from handsat import numerics as nm
-from handsat.corpus import Role
-from handsat.model import Model
-from handsat.training import TrainConfig
-
-def faults(fn, n):
-    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(n):
-        fn()
-    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / n
-
-rng = np.random.default_rng(1)
-table = nm.constant(rng.standard_normal((33, 32)))
-index = rng.integers(0, 33, size=(64, 5))
-cells = [nm.LstmParams(*(nm.constant(rng.standard_normal(shape) * 0.1)
-                         for shape in ((128, 32), (128, 32), 128)))
-         for _ in range(2)]
-def encode():
-    for cell in cells:
-        nm.lstm_sequence(table, cell, index=index)
-faults(encode, 3)
-print(faults(encode, 20), end=" ")
-model = Model.build(TrainConfig().model_config(40), np.random.default_rng(0))
-ids = [list(rng.integers(2, 40, size=5)) for _ in range(64)]
-roles = [Role.CUSTOMER if t % 2 == 0 else Role.AGENT for t in range(64)]
-def session():
-    s = model.session()
-    for u, r in zip(ids, roles):
-        s.push(u, r)
-session()
-print(faults(session, 1))
-"""
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
-                    reason="the mmap threshold is glibc's mallopt setting")
-def test_streamed_pushes_fault_almost_no_pages():
-    """With glibc's mmap threshold raised, an array of 128 KiB or more (the
-    gates of a 64-utterance push's encoder LSTMs: 5 * 64 * 128 floats) is
-    served from the heap, not from a fresh mmap that is faulted in on every
-    call: 81 pages per LSTM call with the M_MMAP_THRESHOLD mallopt call
-    deleted, 0 with it. A warmed-up session of 64 pushes faults almost no
-    page either."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                         os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _PUSH_FAULTS], cwd=ROOT,
-                          env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-3000:]
-    per_encode, per_session = map(float, proc.stdout.split())
-    assert per_encode < 4, proc.stdout
-    assert per_session < 64, proc.stdout
 
 
 def test_train_restores_best_epoch(tiny_corpus):
