@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 import time
@@ -32,8 +31,8 @@ from .errors import (CheckpointError, ConfigError, ContractError, CorpusError,
 from .metrics import SECTIONS, evaluate_model
 from .model import Model, ModelConfig
 from .synth import GeneratorSpec, load_generator_spec, synthesize_corpus
-from .training import (TrainConfig, load_checkpoint, objective, save_checkpoint,
-                       train)
+from .training import (Adam, TrainConfig, load_checkpoint, objective,
+                       save_checkpoint, train)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -170,14 +169,15 @@ def cmd_train(args) -> int:
 
 def _check_model_fits(config: ModelConfig) -> None:
     """Refuse a model whose training state cannot fit in physical memory,
-    from its block shapes alone: training holds the weights, their
-    gradients, Adam's two moments and the best epoch's snapshot. gradcheck
-    uses the same bound, so a width it accepts can also be trained."""
+    from its block shapes alone: training holds parameter-sized float64
+    arrays for the weights and their gradients (Model.params and
+    Model.grads), Adam's state (Adam.ARRAYS: two moments and step's two
+    scratch arrays) and the best epoch's snapshot. gradcheck uses the same
+    bound, so a width it accepts can also be trained."""
     try:
-        blocks = Model.skeleton(config).blocks.values()
+        need = (2 + Adam.ARRAYS + 1) * Model.skeleton(config).params.nbytes
     except ValueError as e:  # a dimension numpy cannot represent
         raise ConfigError(f"cannot allocate the configured model: {e}") from None
-    need = 5 * 8 * sum(math.prod(t.shape) for t in blocks)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigError(f"cannot allocate the configured model: its training "

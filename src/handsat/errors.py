@@ -10,6 +10,12 @@ class ContractError(HandsatError):
     (shape mismatch, out-of-range index, inconsistent mask)."""
 
 
+class NonFiniteError(ContractError):
+    """A non-finite value reached an operation that needs finite ones (a
+    score at an allowed position of masked_softmax). In training this is
+    divergence."""
+
+
 class ConfigError(HandsatError):
     """Invalid or inconsistent configuration."""
 

@@ -10,6 +10,7 @@ classes, present or not.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import asdict, dataclass, replace
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -19,7 +20,7 @@ from .corpus import (SENTIMENT_CLASSES, SATISFACTION_CLASSES, Dialogue,
                      HandoffLabel, check_dialogues)
 from .decoders import map_sentiment
 from .errors import ContractError, CorpusError
-from .model import Model, sub_batches
+from .model import sub_batches
 
 GT_TOLERANCES = (1, 2, 3)
 SECTIONS = ("mhch", "ssa", "sentiment")
@@ -126,10 +127,9 @@ def evaluate_model(
     sent_preds, sent_golds = [], []
     per_dialogue: list[dict] = []
 
-    if aggregate is not None:
-        model = Model(replace(model.config, aggregate_mode=aggregate), model.encoder,
-                      model.interaction, model.handoff_decoder,
-                      model.satisfaction_decoder)
+    if aggregate is not None:  # the same model and memory under the other mode
+        model = copy.copy(model)
+        model.config = replace(model.config, aggregate_mode=aggregate)
     for part in sub_batches(sorted(corpus, key=lambda d: d.id)):
         with model.untaped():
             batch = model.forward_batch([vocab.encode_dialogue(d) for d in part],

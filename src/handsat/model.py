@@ -1,9 +1,9 @@
 """Full model: configuration, parameter construction, forward pass, trace.
 
 Parameter blocks are named by their field paths in the parameter
-dataclasses the layers read (enc.fwd.w, dec_s.transformer.wq); the flat
-name -> tensor mapping is what the optimizer, the checkpoint container, and
-the gradient checker all operate on.
+dataclasses the layers read (enc.fwd.w, dec_s.transformer.wq). Their memory
+is one float64 array, Model.params, each block's data a view of its slice
+in Model.blocks order; Model.grads holds their gradients in the same layout.
 
 The forward pass runs a batch of dialogues (forward_batch) padded to the
 longest, one layout from the encoder to the decoders: the encoder, the
@@ -180,7 +180,6 @@ class Model:
                  interaction_params: InteractionParams,
                  handoff_decoder: HandoffDecoderParams,
                  satisfaction_decoder: SatisfactionDecoderParams):
-        config.validate()
         self.config = config
         self.encoder = encoder
         self.interaction = interaction_params
@@ -209,22 +208,39 @@ class Model:
                 table = np.asarray(embedding, dtype=np.float64)
                 if table.shape != shape:
                     raise ConfigError(f"embedding shape {table.shape} != {shape}")
-            return cls._assemble(config, table,
-                                 lambda shape: nm.glorot_uniform(shape, rng), np.full)
+            model = cls._assemble(config, table,
+                                  lambda shape: nm.glorot_uniform(shape, rng), np.full)
+            model._bind(np.concatenate([t.data.reshape(-1)
+                                        for t in model.blocks.values()]))
+            return model
         except (MemoryError, ValueError) as e:  # numpy's "cannot allocate" errors
             raise ConfigError(f"cannot allocate the configured model: {e}") from None
 
     @classmethod
     def skeleton(cls, config: ModelConfig) -> "Model":
-        """The blocks of `build` as read-only zero-stride arrays: every name
-        and shape, with no memory allocated for the values."""
+        """The blocks of `build`, params and grads as read-only zero-stride
+        arrays: every name and shape, with no memory allocated for values."""
         config.validate()
 
         def zeros(shape, value=0.0):
             return np.broadcast_to(value, shape)
 
-        return cls._assemble(config, zeros((config.vocab_size, config.embed_dim)),
-                             zeros, zeros)
+        model = cls._assemble(config, zeros((config.vocab_size, config.embed_dim)),
+                              zeros, zeros)
+        size = sum(t.data.size for t in model.blocks.values())
+        model._bind(zeros(size), zeros(size, -0.0))
+        return model
+
+    def _bind(self, params: np.ndarray, grads: np.ndarray | None = None) -> None:
+        """Make params and grads (by default all -0.0) the model's memory, each
+        block's data and grad views of its slice. Only constructors call this."""
+        self.params = params
+        self.grads = np.full_like(params, -0.0) if grads is None else grads
+        end = 0
+        for t in self.blocks.values():
+            start, end = end, end + t.data.size
+            t.data = params[start:end].reshape(t.shape)
+            t.grad = self.grads[start:end].reshape(t.shape)
 
     @classmethod
     def _assemble(cls, config: ModelConfig, table: np.ndarray, weight,
@@ -274,8 +290,7 @@ class Model:
         return cls(config, encoder, inter, handoff_dec, sat_dec)
 
     def zero_grads(self) -> None:
-        for t in self.blocks.values():
-            t.grad = None
+        self.grads.fill(-0.0)  # the additive identity: a first gradient keeps its bits
 
     @contextlib.contextmanager
     def untaped(self):

@@ -75,7 +75,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, NonFiniteError
 
 Array = np.ndarray
 
@@ -721,7 +721,7 @@ def masked_softmax(scores: Tensor, allowed: Array | None) -> Tensor:
         e[...] = -np.inf
         np.copyto(e, s.reshape(shape), where=allowed.reshape(shape))
     if not finite:
-        raise ContractError("non-finite score at an allowed position")
+        raise NonFiniteError("non-finite score at an allowed position")
     rowmax = np.maximum.reduce(e, axis=-1, keepdims=True)
     # an empty row's max is -inf; any finite shift keeps its exps at 0
     np.maximum(rowmax, _LOWEST, out=rowmax)
@@ -1042,7 +1042,8 @@ def grad_check(
     report = GradCheckReport(tol=tol)
 
     for p in params.values():
-        p.grad = None
+        if p.grad is not None:  # zeroed in place: a model's grads stay its buffer
+            p.grad.fill(-0.0)
     loss = loss_fn()
     if not np.isfinite(loss.data).all():
         report.aborted = True

@@ -31,7 +31,8 @@ from . import numerics as nm
 from .config import decode_config, parse_json
 from .corpus import (Dialogue, HandoffLabel, SatisfactionLabel, Vocabulary,
                      build_vocab, check_dialogues)
-from .errors import CheckpointError, ConfigError, CorpusError, path_reason
+from .errors import (CheckpointError, ConfigError, CorpusError, NonFiniteError,
+                     path_reason)
 from .metrics import evaluate_model
 from .model import BatchResult, Model, ModelConfig, sub_batches
 from .numerics import Tensor
@@ -190,39 +191,45 @@ def objective(model: Model, vocab: Vocabulary, batch: Sequence[Dialogue],
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Standard settings; missing grads count as zero, so untouched blocks
-    stay put."""
+    """Standard settings, in place on a model's params and grads as whole
+    arrays: a parameter-sized temporary would be an mmap of its own."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    ARRAYS = 4  # parameter-sized: the two moments and step's two scratch arrays
 
-    def __init__(self, blocks: dict[str, Tensor], lr: float):
-        self.blocks = blocks
+    def __init__(self, model: Model, lr: float):
+        self.model = model
         self.lr = lr
-        self.m = {k: np.zeros_like(t.data) for k, t in blocks.items()}
-        self.v = {k: np.zeros_like(t.data) for k, t in blocks.items()}
+        self.m, self.v, self._a, self._b = np.zeros((self.ARRAYS, model.params.size))
         self.t = 0
 
     def clip_grads(self, max_norm: float) -> float:
+        # the fsum of each block's own sum of squares fixes the norm's bits
         norm = math.fsum(float((t.grad * t.grad).sum())
-                         for t in self.blocks.values() if t.grad is not None) ** 0.5
+                         for t in self.model.blocks.values()) ** 0.5
         if norm > max_norm:
-            factor = max_norm / norm
-            for t in self.blocks.values():
-                if t.grad is not None:
-                    t.grad *= factor
+            self.model.grads *= max_norm / norm
         return norm
 
     def step(self) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for name, t in self.blocks.items():
-            g = t.grad if t.grad is not None else 0.0
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * (g * g)
-            mhat = self.m[name] / b1c
-            vhat = self.v[name] / b2c
-            t.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        g, m, v, a, b = self.model.grads, self.m, self.v, self._a, self._b
+        m *= self.beta1
+        np.multiply(g, 1 - self.beta1, out=a)
+        m += a
+        v *= self.beta2
+        np.multiply(g, g, out=a)
+        a *= 1 - self.beta2
+        v += a
+        np.divide(m, b1c, out=a)
+        a *= self.lr
+        np.divide(v, b2c, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        self.model.params -= a
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +278,11 @@ def train(
     training steps and dev evaluation, training dialogues per second, and
     the process's minor page faults over the epoch, None where the resource
     module is missing), so same-seed histories stay equal.
+
+    A non-finite batch loss, or a non-finite score inside a forward of
+    training or dev evaluation (NonFiniteError), ends training as diverged.
+    Either way the model ends with the best epoch's parameters, once an
+    epoch has finished.
     """
     config.validate()
     if not train_corpus or not dev_corpus:
@@ -287,9 +299,9 @@ def train(
                         embedding=embedding)
     encoded = [vocab.encode_dialogue(d) for d in train_corpus]
 
-    optimizer = Adam(model.blocks, lr=config.learning_rate)
+    optimizer = Adam(model, lr=config.learning_rate)
     result = TrainResult(model=model, vocab=vocab)
-    best_snapshot: dict[str, np.ndarray] | None = None
+    best_params = np.empty_like(model.params)  # set at each new best epoch
     epochs_since_best = 0
 
     for epoch in range(config.max_epochs):
@@ -297,29 +309,31 @@ def train(
         order = order_rng.permutation(len(encoded))
         epoch_losses: list[float] = []
         grad_norm_preclip, clipped = 0.0, 0
-        for start in range(0, len(order), config.batch_size):
-            batch = [(encoded[i], train_corpus[i])
-                     for i in order[start:start + config.batch_size]]
-            model.zero_grads()
-            batch_loss = 0.0
-            for term in objective_terms(model, batch, config.eta, config.delta,
-                                        rng=dropout_rng):
-                batch_loss += term.item()
-                term.backward()
-            if not np.isfinite(batch_loss):
-                if best_snapshot is not None:
-                    _restore(model, best_snapshot)
-                result.diverged = True
-                result.message = (f"non-finite loss in epoch {epoch}; "
-                                  f"restored best checkpoint")
-                return result
-            epoch_losses.append(batch_loss)
-            norm = optimizer.clip_grads(config.grad_clip)
-            grad_norm_preclip = max(grad_norm_preclip, norm)
-            clipped += int(norm > config.grad_clip)
-            optimizer.step()
-
-        report, _ = evaluate_model(model, vocab, dev_corpus, sections=("mhch", "ssa"))
+        try:
+            for start in range(0, len(order), config.batch_size):
+                batch = [(encoded[i], train_corpus[i])
+                         for i in order[start:start + config.batch_size]]
+                model.zero_grads()
+                batch_loss = 0.0
+                for term in objective_terms(model, batch, config.eta, config.delta,
+                                            rng=dropout_rng):
+                    batch_loss += term.item()
+                    term.backward()
+                if not np.isfinite(batch_loss):
+                    raise NonFiniteError("non-finite loss")
+                epoch_losses.append(batch_loss)
+                norm = optimizer.clip_grads(config.grad_clip)
+                grad_norm_preclip = max(grad_norm_preclip, norm)
+                clipped += int(norm > config.grad_clip)
+                optimizer.step()
+            report, _ = evaluate_model(model, vocab, dev_corpus,
+                                       sections=("mhch", "ssa"))
+        except NonFiniteError as e:
+            result.diverged = True
+            result.message = f"{e} in epoch {epoch}; " + (
+                f"restored epoch {result.best_epoch}" if result.best_epoch >= 0
+                else "no finished epoch to restore")
+            break
         selection = _selection_metric(report)
         result.history.append({
             "epoch": epoch,
@@ -341,21 +355,16 @@ def train(
         if selection > result.best_selection:
             result.best_selection = selection
             result.best_epoch = epoch
-            best_snapshot = {k: t.data.copy() for k, t in model.blocks.items()}
+            best_params[...] = model.params
             epochs_since_best = 0
         else:
             epochs_since_best += 1
             if epochs_since_best >= config.patience:
                 break
 
-    if best_snapshot is not None:
-        _restore(model, best_snapshot)
+    if result.best_epoch >= 0:
+        model.params[...] = best_params
     return result
-
-
-def _restore(model: Model, snapshot: dict[str, np.ndarray]) -> None:
-    for name, data in snapshot.items():
-        model.blocks[name].data = data.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +376,7 @@ def _restore(model: Model, snapshot: dict[str, np.ndarray]) -> None:
 #   version u32      currently 4 (README "Checkpoints" says what 1-3 held)
 #   meta    u64 length + UTF-8 JSON: {"model_config": {...}, "vocab": {...},
 #           "extra": {...}, "blocks": [[name, shape], ...]}
-#   body    each block's raw C-order float64 values, in "blocks" order
+#   body    Model.params' bytes: each block's C-order float64 values, in order
 #   crc     u32      zlib.crc32 of every byte before it
 #
 # The stored config fixes every block's name (its dotted field path in
@@ -387,8 +396,7 @@ def save_checkpoint(model: Model, vocab: Vocabulary, path: str | Path,
         "blocks": [[name, list(t.data.shape)] for name, t in model.blocks.items()],
     }, sort_keys=True).encode("utf-8")
     content = b"".join([MAGIC, struct.pack("<IQ", FORMAT_VERSION, len(meta)), meta,
-                        *(np.ascontiguousarray(t.data, dtype="<f8").tobytes()
-                          for t in model.blocks.values())])
+                        model.params.astype("<f8", copy=False).tobytes()])
     tmp = Path(f"{path}.tmp")
     tmp.write_bytes(content + struct.pack("<I", zlib.crc32(content)))
     try:
@@ -458,13 +466,12 @@ def load_checkpoint(path: str | Path) -> tuple[Model, Vocabulary, dict]:
         raise CheckpointError(f"invalid checkpoint metadata: {e}") from None
     if stored != [[name, list(t.data.shape)] for name, t in model.blocks.items()]:
         raise CheckpointError(_block_mismatch(stored, model.blocks))
-    size = sum(t.data.size for t in model.blocks.values())
-    surplus = len(content) - 4 - offset - 8 * size
+    surplus = len(content) - 4 - offset - 8 * model.params.size
     if surplus:
         raise CheckpointError("trailing bytes after the last block" if surplus > 0
                               else "checkpoint truncated")
-    for tensor in model.blocks.values():
-        count, shape = tensor.data.size, tensor.data.shape
-        tensor.data = np.frombuffer(content, "<f8", count, offset).reshape(shape).copy()
-        offset += 8 * count
+    model._bind(np.frombuffer(content, "<f8", model.params.size, offset).copy())
+    if not np.isfinite(model.params).all():
+        name = next(n for n, t in model.blocks.items() if not np.isfinite(t.data).all())
+        raise CheckpointError(f"block {name!r} holds a non-finite value")
     return model, vocab, extra

@@ -300,6 +300,44 @@ def test_train_output_that_cannot_be_written_is_config_error(
     assert (tmp_path / "run" / "model.ckpt.tmp").exists() == (name == "model.ckpt.tmp")
 
 
+def test_diverging_train_exits_numeric_with_its_outputs(tmp_path, capsys):
+    """A learning rate of 1e300 drives a score non-finite inside the second
+    batch's forward, before any loss is summed. That is divergence: exit 4
+    with one 'training diverged' line, and the checkpoint and history are
+    written, as for a non-finite loss."""
+    dialogues, _ = synthesize_corpus(GeneratorSpec(num_dialogues=200), seed=3)
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus(dialogues, corpus)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "train": {"learning_rate": 1e300, "max_epochs": 2, "embed_dim": 8,
+                  "hidden_size": 8, "dense_size": 8, "attention_units": 8},
+        "paths": {"train_corpus": str(corpus), "dev_corpus": str(corpus),
+                  "checkpoint_dir": str(tmp_path / "run")}}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, err = run_cli(capsys, "train", str(config))
+    assert code == 4
+    diverged = [line for line in err.splitlines() if "diverged" in line]
+    assert diverged == ["training diverged: non-finite score at an allowed "
+                        "position in epoch 0; no finished epoch to restore"]
+    assert (tmp_path / "run" / "model.ckpt").exists()
+    assert (tmp_path / "run" / "history.jsonl").read_text() == ""
+
+
+def test_model_fits_counts_every_array_training_holds(monkeypatch):
+    """The memory check counts seven parameter-sized float64 arrays: the
+    weights, their gradients, Adam's two moments and two scratch arrays,
+    and the best epoch's snapshot."""
+    config = TrainConfig().model_config(50)
+    need = 8 * sum(t.data.size for t in Model.skeleton(config).blocks.values())
+    memory = {"SC_PAGE_SIZE": need, "SC_PHYS_PAGES": 6}
+    monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+    with pytest.raises(cli.ConfigError, match=f"needs {7 * need} bytes"):
+        cli._check_model_fits(config)
+    memory["SC_PHYS_PAGES"] = 7
+    cli._check_model_fits(config)
+
+
 def test_train_unknown_config_key(workspace, tmp_path, capsys):
     _, config_path, _, _ = workspace
     cfg = json.loads(config_path.read_text())
@@ -736,6 +774,24 @@ def test_damaged_checkpoint_is_data_error(trained_run, tmp_path, capsys, damage,
     assert code == 3 and out == ""
     assert err.startswith("data error:") and err.count("\n") == 1
     assert named in err
+
+
+def test_checkpoint_with_a_non_finite_value_is_data_error(trained_run, tmp_path,
+                                                         capsys):
+    """predict and eval refuse a sealed checkpoint with a NaN in its body
+    at load: exit 3 and one line naming the block."""
+    model, vocab, _ = cli.load_checkpoint(trained_run / "model.ckpt")
+    model.blocks["dec_h.out_b"].data[0] = np.nan
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(model, vocab, ckpt)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    for argv in (["predict", str(ckpt), "--input", str(empty)],
+                 ["eval", str(ckpt), str(empty)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == ("data error: block 'dec_h.out_b' holds a non-finite "
+                       "value\n")
 
 
 def widen_second_block(meta):

@@ -72,6 +72,39 @@ def test_skeleton_has_the_built_blocks_without_their_memory():
     assert ({n: t.shape for n, t in skeleton.blocks.items()}
             == {n: t.shape for n, t in built.blocks.items()})
     assert all(t.data.strides == (0,) * t.data.ndim for t in skeleton.blocks.values())
+    assert skeleton.params.strides == skeleton.grads.strides == (0,)
+
+
+def assert_buffers_back_every_block(model):
+    """Each block's data and grad are views of model.params and model.grads
+    at the block's offset in blocks order, and the blocks fill both."""
+    offset = 0
+    for name, t in model.blocks.items():
+        for view, buffer in ((t.data, model.params), (t.grad, model.grads)):
+            assert view.shape == t.shape, name
+            assert (view.__array_interface__["data"][0]
+                    == buffer.__array_interface__["data"][0] + 8 * offset), name
+        offset += t.data.size
+    assert model.params.shape == model.grads.shape == (offset,)
+
+
+def test_loaded_model_trains_in_its_buffers(setup, tmp_path):
+    """A loaded model's blocks are views of its params and grads: a backward
+    fills grads, and an Adam step moves exactly the blocks whose gradient
+    is not zero."""
+    model, vocab, dialogues = setup
+    tr.save_checkpoint(model, vocab, tmp_path / "model.ckpt")
+    loaded, _, _ = tr.load_checkpoint(tmp_path / "model.ckpt")
+    assert_buffers_back_every_block(loaded)
+    before = loaded.params.copy()
+    tr.objective(loaded, vocab, dialogues[:2], eta=0.5, delta=1e-4).backward()
+    tr.Adam(loaded, lr=1e-3).step()
+    assert_buffers_back_every_block(loaded)
+    moved = [n for n, t in loaded.blocks.items()
+             if not np.array_equal(t.data, model.blocks[n].data)]
+    touched = [n for n, t in loaded.blocks.items() if np.any(t.grad != 0.0)]
+    assert moved == touched and len(moved) > len(loaded.blocks) // 2
+    assert not np.array_equal(loaded.params, before)
 
 
 def test_forward_distributions(setup):
@@ -251,6 +284,23 @@ def test_full_model_grad_check(setup):
     report = nm.grad_check(loss, model.blocks, samples_per_block=4,
                            rng=np.random.default_rng(5))
     assert report.passed, report.to_json()
+
+
+def test_grad_check_leaves_the_model_its_buffers(setup):
+    """grad_check zeroes the gradients it is given in place, so the model's
+    grads still back every block after it and hold the loss's gradient."""
+    _, vocab, dialogues = setup
+    model = Model.build(tiny_config(len(vocab)), np.random.default_rng(8))
+    model.grads.fill(1.0)
+
+    def loss():
+        return tr.objective(model, vocab, dialogues[:1], eta=0.5, delta=1e-4)
+
+    nm.grad_check(loss, model.blocks, samples_per_block=1)
+    assert_buffers_back_every_block(model)
+    expected = Model.build(tiny_config(len(vocab)), np.random.default_rng(8))
+    tr.objective(expected, vocab, dialogues[:1], eta=0.5, delta=1e-4).backward()
+    assert model.grads.tobytes() == expected.grads.tobytes()
 
 
 @pytest.mark.parametrize("mode, aggregate", zip(INTERACTION_MODES, AGGREGATE_MODES))

@@ -244,7 +244,7 @@ def test_train_gradient_is_the_objective_gradient(tiny_corpus, monkeypatch):
         pass
 
     def first_clip(self, max_norm):
-        seen["grads"] = {k: t.grad.copy() for k, t in self.blocks.items()}
+        seen["grads"] = {k: t.grad.copy() for k, t in self.model.blocks.items()}
         raise FirstClip
 
     monkeypatch.setattr(tr, "objective_terms", recording_terms)
@@ -272,7 +272,7 @@ def test_sub_batch_gradient_matches_per_dialogue_backward(tiny_corpus):
     out = model.forward_batch([vocab.encode_dialogue(d) for d in train],
                               [d.roles for d in train])
     nm.exact_sum(tr.dialogue_loss(out, train, eta=0.5)).backward()
-    batched = {name: t.grad for name, t in model.blocks.items()}
+    batched = {name: t.grad.copy() for name, t in model.blocks.items()}
     model.zero_grads()
     for d in train:
         out = model.forward_batch([vocab.encode_dialogue(d)], [d.roles])
@@ -280,6 +280,37 @@ def test_sub_batch_gradient_matches_per_dialogue_backward(tiny_corpus):
     for name, tensor in model.blocks.items():
         difference = np.linalg.norm(batched[name] - tensor.grad)
         assert difference <= 1e-10 * np.linalg.norm(tensor.grad), name
+
+
+def test_flat_adam_steps_have_the_bits_of_the_per_block_update():
+    """Three clipped Adam steps on the model's flat arrays give the bytes of
+    the per-block update written out below, step by step, with one block's
+    gradient all -0.0 (as for a block that no term reaches)."""
+    model = Model.build(small_config().model_config(20), np.random.default_rng(5))
+    optimizer = tr.Adam(model, lr=3e-3)
+    b1, b2, eps, lr, max_norm = 0.9, 0.999, 1e-8, 3e-3, 10.0
+    data = {name: t.data.copy() for name, t in model.blocks.items()}
+    m = {name: np.zeros_like(d) for name, d in data.items()}
+    v = {name: np.zeros_like(d) for name, d in data.items()}
+    rng = np.random.default_rng(6)
+    for step in (1, 2, 3):
+        grads = {name: rng.standard_normal(d.shape) * 10.0 ** rng.integers(-6, 2)
+                 for name, d in data.items()}
+        grads["dec_s.query"] = np.full(data["dec_s.query"].shape, -0.0)
+        for name, t in model.blocks.items():
+            t.grad[...] = grads[name]
+        norm = optimizer.clip_grads(max_norm)
+        optimizer.step()
+
+        expected_norm = math.fsum(float((g * g).sum()) for g in grads.values()) ** 0.5
+        assert norm == expected_norm > max_norm
+        b1c, b2c = 1.0 - b1 ** step, 1.0 - b2 ** step
+        for name, g in grads.items():
+            g = g * (max_norm / expected_norm)
+            m[name] = b1 * m[name] + (1 - b1) * g
+            v[name] = b2 * v[name] + (1 - b2) * (g * g)
+            data[name] = data[name] - lr * (m[name] / b1c) / (np.sqrt(v[name] / b2c) + eps)
+            assert model.blocks[name].data.tobytes() == data[name].tobytes(), (step, name)
 
 
 # measured 3,240,696 bytes with SUB_BATCH = 5 (numpy 2.4.6, Python 3.11),
@@ -306,7 +337,7 @@ def test_optimizer_step_traced_peak_is_bounded():
     cfg = tr.TrainConfig()
     vocab = build_vocab(dialogues[:200])
     model = Model.build(cfg.model_config(len(vocab)), np.random.default_rng(0))
-    optimizer = tr.Adam(model.blocks, lr=cfg.learning_rate)
+    optimizer = tr.Adam(model, lr=cfg.learning_rate)
     pairs = [(vocab.encode_dialogue(d), d) for d in batch]
     rng = np.random.default_rng(1)
     peaks = []
@@ -533,6 +564,20 @@ def test_checkpoint_fuzz_loads_or_raises_checkpoint_error(checkpoint_file, data)
     except CheckpointError:
         return
     assert resealed or mutated == original
+
+
+def test_checkpoint_with_a_non_finite_value_is_refused(tmp_path):
+    """A sealed checkpoint whose body holds a NaN or an infinity is refused
+    at load, naming the first block that holds one."""
+    model = Model.build(small_config().model_config(2), np.random.default_rng(0))
+    model.blocks["dec_h.out_b"].data[1] = math.nan
+    model.blocks["dec_s.query"].data[0] = math.inf
+    path = tmp_path / "model.ckpt"
+    tr.save_checkpoint(model, Vocabulary.from_json({"tokens": ["<pad>", "<unk>"]}),
+                       path)
+    with pytest.raises(CheckpointError,
+                       match="^block 'dec_h.out_b' holds a non-finite value$"):
+        tr.load_checkpoint(path)
 
 
 def test_checkpoint_truncated(tiny_corpus, tmp_path):
