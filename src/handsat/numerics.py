@@ -58,6 +58,15 @@ first and no lower peak RSS, so that one stays at glibc's default. The
 policy is process-wide: it holds for every malloc in the process. It
 applies to glibc only; where the C library has no mallopt (macOS, Windows)
 nothing is set. It changes no arithmetic, so every output keeps its bits.
+
+The tape's large temporaries are reused from the heap's free chunks, so
+arrays that live across sub-batches (a model's params and grads, Adam's
+state, the best epoch's snapshot) are made by mapped_copy, each in an
+anonymous mapping of its own: placed in the heap, these parameter-sized
+arrays took the free chunks the temporaries had reused, and the full test
+suite read 2,480 minor page faults per epoch in the last epochs of
+test_train_epoch_reuses_the_memory_freed_by_the_last_one (hypothesis seed
+1), against 0 with the mappings.
 """
 
 from __future__ import annotations
@@ -68,6 +77,7 @@ import functools
 import heapq
 import itertools
 import math
+import mmap
 import sys
 import time
 from dataclasses import dataclass, field
@@ -307,6 +317,15 @@ def profile() -> Iterator[dict[str, OpStats]]:
         yield _profiler.ops
     finally:
         _profiler = None
+
+
+def mapped_copy(values) -> Array:
+    """A float64 copy of values in an anonymous mapping of its own, not in
+    the heap (see the module docstring)."""
+    out = np.frombuffer(mmap.mmap(-1, 8 * values.size), dtype=np.float64)
+    out = out.reshape(values.shape)
+    out[...] = values
+    return out
 
 
 def constant(data) -> Tensor:

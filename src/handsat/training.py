@@ -200,7 +200,8 @@ class Adam:
     def __init__(self, model: Model, lr: float):
         self.model = model
         self.lr = lr
-        self.m, self.v, self._a, self._b = np.zeros((self.ARRAYS, model.params.size))
+        self.m, self.v, self._a, self._b = nm.mapped_copy(
+            np.broadcast_to(0.0, (self.ARRAYS, model.params.size)))
         self.t = 0
 
     def clip_grads(self, max_norm: float) -> float:
@@ -301,7 +302,7 @@ def train(
 
     optimizer = Adam(model, lr=config.learning_rate)
     result = TrainResult(model=model, vocab=vocab)
-    best_params = np.empty_like(model.params)  # set at each new best epoch
+    best_params = nm.mapped_copy(model.params)  # set at each new best epoch
     epochs_since_best = 0
 
     for epoch in range(config.max_epochs):
@@ -470,7 +471,8 @@ def load_checkpoint(path: str | Path) -> tuple[Model, Vocabulary, dict]:
     if surplus:
         raise CheckpointError("trailing bytes after the last block" if surplus > 0
                               else "checkpoint truncated")
-    model._bind(np.frombuffer(content, "<f8", model.params.size, offset).copy())
+    body = np.frombuffer(content, "<f8", model.params.size, offset)
+    model._bind(nm.mapped_copy(body))
     if not np.isfinite(model.params).all():
         name = next(n for n, t in model.blocks.items() if not np.isfinite(t.data).all())
         raise CheckpointError(f"block {name!r} holds a non-finite value")

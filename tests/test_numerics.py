@@ -1,4 +1,5 @@
 import math
+import mmap
 import os
 import subprocess
 import sys
@@ -560,6 +561,21 @@ def test_taped_lstm_sequence_keeps_only_gates_and_hidden_states():
             tracemalloc.stop()
         del out, carry
         assert kept <= 8 * (5 * k * T * B + B * k) + 4096, (idx is not None, kept)
+
+
+def test_mapped_copy_is_a_writable_copy_in_a_mapping_of_its_own():
+    """mapped_copy keeps the values' bits (-0.0 included) and shape, in
+    writable memory that is an anonymous mapping, not the values' own."""
+    values = np.array([[-0.0, 1.5, np.inf], [2.0, -3.0, 1e-300]])
+    out = nm.mapped_copy(values)
+    assert out.shape == values.shape and out.dtype == np.float64
+    assert out.tobytes() == values.tobytes()
+    assert not np.shares_memory(out, values)
+    assert isinstance(out.base.base.obj, mmap.mmap)
+    out[0, 0] = 7.0
+    assert values[0, 0] == 0.0
+    assert nm.mapped_copy(np.broadcast_to(-0.0, (4,))).tobytes() == \
+        np.full(4, -0.0).tobytes()
 
 
 def test_dropout_keeps_the_bits_of_its_scaled_mask():
