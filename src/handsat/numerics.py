@@ -320,9 +320,10 @@ def profile() -> Iterator[dict[str, OpStats]]:
 
 
 def mapped_copy(values) -> Array:
-    """A float64 copy of values in an anonymous mapping of its own, not in
-    the heap (see the module docstring)."""
-    out = np.frombuffer(mmap.mmap(-1, 8 * values.size), dtype=np.float64)
+    """A float64 copy of values in a private anonymous mapping of its own,
+    not in the heap (see the module docstring)."""
+    buffer = mmap.mmap(-1, 8 * values.size, access=mmap.ACCESS_COPY)
+    out = np.frombuffer(buffer, dtype=np.float64)
     out = out.reshape(values.shape)
     out[...] = values
     return out
