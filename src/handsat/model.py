@@ -211,7 +211,8 @@ class Model:
             model = cls._assemble(config, table,
                                   lambda shape: nm.glorot_uniform(shape, rng), np.full)
             values = np.concatenate([t.data.reshape(-1) for t in model.blocks.values()])
-            model._bind(nm.mapped_copy(values))
+            model._bind(nm.mapped_copy(values),
+                        nm.mapped_copy(np.broadcast_to(-0.0, values.shape)))
             return model
         except (MemoryError, ValueError) as e:  # numpy's "cannot allocate" errors
             raise ConfigError(f"cannot allocate the configured model: {e}") from None
@@ -235,9 +236,7 @@ class Model:
         """Make params and grads (by default all -0.0) the model's memory, each
         block's data and grad views of its slice. Only constructors call this."""
         self.params = params
-        if grads is None:
-            grads = nm.mapped_copy(np.broadcast_to(-0.0, params.shape))
-        self.grads = grads
+        self.grads = np.full_like(params, -0.0) if grads is None else grads
         end = 0
         for t in self.blocks.values():
             start, end = end, end + t.data.size

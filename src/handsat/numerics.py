@@ -60,13 +60,13 @@ applies to glibc only; where the C library has no mallopt (macOS, Windows)
 nothing is set. It changes no arithmetic, so every output keeps its bits.
 
 The tape's large temporaries are reused from the heap's free chunks, so
-arrays that live across sub-batches (a model's params and grads, Adam's
-state, the best epoch's snapshot) are made by mapped_copy, each in an
-anonymous mapping of its own: placed in the heap, these parameter-sized
-arrays took the free chunks the temporaries had reused, and the full test
-suite read 2,480 minor page faults per epoch in the last epochs of
-test_train_epoch_reuses_the_memory_freed_by_the_last_one (hypothesis seed
-1), against 0 with the mappings.
+the arrays that live through training (a built model's params and grads,
+Adam's state, the best epoch's snapshot) are made by mapped_copy, each in
+an anonymous mapping of its own: placed in the heap, these
+parameter-sized arrays took the free chunks the temporaries had reused,
+and the full test suite read 2,480 minor page faults per epoch in the last
+epochs of test_train_epoch_reuses_the_memory_freed_by_the_last_one
+(hypothesis seed 1), against 0 with the mappings.
 """
 
 from __future__ import annotations
