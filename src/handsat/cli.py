@@ -4,7 +4,9 @@ Machine-readable results go to stdout as JSON / JSON lines; human-readable
 progress goes to stderr, so pipelines can consume the output directly.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
-failure (divergence or a failed gradient check).
+failure (divergence, a non-finite forward or a failed gradient check).
+numpy's floating-point warnings are off while a command runs (main), so
+a numeric failure, too, ends in one error line.
 """
 
 from __future__ import annotations
@@ -382,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (ConfigError, ContractError) as e:
         _log(f"config error: {_one_line(e)}")
         return EXIT_CONFIG

@@ -10,10 +10,10 @@ class ContractError(HandsatError):
     (shape mismatch, out-of-range index, inconsistent mask)."""
 
 
-class NonFiniteError(ContractError):
+class NonFiniteError(HandsatError):
     """A non-finite value reached an operation that needs finite ones (a
-    score at an allowed position of masked_softmax). In training this is
-    divergence."""
+    score at an allowed position of masked_softmax): a numeric failure, not
+    a broken contract. In training this is divergence."""
 
 
 class ConfigError(HandsatError):

@@ -10,15 +10,14 @@ classes, present or not.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import (SENTIMENT_CLASSES, SATISFACTION_CLASSES, Dialogue,
                      HandoffLabel, check_dialogues)
-from .decoders import map_sentiment
+from .decoders import aggregate_variant, map_sentiment
 from .errors import ContractError, CorpusError
 from .model import sub_batches
 
@@ -97,14 +96,14 @@ def evaluate_model(
     aggregate: str | None = None,
 ) -> tuple[MetricsReport, list[dict]]:
     """Forward every dialogue (dropout off, no tape), SUB_BATCH at a time
-    in id order, and score the requested sections. Pure in (model, corpus):
-    repeated calls agree exactly, and each dialogue's outputs have the bits
-    of its forward alone. A corpus that check_dialogues refuses raises
-    CorpusError before any forward.
+    in id order, and score the requested sections on each dialogue's rows
+    of the padded outputs. Pure in (model, corpus): repeated calls agree
+    exactly, and each dialogue's outputs have the bits of its forward alone.
+    A corpus that check_dialogues refuses raises CorpusError before any forward.
 
-    aggregate overrides the model's aggregation mode: the forward runs the
-    same blocks under a config with that mode, which only the dialogue
-    distributions read. mhch's gt (GT-I..III) averages the rows' gt.
+    aggregate overrides the model's aggregation mode: aggregate_variant
+    re-pools each batch's local rows and importance in that mode, which
+    no other output depends on. mhch's gt (GT-I..III) averages the rows' gt.
     """
     for s in sections:
         if s not in SECTIONS:
@@ -127,15 +126,15 @@ def evaluate_model(
     sent_preds, sent_golds = [], []
     per_dialogue: list[dict] = []
 
-    if aggregate is not None:  # the same model and memory under the other mode
-        model = copy.copy(model)
-        model.config = replace(model.config, aggregate_mode=aggregate)
     for part in sub_batches(sorted(corpus, key=lambda d: d.id)):
         with model.untaped():
             batch = model.forward_batch([vocab.encode_dialogue(d) for d in part],
                                         [d.roles for d in part])
-        for d, result in zip(part, batch):
-            probs = result.handoff_probs.data
+            overall = batch.satisfaction_probs if aggregate is None else \
+                aggregate_variant(batch.local_satisfaction, batch.is_customer,
+                                  aggregate, importance=batch.importance)
+        for b, d in enumerate(part):
+            probs = batch.handoff_probs.data[b, :len(d)]
             pred_labels = [HandoffLabel.TRANSFERABLE if int(np.argmax(row)) == 1
                            else HandoffLabel.NORMAL for row in probs]
             gold_labels = [u.handoff for u in d.utterances]
@@ -146,13 +145,12 @@ def evaluate_model(
             gold_pos = [t + 1 for t, lab in enumerate(gold_labels)
                         if lab is HandoffLabel.TRANSFERABLE]
 
-            sat_pred = SATISFACTION_CLASSES[
-                int(np.argmax(result.satisfaction_probs.data))]
+            sat_pred = SATISFACTION_CLASSES[int(np.argmax(overall.data[b]))]
             sat_preds.append(sat_pred)
             sat_golds.append(d.satisfaction)
 
             if "sentiment" in sections:
-                mapped = map_sentiment(result.local_satisfaction.data, d.roles)
+                mapped = map_sentiment(batch.local_satisfaction.data[b], d.roles)
                 for t, u in enumerate(d.utterances):
                     if u.sentiment is not None:
                         sent_preds.append(mapped[t])

@@ -7,11 +7,12 @@ in Model.blocks order; Model.grads holds their gradients in the same layout.
 
 The forward pass runs a batch of dialogues (forward_batch) padded to the
 longest, one layout from the encoder to the decoders: the encoder, the
-interaction's row-wise maps, both decoders and the aggregation each run
-once per batch; only the L x L attention runs once per dialogue, on views
-cut from the padded rows (see interaction.py for why). Training's losses
-read the padded outputs; result[b] cuts the ForwardResult that one
-dialogue's forward (a batch of one), evaluation and predict's trace read.
+interaction's row-wise maps and both decoders (the satisfaction decoder
+with its pool) each run once per batch; only the L x L attention runs once
+per dialogue, on views cut from the padded rows (see interaction.py for
+why). Training's losses and evaluation read the padded outputs; result[b]
+cuts the ForwardResult that one dialogue's forward (a batch of one) and
+predict's trace read.
 Training and evaluation forward at most SUB_BATCH dialogues at a time.
 Model.session() streams one dialogue for predict with the same code,
 carrying the handoff decoder's recurrence between pushes.
@@ -30,7 +31,7 @@ from .config import decode_config
 from .corpus import Role, init_embeddings
 from .decoders import (AGGREGATE_MODES, HandoffDecoderParams,
                        SatisfactionDecoderParams, TransformerParams,
-                       aggregate_variant, decode_handoff, decode_satisfaction)
+                       decode_handoff, decode_satisfaction)
 from .encoder import EncoderParams, shared_encode
 from .errors import ConfigError, ContractError
 from .interaction import (ACTIVATIONS, INTERACTION_MODES, InteractionOutput,
@@ -111,7 +112,7 @@ def sub_batches(items: Sequence) -> Iterator[Sequence]:
 
 @dataclass
 class ForwardResult:
-    """One dialogue's outputs and attention, as evaluation and the trace read them."""
+    """One dialogue's outputs and attention, as predict's trace reads them."""
     handoff_probs: Tensor         # (L, 2)
     satisfaction_probs: Tensor    # (3,)
     local_satisfaction: Tensor    # (L, 3)
@@ -143,6 +144,7 @@ class BatchResult(InteractionOutput):
     to its longest dialogue (L_max); dialogue b's rows are the first
     lengths[b] of its slice. result[b] is dialogue b's ForwardResult."""
     lengths: list[int]
+    is_customer: np.ndarray       # (B, L_max), False past each dialogue's end
     handoff_probs: Tensor         # (B, L_max, 2)
     satisfaction_probs: Tensor    # (B, 3)
     local_satisfaction: Tensor    # (B, L_max, 3)
@@ -326,10 +328,13 @@ class Model:
         passed, and draws once for the batch."""
         inter, is_customer = self._interaction(token_ids, roles, rng)
         handoff_probs, _ = decode_handoff(inter.handoff_fused, self.handoff_decoder)
-        overall, local, importance = self._satisfaction(inter, is_customer)
+        overall, local, importance = decode_satisfaction(
+            inter.satisfaction_fused, is_customer, self.satisfaction_decoder,
+            self.config.heads, self.config.aggregate_mode)
         return BatchResult(**vars(inter), lengths=[len(ids) for ids in token_ids],
-                           handoff_probs=handoff_probs, satisfaction_probs=overall,
-                           local_satisfaction=local, importance=importance)
+                           is_customer=is_customer, handoff_probs=handoff_probs,
+                           satisfaction_probs=overall, local_satisfaction=local,
+                           importance=importance)
 
     def _interaction(self, token_ids: Sequence[list[list[int]]],
                      roles: Sequence[Sequence[Role]],
@@ -364,19 +369,6 @@ class Model:
                      cfg.interaction_mode, cfg.activation)
         return inter, is_customer
 
-    def _satisfaction(self, inter: InteractionOutput, is_customer: np.ndarray
-                      ) -> tuple[Tensor, Tensor, Tensor]:
-        """forward_batch's satisfaction side from _interaction's outputs:
-        the dialogue distributions (B, 3), the local rows and the
-        importance weights."""
-        cfg = self.config
-        local, importance = decode_satisfaction(
-            inter.satisfaction_fused, is_customer, self.satisfaction_decoder,
-            cfg.heads)
-        overall = aggregate_variant(local, is_customer, cfg.aggregate_mode,
-                                    importance=importance)
-        return overall, local, importance
-
     def session(self) -> "Session":
         """An empty stream, to push one utterance at a time."""
         return Session(self)
@@ -406,7 +398,7 @@ class Session:
         which is None until a customer has spoken."""
         self.token_ids.append(ids)
         self.roles.append(role)
-        model = self.model
+        model, cfg = self.model, self.model.config
         with model.untaped():
             inter, is_customer = model._interaction([self.token_ids], [self.roles])
             newest = nm.row(inter.handoff_fused, np.s_[:, -1:])
@@ -414,5 +406,7 @@ class Session:
                                                 self._carry)
             if not is_customer.any():
                 return probs.data[0, 0], None
-            overall, _, _ = model._satisfaction(inter, is_customer)
+            overall, _, _ = decode_satisfaction(
+                inter.satisfaction_fused, is_customer, model.satisfaction_decoder,
+                cfg.heads, cfg.aggregate_mode)
         return probs.data[0, 0], overall.data[0]

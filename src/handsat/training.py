@@ -282,8 +282,8 @@ def train(
 
     A non-finite batch loss, or a non-finite score inside a forward of
     training or dev evaluation (NonFiniteError), ends training as diverged.
-    Either way the model ends with the best epoch's parameters, once an
-    epoch has finished.
+    The model always ends with the best epoch's parameters, or with its
+    initial ones when no epoch has finished.
     """
     config.validate()
     if not train_corpus or not dev_corpus:
@@ -331,9 +331,9 @@ def train(
                                        sections=("mhch", "ssa"))
         except NonFiniteError as e:
             result.diverged = True
-            result.message = f"{e} in epoch {epoch}; " + (
-                f"restored epoch {result.best_epoch}" if result.best_epoch >= 0
-                else "no finished epoch to restore")
+            result.message = f"{e} in epoch {epoch}; restored " + (
+                f"epoch {result.best_epoch}" if result.best_epoch >= 0
+                else "the initial parameters")
             break
         selection = _selection_metric(report)
         result.history.append({
@@ -363,8 +363,7 @@ def train(
             if epochs_since_best >= config.patience:
                 break
 
-    if result.best_epoch >= 0:
-        model.params[...] = best_params
+    model.params[...] = best_params
     return result
 
 

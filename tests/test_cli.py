@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import zlib
 from pathlib import Path
 
@@ -24,8 +25,23 @@ from handsat.training import FORMAT_VERSION, TrainConfig, save_checkpoint
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _stderr_warning(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+@contextlib.contextmanager
+def shown_warnings():
+    """Within the block warnings go to stderr, as in a command-line run,
+    instead of pytest's record of them."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        warnings.showwarning = _stderr_warning
+        yield
+
+
 def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
+    with shown_warnings():
+        code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -303,8 +319,10 @@ def test_train_output_that_cannot_be_written_is_config_error(
 def test_diverging_train_exits_numeric_with_its_outputs(tmp_path, capsys):
     """A learning rate of 1e300 drives a score non-finite inside the second
     batch's forward, before any loss is summed. That is divergence: exit 4
-    with one 'training diverged' line, and the checkpoint and history are
-    written, as for a non-finite loss."""
+    with one 'training diverged' line after the progress lines and no
+    numpy warning, and the checkpoint and history are written, as for a
+    non-finite loss. No epoch finished, so the checkpoint holds the initial
+    parameters, and predict runs on it."""
     dialogues, _ = synthesize_corpus(GeneratorSpec(num_dialogues=200), seed=3)
     corpus = tmp_path / "corpus.jsonl"
     save_corpus(dialogues, corpus)
@@ -314,14 +332,43 @@ def test_diverging_train_exits_numeric_with_its_outputs(tmp_path, capsys):
                   "hidden_size": 8, "dense_size": 8, "attention_units": 8},
         "paths": {"train_corpus": str(corpus), "dev_corpus": str(corpus),
                   "checkpoint_dir": str(tmp_path / "run")}}))
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, _, err = run_cli(capsys, "train", str(config))
+    code, _, err = run_cli(capsys, "train", str(config))
     assert code == 4
     diverged = [line for line in err.splitlines() if "diverged" in line]
     assert diverged == ["training diverged: non-finite score at an allowed "
-                        "position in epoch 0; no finished epoch to restore"]
+                        "position in epoch 0; restored the initial parameters"]
+    assert_clean_exit(code, err)
     assert (tmp_path / "run" / "model.ckpt").exists()
     assert (tmp_path / "run" / "history.jsonl").read_text() == ""
+
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text("".join(json.dumps(u) + "\n" for u in
+                              dialogue_to_json(dialogues[0])["utterances"][:3]))
+    code, out, err = run_cli(capsys, "predict", str(tmp_path / "run" / "model.ckpt"),
+                             "--input", str(stream))
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 4
+
+
+def test_non_finite_forward_is_numeric_error(workspace, tmp_path, capsys):
+    """A checkpoint whose finite parameters (a built model's times 1e300)
+    drive a score non-finite passes the load check; predict and eval on it
+    exit 4 with one error line and no numpy warning."""
+    _, _, train_path, dev_path = workspace
+    vocab = build_vocab(load_corpus(train_path, 12))
+    config = TrainConfig(embed_dim=8, hidden_size=8, dense_size=8, attention_units=8,
+                         max_dialogue_len=12).model_config(len(vocab))
+    model = Model.build(config, np.random.default_rng(0))
+    model.params *= 1e300
+    ckpt = tmp_path / "huge.ckpt"
+    save_checkpoint(model, vocab, ckpt)
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text("".join(json.dumps(u) + "\n" for u in dialogue_to_json(
+        load_corpus(dev_path, 12)[0])["utterances"]))
+    for argv in (("predict", str(ckpt), "--input", str(stream)),
+                 ("eval", str(ckpt), str(dev_path))):
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (4, "error: non-finite score at an allowed position\n")
 
 
 def test_model_fits_counts_every_array_training_holds(monkeypatch):
@@ -1018,20 +1065,32 @@ def mutated_json(draw, obj) -> str:
 def run_quietly(*argv):
     """cli.main without pytest's function-scoped capture: exit code, stderr."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            shown_warnings():
         code = cli.main(list(argv))
     return code, err.getvalue()
 
 
+# the lines train logs before it can end in a numeric failure
+PROGRESS = ("resolved config: ", "corpus loaded: ", "embedding coverage: ",
+            "epoch timing: ", "checkpoint written to ")
+
+
 def assert_clean_exit(code, err):
-    """An expected exit code, no traceback, and an error as one line. train
-    logs its progress only once its inputs have loaded and its model is
-    known to fit, so a failed run prints nothing before its error."""
+    """An expected exit code, no traceback or warning, and a failure as one
+    error line. train logs its progress only once its inputs have loaded
+    and its model is known to fit, so a run that fails on its inputs prints
+    nothing before its error; a numeric failure (exit 4) may follow
+    train's progress lines."""
     assert code in (0, 2, 3, 4), err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "Warning" not in err, err
     if code in (2, 3):
         assert err.count("\n") == 1, err
         assert err.startswith(("config error: ", "data error: ")), err
+    if code == 4:
+        *progress, error = err.splitlines()
+        assert all(line.startswith(PROGRESS) for line in progress), err
+        assert error.startswith(("error: ", "training diverged: ")), err
 
 
 @pytest.fixture(scope="module")

@@ -65,8 +65,8 @@ def test_decode_satisfaction_single_customer_one_hot():
     p = satisfaction_params(3, 4, 5, rng)
     q = nm.constant(rng.standard_normal((5, 3)))
     is_customer = np.array([False, False, True, False, False])
-    local, importance = dec.decode_satisfaction(q, is_customer, p, heads=2)
-    overall = dec.pool(importance, local)
+    overall, local, importance = dec.decode_satisfaction(q, is_customer, p, 2,
+                                                         "attention")
     np.testing.assert_array_equal(importance.data,
                                   [0.0, 0.0, 1.0, 0.0, 0.0])
     np.testing.assert_allclose(overall.data, local.data[2], atol=1e-12)
@@ -80,8 +80,8 @@ def test_decode_satisfaction_identical_locals_convexity():
     p.local_b.data[:] = np.array([0.3, -0.1, 0.6])
     q = nm.constant(rng.standard_normal((6, 3)))
     is_customer = np.array([True, False, True, False, True, True])
-    local, importance = dec.decode_satisfaction(q, is_customer, p, heads=2)
-    overall = dec.pool(importance, local)
+    overall, local, importance = dec.decode_satisfaction(q, is_customer, p, 2,
+                                                         "attention")
     expect = np.exp(p.local_b.data) / np.exp(p.local_b.data).sum()
     np.testing.assert_allclose(local.data, np.tile(expect, (6, 1)), atol=1e-12)
     np.testing.assert_allclose(overall.data, expect, atol=1e-12)
@@ -96,8 +96,8 @@ def test_decode_satisfaction_convex_hull_bound():
         is_customer = rng.random(L) < 0.6
         if not is_customer.any():
             is_customer[0] = True
-        local, importance = dec.decode_satisfaction(q, is_customer, p, heads=2)
-        overall = dec.pool(importance, local)
+        overall, local, importance = dec.decode_satisfaction(q, is_customer, p, 2,
+                                                             "attention")
         rows = local.data[is_customer]
         assert np.all(overall.data >= rows.min(axis=0) - 1e-12)
         assert np.all(overall.data <= rows.max(axis=0) + 1e-12)
@@ -242,8 +242,8 @@ def test_satisfaction_decoder_grad_check():
     is_customer = np.array([True, False, True, False, True])
 
     def loss():
-        local, importance = dec.decode_satisfaction(q, is_customer, p, heads=2)
-        overall = dec.pool(importance, local)
+        overall, local, importance = dec.decode_satisfaction(q, is_customer, p, 2,
+                                                             "attention")
         return nm.add(nm.sum_all(nm.square(overall)),
                       nm.mean_all(nm.square(local)))
 

@@ -1,4 +1,5 @@
 import contextlib
+import types
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handsat import metrics as mt
+from handsat import numerics as nm
 from handsat.corpus import (SATISFACTION_CLASSES, HandoffLabel, Role,
                             SatisfactionLabel, SentimentLabel)
 from handsat.errors import ContractError, CorpusError
-from handsat.model import ForwardResult
 from handsat.synth import GeneratorSpec, synthesize_corpus
 
 T, N = HandoffLabel.TRANSFERABLE, HandoffLabel.NORMAL
@@ -144,21 +145,18 @@ class _StubModel:
         yield
 
     def forward_batch(self, dialogues, roles):
-        return [self._forward_dialogue(dialogue) for dialogue in dialogues]
-
-    def _forward_dialogue(self, dialogue):
-        import handsat.numerics as nm
-        handoff, satisfaction, local = self._predict(dialogue)
-        length = len(dialogue)
-        zeros = nm.constant(np.zeros((length, length)))
-        return ForwardResult(
-            handoff_probs=nm.constant(handoff),
-            satisfaction_probs=nm.constant(satisfaction),
-            local_satisfaction=nm.constant(local),
-            importance=nm.constant(np.zeros(length)),
-            attn_sat_to_handoff=zeros,
-            attn_handoff_to_sat=zeros,
-            position_weights=np.zeros((length, length)))
+        """The predictions padded to the longest dialogue with NaN, which
+        evaluation must not read."""
+        longest = max(map(len, dialogues))
+        handoff = np.full((len(dialogues), longest, 2), np.nan)
+        local = np.full((len(dialogues), longest, 3), np.nan)
+        satisfaction = np.zeros((len(dialogues), 3))
+        for b, dialogue in enumerate(dialogues):
+            n = len(dialogue)
+            handoff[b, :n], satisfaction[b], local[b, :n] = self._predict(dialogue)
+        return types.SimpleNamespace(handoff_probs=nm.constant(handoff),
+                                     satisfaction_probs=nm.constant(satisfaction),
+                                     local_satisfaction=nm.constant(local))
 
 
 def oracle_predict(dialogue):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from handsat import metrics
 from handsat import numerics as nm
 from handsat import training as tr
 from handsat.corpus import PAD_INDEX, Role, build_vocab
@@ -393,6 +394,43 @@ def test_aggregate_override_matches_model_in_that_mode(setup, aggregate):
                                    aggregate, importance=ref.importance)
         got = other.forward(ids, d.roles).satisfaction_probs
         assert got.data.tobytes() == expect.data.tobytes(), d.id
+
+
+@pytest.fixture(scope="module")
+def mixed_lengths():
+    """20 dialogues of 1-12 utterances and a model whose predictions differ
+    between them: trained for 3 epochs, so that it predicts every
+    satisfaction class, then its handoff decoder redrawn (the output bias
+    kept), so that it predicts both handoff labels."""
+    dialogues, _ = synthesize_corpus(
+        GeneratorSpec(num_dialogues=20, min_len=1, max_len=12, complaint_rate=0.4),
+        seed=11)
+    result = tr.train(dialogues, dialogues, tr.TrainConfig(
+        embed_dim=6, hidden_size=4, dense_size=4, attention_units=4,
+        max_dialogue_len=12, heads=2, max_epochs=3, batch_size=4))
+    rng = np.random.default_rng(0)
+    for name, tensor in result.model.blocks.items():
+        if name.startswith("dec_h.") and name != "dec_h.out_b":
+            tensor.data[...] = rng.standard_normal(tensor.data.shape)
+    return result.model, result.vocab, dialogues
+
+
+@pytest.mark.parametrize("aggregate", (None, *AGGREGATE_MODES))
+def test_evaluation_reads_each_dialogue_rows_of_the_padded_batch(
+        mixed_lengths, monkeypatch, aggregate):
+    """Evaluating a corpus of 1-12 utterance dialogues SUB_BATCH at a time,
+    from padded batches, gives the per-dialogue rows and the sections of
+    evaluating each dialogue alone, with no padding."""
+    model, vocab, dialogues = mixed_lengths
+    assert {1, 12} <= {len(d) for d in dialogues}
+    padded = evaluate_model(model, vocab, dialogues, SECTIONS, aggregate)
+    assert len({row["pred_satisfaction"] for row in padded[1]}) == 3
+    transfers = sum(len(row["pred_handoff_positions"]) for row in padded[1])
+    assert 0 < transfers < sum(map(len, dialogues))
+    monkeypatch.setattr(metrics, "sub_batches", lambda items: ([d] for d in items))
+    alone = evaluate_model(model, vocab, dialogues, SECTIONS, aggregate)
+    assert padded[0].to_json() == alone[0].to_json()
+    assert padded[1] == alone[1]
 
 
 def test_profile_charges_each_node_to_its_op(setup, monkeypatch):
