@@ -3,8 +3,9 @@
 Machine-readable results go to stdout as JSON / JSON lines; human-readable
 progress goes to stderr, so pipelines can consume the output directly.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
-failure (divergence, a non-finite forward or a failed gradient check).
+Exit codes: 0 success, 2 configuration error (or an output that cannot be
+written), 3 data error, 4 numeric failure (divergence, a non-finite
+forward or a failed gradient check).
 numpy's floating-point warnings are off while a command runs (main), so
 a numeric failure, too, ends in one error line.
 """
@@ -53,7 +54,15 @@ def _one_line(error: Exception) -> str:
 
 
 def _emit(obj: dict) -> None:
-    print(json.dumps(obj), flush=True)
+    try:
+        print(json.dumps(obj), flush=True)
+    except OSError as e:
+        # stdout to the null device, so the flush at exit cannot fail again
+        with contextlib.suppress(OSError, ValueError):
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        raise ConfigError(f"cannot write stdout: {path_reason(e)}") from None
 
 
 def _load_corpus(path: str, max_dialogue_len: int) -> tuple[list[Dialogue], str]:
@@ -145,11 +154,10 @@ def cmd_train(args) -> int:
     if run.embeddings:
         _log(f"embedding coverage: {loaded.coverage:.3f}")
     result = train(train_set, dev_set, cfg, vocab=vocab, embedding=embedding)
-    for line in result.history:
-        _emit(line)
     for record in result.timing:
         _log("epoch timing: " + json.dumps(record))
 
+    # the run's files before stdout, so a failed stdout loses none of them
     ckpt_path = ckpt_dir / "model.ckpt"
     try:
         save_checkpoint(result.model, result.vocab, ckpt_path,
@@ -161,6 +169,8 @@ def cmd_train(args) -> int:
         raise ConfigError(f"cannot write {e.filename2 or e.filename or ckpt_dir}: "
                           f"{path_reason(e)}") from None
     _log(f"checkpoint written to {ckpt_path}")
+    for line in result.history:
+        _emit(line)
     if result.diverged:
         _log(f"training diverged: {result.message}")
         return EXIT_NUMERIC
@@ -193,18 +203,23 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"--sections names no section; choose from {SECTIONS}")
     for s in sections:
         if s not in SECTIONS:
-            raise ConfigError(f"unknown section {s!r}; choose from {SECTIONS}")
+            raise ConfigError(f"--sections names unknown section {s!r}; "
+                              f"choose from {SECTIONS}")
     model, vocab, _ = load_checkpoint(args.checkpoint)
     corpus, corpus_line = _load_corpus(args.corpus, model.config.max_dialogue_len)
-    # Opened before evaluating, so a path that cannot be written fails first.
-    with (_open(args.per_dialogue, "w", ConfigError) if args.per_dialogue
-          else contextlib.nullcontext()) as fh:
-        report, per_dialogue = evaluate_model(model, vocab, corpus,
-                                              sections=sections,
-                                              aggregate=args.aggregate)
-        if fh is not None:
-            for row in per_dialogue:
-                fh.write(json.dumps(row) + "\n")
+    # Opened before evaluating, so a path that cannot be opened fails first.
+    try:
+        with (_open(args.per_dialogue, "w", ConfigError) if args.per_dialogue
+              else contextlib.nullcontext()) as fh:
+            report, per_dialogue = evaluate_model(model, vocab, corpus,
+                                                  sections=sections,
+                                                  aggregate=args.aggregate)
+            if fh is not None:
+                for row in per_dialogue:
+                    fh.write(json.dumps(row) + "\n")
+    except OSError as e:  # a write, or the flush when the file closes
+        raise ConfigError(f"cannot write {args.per_dialogue}: "
+                          f"{path_reason(e)}") from None
     _log(corpus_line)
     if fh is not None:
         _log(f"per-dialogue breakdown written to {args.per_dialogue}")

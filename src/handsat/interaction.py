@@ -29,7 +29,7 @@ blocks keep every row's bits the same whichever rows share its products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,13 +38,6 @@ from .errors import ContractError
 from .numerics import Tensor
 
 INTERACTION_MODES = ("full", "no_interact", "no_select", "no_position")
-
-ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
-    "relu": nm.relu,
-    "tanh": nm.tanh,
-    "linear": lambda t: t,
-}
-
 
 @dataclass
 class InteractionParams:
@@ -79,14 +72,12 @@ class InteractionOutput:
     attention: list[Attention]
 
 
-def task_projections(shared: Tensor, params: InteractionParams,
-                     activation: str = "relu") -> tuple[Tensor, Tensor]:
+def task_projections(shared: Tensor, params: InteractionParams) -> tuple[Tensor, Tensor]:
     """The handoff and satisfaction views of the shared rows, row by row
     (any leading axes)."""
-    act = ACTIVATIONS[activation]
-    handoff = act(nm.linear_rows(shared, params.handoff_w, params.handoff_b))
-    satisfaction = act(nm.linear_rows(shared, params.satisfaction_w,
-                                      params.satisfaction_b))
+    handoff = nm.relu(nm.linear_rows(shared, params.handoff_w, params.handoff_b))
+    satisfaction = nm.relu(nm.linear_rows(shared, params.satisfaction_w,
+                                          params.satisfaction_b))
     return handoff, satisfaction
 
 
@@ -134,15 +125,14 @@ def fuse(
     attention: Sequence[Attention],
     params: InteractionParams,
     mode: str = "full",
-    activation: str = "relu",
 ) -> InteractionOutput:
     """The row-wise rest of the interaction, once for a batch, from its
     padded (B, L_max, d) views: each dialogue's contexts stacked to the
     same layout, zero past its end, then the satisfaction -> handoff fusion
-    act(fusion_w [context; view] + fusion_b) and the handoff ->
+    relu(fusion_w [context; view] + fusion_b) and the handoff ->
     satisfaction residual add and layer norm. no_interact passes both views
     through. Rows past a dialogue's end come out as finite values computed
-    from the views' padded rows, act(projection bias), which no row of the
+    from the views' padded rows, relu(projection bias), which no row of the
     dialogue reads."""
     if mode == "no_interact":
         fused_h, fused_s = handoff_view, satisfaction_view
@@ -150,7 +140,7 @@ def fuse(
         length = handoff_view.data.shape[1]
         s2h = nm.stack_padded([a.s2h_context for a in attention], length)
         h2s = nm.stack_padded([a.h2s_context for a in attention], length)
-        fused_h = ACTIVATIONS[activation](nm.linear_rows(
+        fused_h = nm.relu(nm.linear_rows(
             nm.concat_cols(s2h, handoff_view), params.fusion_w, params.fusion_b))
         fused_s = nm.layer_norm(nm.add(h2s, satisfaction_view),
                                 params.norm_gain, params.norm_bias)

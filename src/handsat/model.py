@@ -34,8 +34,8 @@ from .decoders import (AGGREGATE_MODES, HandoffDecoderParams,
                        decode_handoff, decode_satisfaction)
 from .encoder import EncoderParams, shared_encode
 from .errors import ConfigError, ContractError
-from .interaction import (ACTIVATIONS, INTERACTION_MODES, InteractionOutput,
-                          InteractionParams, fuse, interact, task_projections)
+from .interaction import (INTERACTION_MODES, InteractionOutput, InteractionParams,
+                          fuse, interact, task_projections)
 from .numerics import LstmParams, Tensor
 
 # Most dialogues per forward in training and evaluation; sub_batches splits
@@ -71,8 +71,6 @@ class ModelConfig:
     attention_units: int          # importance scorer width (z)
     max_dialogue_len: int
     heads: int                    # transformer heads
-    ff_mult: int                  # transformer feed-forward width = ff_mult * k
-    activation: str
     interaction_mode: str
     aggregate_mode: str
     dropout: float
@@ -85,8 +83,6 @@ class ModelConfig:
             raise ConfigError("vocab_size must cover padding and unknown tokens")
         if self.hidden_size % self.heads != 0:
             raise ConfigError("hidden_size must be divisible by heads")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
         if self.interaction_mode not in INTERACTION_MODES:
             raise ConfigError(f"unknown interaction mode {self.interaction_mode!r}")
         if self.aggregate_mode not in AGGREGATE_MODES:
@@ -253,7 +249,7 @@ class Model:
         n, k, d, z = (config.embed_dim, config.hidden_size, config.dense_size,
                       config.attention_units)
         shared_width = config.max_dialogue_len + 2 * k
-        ff = config.ff_mult * k
+        ff = 2 * k  # the transformer's feed-forward width
 
         def w(shape):
             return nm.parameter(weight(shape))
@@ -359,14 +355,13 @@ class Model:
         shared = shared_encode([ids for dialogue in token_ids for ids in dialogue],
                                self.encoder, cfg.max_dialogue_len,
                                dropout=cfg.dropout, rng=rng, sizes=lengths)
-        handoff, satisfaction = task_projections(shared, self.interaction,
-                                                 cfg.activation)
+        handoff, satisfaction = task_projections(shared, self.interaction)
         cuts = [(b, slice(0, n)) for b, n in enumerate(lengths)]
         attention = [interact((nm.row(handoff, cut), nm.row(satisfaction, cut)),
                               is_customer[cut], mode=cfg.interaction_mode)
                      for cut in cuts]
         inter = fuse(handoff, satisfaction, attention, self.interaction,
-                     cfg.interaction_mode, cfg.activation)
+                     cfg.interaction_mode)
         return inter, is_customer
 
     def session(self) -> "Session":

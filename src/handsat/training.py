@@ -53,8 +53,6 @@ class TrainConfig:
     attention_units: int = 32
     max_dialogue_len: int = 64
     heads: int = 4
-    ff_mult: int = 2
-    activation: str = "relu"
     interaction_mode: str = "full"
     aggregate_mode: str = "attention"
     dropout: float = 0.2
@@ -373,7 +371,7 @@ def train(
 #
 # Byte layout (little-endian):
 #   magic   4 bytes  b"HSAT"
-#   version u32      currently 4 (README "Checkpoints" says what 1-3 held)
+#   version u32      currently 5 (README "Checkpoints" says what 1-4 held)
 #   meta    u64 length + UTF-8 JSON: {"model_config": {...}, "vocab": {...},
 #           "extra": {...}, "blocks": [[name, shape], ...]}
 #   body    Model.params' bytes: each block's C-order float64 values, in order
@@ -384,7 +382,7 @@ def train(
 # once and the body needs no per-block headers. Round-trips are bit-exact.
 
 MAGIC = b"HSAT"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 def save_checkpoint(model: Model, vocab: Vocabulary, path: str | Path,

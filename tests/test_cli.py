@@ -18,9 +18,11 @@ from hypothesis import strategies as st
 from handsat import cli
 from handsat.corpus import (Vocabulary, build_vocab, dialogue_to_json, load_corpus,
                             save_corpus)
+from handsat.metrics import evaluate_model
 from handsat.model import Model, ModelConfig
 from handsat.synth import GeneratorSpec, synthesize_corpus
-from handsat.training import FORMAT_VERSION, TrainConfig, save_checkpoint
+from handsat.training import (FORMAT_VERSION, TrainConfig, load_checkpoint,
+                              save_checkpoint)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -135,6 +137,23 @@ def test_synth_bad_spec_file_is_config_error(tmp_path, capsys, content, named):
     code, _, err = run_cli(capsys, "synth", str(out), "--spec", str(spec_path))
     assert code == 2
     assert err.startswith("config error: generator spec") and err.count("\n") == 1
+    assert named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, named", [
+    ({"num_dialogues": 0}, "num_dialogues"),
+    ({"min_tokens": 0}, "min_tokens"),
+    ({"praise_rate": 2}, "praise_rate"),
+    ({"filler_vocab_size": 0}, "filler_vocab_size"),
+], ids=["no_dialogues", "no_tokens", "praise_rate", "no_filler"])
+def test_synth_spec_out_of_range_is_config_error(tmp_path, capsys, spec, named):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "c.jsonl"
+    code, stdout, err = run_cli(capsys, "synth", str(out), "--spec", str(spec_path))
+    assert code == 2 and stdout == ""
+    assert err.startswith("config error: ") and err.count("\n") == 1
     assert named in err
     assert not out.exists()
 
@@ -402,6 +421,13 @@ def test_train_unknown_config_key(workspace, tmp_path, capsys):
     assert code == 2 and out == ""
     assert err == "config error: unknown path keys: ['test_corpus']\n"
 
+    cfg = json.loads(config_path.read_text())
+    cfg["model"] = {}
+    bad.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "train", str(bad))
+    assert code == 2 and out == ""
+    assert err == "config error: unknown config sections: ['model']\n"
+
 
 @pytest.mark.parametrize("train, named", [
     (None, "JSON object"),
@@ -410,6 +436,15 @@ def test_train_unknown_config_key(workspace, tmp_path, capsys):
     ({"hidden_size": True, "heads": 1}, "hidden_size"),
     ({"learning_rate": float("inf")}, "learning_rate"),
     ({"seed": -1}, "seed"),
+    ({"activation": "tanh"}, "activation"),
+    ({"ff_mult": 2}, "ff_mult"),
+    ({"delta": -1}, "delta"),
+    ({"learning_rate": 0}, "learning_rate"),
+    ({"batch_size": 0}, "batch_size"),
+    ({"grad_clip": 0}, "grad_clip"),
+    ({"dropout": 1.0}, "dropout"),
+    ({"embed_dim": 0}, "embed_dim"),
+    ({"aggregate_mode": "bogus"}, "aggregation mode 'bogus'"),
 ])
 def test_train_rejects_malformed_config(tmp_path, capsys, train, named):
     paths = {"train_corpus": str(tmp_path / "absent.jsonl"),
@@ -441,7 +476,7 @@ def test_eval_sections_and_aggregate(workspace, trained_run, capsys):
     assert att["mhch"] == last["mhch"]  # aggregation touches only ssa
 
 
-@pytest.mark.parametrize("sections", ["", " , "])
+@pytest.mark.parametrize("sections", ["", " , ", "bogus"])
 def test_eval_no_sections_is_config_error(workspace, trained_run, capsys, sections):
     _, _, _, dev_path = workspace
     code, out, err = run_cli(capsys, "eval", str(trained_run / "model.ckpt"),
@@ -460,6 +495,23 @@ def test_eval_per_dialogue_in_missing_directory_is_config_error(
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and str(target) in err
+
+
+def test_eval_writes_one_per_dialogue_row_per_dialogue(workspace, trained_run,
+                                                       tmp_path, capsys):
+    """--per-dialogue writes one JSON line per dialogue, in id order, each
+    equal to evaluate_model's row for that dialogue, and logs the path."""
+    _, _, _, dev_path = workspace
+    ckpt, target = trained_run / "model.ckpt", tmp_path / "rows.jsonl"
+    code, _, err = run_cli(capsys, "eval", str(ckpt), str(dev_path),
+                           "--per-dialogue", str(target))
+    assert code == 0
+    rows = [json.loads(line) for line in target.read_text().splitlines()]
+    corpus = load_corpus(dev_path, 12)
+    assert [row["id"] for row in rows] == sorted(d.id for d in corpus)
+    model, vocab, _ = load_checkpoint(ckpt)
+    assert rows == evaluate_model(model, vocab, corpus)[1]
+    assert f"per-dialogue breakdown written to {target}" in err.splitlines()
 
 
 def test_eval_sentiment_without_labels_errors(workspace, trained_run, tmp_path, capsys):
@@ -537,6 +589,22 @@ def test_predict_agent_only_errors(trained_run, tmp_path, capsys):
     assert rows[0]["satisfaction_estimate"] is None
 
 
+def test_predict_stream_longer_than_max_dialogue_len_is_data_error(
+        workspace, trained_run, tmp_path, capsys):
+    """A 13th line on a model of max_dialogue_len 12 exits 3 with one line,
+    after the 12 rows before it."""
+    _, _, train_path, _ = workspace
+    utterance = customer_first(json.loads(train_path.read_text().splitlines()[0]))[
+        "utterances"][0]
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text((json.dumps(utterance) + "\n") * 13)
+    code, out, err = run_cli(capsys, "predict", str(trained_run / "model.ckpt"),
+                             "--input", str(stream))
+    assert (code, err) == (3, "data error: stream exceeds max dialogue length 12\n")
+    assert [json.loads(row)["position"] for row in out.splitlines()] == \
+        list(range(1, 13))
+
+
 def test_predict_malformed_line(trained_run, tmp_path, capsys):
     ckpt = trained_run / "model.ckpt"
     stream = tmp_path / "badline.jsonl"
@@ -592,6 +660,13 @@ def test_stats_nonpositive_max_len_is_config_error(workspace, capsys, max_len):
                              "--max-len", str(max_len))
     assert code == 2 and out == ""
     assert err == "config error: --max-len must be >= 1\n"
+
+
+def test_stats_nonpositive_bins_is_config_error(workspace, capsys):
+    _, _, train_path, _ = workspace
+    code, out, err = run_cli(capsys, "stats", str(train_path), "--bins", "0")
+    assert code == 2 and out == ""
+    assert err == "config error: bins must be >= 1\n"
 
 
 # (field, what the message calls it, its values in order)
@@ -706,8 +781,12 @@ GOOD_DIALOGUE = json.dumps({"id": "d", "satisfaction": "met", "utterances": [
      "data error: corpus line 2 is not valid JSON: "),
     ([GOOD_DIALOGUE, GOOD_DIALOGUE, b"\xff"],
      "data error: duplicate dialogue id 'd' (line 2)"),
+    ([GOOD_DIALOGUE, GOOD_DIALOGUE.replace(b', "handoff": "normal"', b"")],
+     "data error: missing handoff label (line 2)"),
+    ([GOOD_DIALOGUE.replace(b'"id": "d", ', b"")],
+     "data error: missing or invalid dialogue id (line 1)"),
 ], ids=["json_then_utf8", "utf8_then_json", "label_then_json", "json_then_label",
-        "duplicate_then_utf8"])
+        "duplicate_then_utf8", "no_handoff", "no_id"])
 def test_corpus_error_is_the_first_failing_line(tmp_path, capsys, lines, error):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_bytes(b"\n".join(lines) + b"\n")
@@ -802,6 +881,7 @@ def test_corrupt_checkpoint_is_data_error(tmp_path, capsys, data):
     (lambda data: seal(data[:-4] + b"garbage"), "trailing bytes"),
     (lambda data: data[:4] + struct.pack("<I", 2) + data[8:-4], "version 2"),
     (lambda data: data[:4] + struct.pack("<I", 3) + data[8:], "version 3"),
+    (lambda data: data[:4] + struct.pack("<I", 4) + data[8:], "version 4"),
     (lambda data: rewrite_meta(data, lambda meta: meta.pop("blocks")), "'blocks'"),
     (lambda data: rewrite_meta(data, widen_second_block),
      "block 'enc.fwd.w': stored shape"),
@@ -811,7 +891,7 @@ def test_corrupt_checkpoint_is_data_error(tmp_path, capsys, data):
     (lambda data: seal(data[:-12] + struct.pack("<d", float("nan"))),
      "block 'dec_s.query' holds a non-finite value"),
 ], ids=["appended", "crc_flipped", "weight_flipped", "sealed_trailing", "format_2",
-        "format_3", "blocks_missing", "shape_off_by_one", "blocks_swapped",
+        "format_3", "format_4", "blocks_missing", "shape_off_by_one", "blocks_swapped",
         "body_short", "body_long", "body_nan"])
 def test_damaged_checkpoint_is_data_error(trained_run, tmp_path, capsys, damage,
                                           named):
@@ -887,6 +967,46 @@ def test_nested_rejected_value_is_echoed_short(workspace, tmp_path, site):
     assert "nested too deeply" not in proc.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", ["train", "eval", "stats", "predict"])
+def test_failed_write_is_one_line(workspace, trained_run, tmp_path, capsys, command):
+    """A write that fails (/dev/full is always out of space) exits 2 with one
+    'cannot write' line after the progress lines, with no traceback and
+    nothing from the interpreter's flush at exit. eval writes its
+    --per-dialogue file there, the others their stdout. train writes its
+    checkpoint and history first, so they survive, and predict loads them."""
+    _, config_path, train_path, dev_path = workspace
+    cfg = json.loads(config_path.read_text())
+    cfg["paths"]["checkpoint_dir"] = str(tmp_path / "run")
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text("".join(json.dumps(u) + "\n" for u in json.loads(
+        train_path.read_text().splitlines()[0])["utterances"]))
+    ckpt = str(trained_run / "model.ckpt")
+    argv = {"train": ["train", str(tmp_path / "config.json")],
+            "eval": ["eval", ckpt, str(dev_path), "--per-dialogue", "/dev/full"],
+            "stats": ["stats", str(train_path)],
+            "predict": ["predict", ckpt, "--input", str(stream)]}[command]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "handsat.cli", *argv],
+            stdout=subprocess.PIPE if command == "eval" else full,
+            stderr=subprocess.PIPE, text=True, timeout=120, env=dict(
+                os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+                    str(ROOT / "src"), os.environ.get("PYTHONPATH")]))))
+    *progress, error = proc.stderr.splitlines()
+    assert proc.returncode == 2, proc.stderr
+    target = "/dev/full" if command == "eval" else "stdout"
+    assert error == f"config error: cannot write {target}: No space left on device"
+    assert all(line.startswith(PROGRESS) for line in progress), proc.stderr
+    if command == "train":
+        history = (tmp_path / "run" / "history.jsonl").read_text().splitlines()
+        assert len(history) == 2
+        code, out, err = run_cli(capsys, "predict", str(tmp_path / "run" / "model.ckpt"),
+                                 "--input", str(stream))
+        assert (code, err) == (0, "") and "trace" in out.splitlines()[-1]
+
+
 @pytest.mark.parametrize("directory", [False, True], ids=["missing", "directory"])
 def test_unreadable_checkpoint_is_data_error(tmp_path, capsys, directory):
     ckpt = tmp_path / "model.ckpt"
@@ -910,10 +1030,10 @@ def rewrite_meta(data: bytes, edit) -> bytes:
 
 @pytest.mark.parametrize("edit", [
     lambda meta: meta["model_config"].pop("vocab_size"),
-    lambda meta: meta["model_config"].pop("activation"),
+    lambda meta: meta["model_config"].pop("interaction_mode"),
     lambda meta: meta["vocab"]["tokens"].append("zz"),
     lambda meta: meta["vocab"]["tokens"].append("a"),
-], ids=["no_vocab_size", "no_activation", "vocab_longer", "vocab_duplicate"])
+], ids=["no_vocab_size", "no_interaction_mode", "vocab_longer", "vocab_duplicate"])
 def test_inconsistent_checkpoint_metadata_is_data_error(tmp_path, capsys, edit):
     """Stored configs must name every field, and the stored vocabulary must
     map vocab_size distinct tokens to the embedding's rows."""

@@ -48,8 +48,9 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig.from_json({"vocab_size": 10, "bad_key": 1})
     stored = tiny_config(10).to_json()
-    del stored["activation"]
-    with pytest.raises(ConfigError, match=r"missing model config keys: \['activation'\]"):
+    del stored["interaction_mode"]
+    with pytest.raises(ConfigError,
+                       match=r"missing model config keys: \['interaction_mode'\]"):
         ModelConfig.from_json(stored)
 
 
@@ -260,8 +261,7 @@ def test_task_views_project_one_shared_tensor(setup):
     out = model.forward_batch([vocab.encode_dialogue(d)], [d.roles])
     shared = shared_encode(vocab.encode_dialogue(d), model.encoder,
                            model.config.max_dialogue_len)
-    handoff, satisfaction = task_projections(shared, model.interaction,
-                                             model.config.activation)
+    handoff, satisfaction = task_projections(shared, model.interaction)
     np.testing.assert_array_equal(handoff.data, out.handoff_view.data)
     np.testing.assert_array_equal(satisfaction.data, out.satisfaction_view.data)
 

@@ -941,18 +941,35 @@ def test_finite_outputs_invariant():
 ROOT = Path(__file__).resolve().parent.parent
 
 
+@pytest.fixture(scope="module")
+def byte_level_runs():
+    """The byte-level row and prefix tests, re-run in a fresh interpreter at
+    1 and at 2 BLAS threads, both started at once."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    tests = ROOT / "tests"
+    procs = {}
+    try:
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            procs[threads] = subprocess.Popen(
+                [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                 str(tests / "test_numerics.py"), str(tests / "test_encoder.py"),
+                 str(tests / "test_model.py"), "-k", "bits or prefix"],
+                cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True)
+        yield procs
+    finally:
+        for proc in procs.values():
+            proc.kill()
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_byte_level_checks_hold_at_each_blas_thread_count(threads):
+def test_byte_level_checks_hold_at_each_blas_thread_count(byte_level_runs, threads):
     """OpenBLAS reads its thread count once, at import, and may split a GEMM
     differently with more threads; re-run the byte-level row and prefix
     tests in a fresh interpreter at 1 and at 2 threads."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    tests = ROOT / "tests"
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         str(tests / "test_numerics.py"), str(tests / "test_encoder.py"),
-         str(tests / "test_model.py"), "-k", "bits or prefix"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stdout[-3000:]  # 5 if none selected
+    proc = byte_level_runs[threads]
+    out, _ = proc.communicate(timeout=600)
+    # pytest exits 5 if nothing is selected
+    assert proc.returncode == 0, f"at {threads} BLAS threads:\n{out[-3000:]}"

@@ -206,12 +206,12 @@ def test_model_config_takes_every_model_field():
     """Each field TrainConfig shares with ModelConfig reaches the model
     config, and the default's stored form is the one checkpoints hold."""
     assert json.dumps(tr.TrainConfig().model_config(50).to_json(), sort_keys=True) == (
-        '{"activation": "relu", "aggregate_mode": "attention", '
+        '{"aggregate_mode": "attention", '
         '"attention_units": 32, "dense_size": 32, "dropout": 0.2, "embed_dim": 32, '
-        '"ff_mult": 2, "heads": 4, "hidden_size": 32, "interaction_mode": "full", '
+        '"heads": 4, "hidden_size": 32, "interaction_mode": "full", '
         '"max_dialogue_len": 64, "vocab_size": 50}')
     changed = dict(embed_dim=5, hidden_size=6, dense_size=7, attention_units=8,
-                   max_dialogue_len=9, heads=3, ff_mult=4, activation="tanh",
+                   max_dialogue_len=9, heads=3,
                    interaction_mode="no_select", aggregate_mode="last", dropout=0.3)
     assert tr.TrainConfig(**changed).model_config(11) == \
         ModelConfig(vocab_size=11, **changed)
