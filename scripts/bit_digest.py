@@ -3,12 +3,13 @@
 versions of the code can be compared for byte identity.
 
 Sections:
-    forward <interaction> <aggregate>
+    forward <interaction> attention
         every forward tensor of each prefix of three synthetic dialogues of
         15-50 utterances (prefix lengths cross the 16/32/48 row-block
         edges), and of each dialogue of one forward_batch of all three:
         the ForwardResult fields of result[b], and the views and fused rows
-        as dialogue b's rows [b, :L] of the padded result
+        as dialogue b's rows [b, :L] of the padded result; the forward
+        pools by attention (the eval lines cover the other pools)
     gradients
         every block's gradient of one 7-dialogue objective, dropout on
     train clip=<c>
@@ -49,7 +50,6 @@ import numpy as np
 
 from handsat import cli
 from handsat.corpus import Role, build_vocab
-from handsat.decoders import AGGREGATE_MODES
 from handsat.interaction import INTERACTION_MODES
 from handsat.metrics import SECTIONS, evaluate_model
 from handsat.model import Model
@@ -103,21 +103,19 @@ def forward_sections():
     vocab = build_vocab(dialogues)
     encoded = [vocab.encode_dialogue(d) for d in dialogues]
     for mode in INTERACTION_MODES:
-        for aggregate in AGGREGATE_MODES:
-            config = TrainConfig(**SMALL, interaction_mode=mode,
-                                 aggregate_mode=aggregate, dropout=0.0)
-            model = Model.build(config.model_config(len(vocab)),
-                                np.random.default_rng(3))
-            digest = hashlib.sha256()
-            with model.untaped():
-                for ids, d in zip(encoded, dialogues):
-                    for t in range(1, len(ids) + 1):
-                        prefix = model.forward_batch([ids[:t]], [d.roles[:t]])
-                        _add_result(digest, prefix, 0)
-                batch = model.forward_batch(encoded, [d.roles for d in dialogues])
-                for b in range(len(encoded)):
-                    _add_result(digest, batch, b)
-            yield f"forward {mode} {aggregate}", digest
+        config = TrainConfig(**SMALL, interaction_mode=mode, dropout=0.0)
+        model = Model.build(config.model_config(len(vocab)),
+                            np.random.default_rng(3))
+        digest = hashlib.sha256()
+        with model.untaped():
+            for ids, d in zip(encoded, dialogues):
+                for t in range(1, len(ids) + 1):
+                    prefix = model.forward_batch([ids[:t]], [d.roles[:t]])
+                    _add_result(digest, prefix, 0)
+            batch = model.forward_batch(encoded, [d.roles for d in dialogues])
+            for b in range(len(encoded)):
+                _add_result(digest, batch, b)
+        yield f"forward {mode} attention", digest
 
 
 def gradient_section():

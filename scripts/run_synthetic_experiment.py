@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """End-to-end experiment on the planted-rule synthetic corpus.
 
-Generates a corpus, trains the full model plus every ablation variant, and
+Generates a corpus, trains the full model plus every interaction ablation,
+evaluates the full model again in each ablation pool (average / voting /
+last: evaluate_model's aggregate re-pools its satisfaction rows), and
 prints a comparison table (handoff F1 / macro F1 / GT scores, satisfaction
 macro F1 / accuracy) on the held-out test split.
 

@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -207,14 +208,17 @@ def cmd_eval(args) -> int:
                               f"choose from {SECTIONS}")
     model, vocab, _ = load_checkpoint(args.checkpoint)
     corpus, corpus_line = _load_corpus(args.corpus, model.config.max_dialogue_len)
-    # Opened before evaluating, so a path that cannot be opened fails first.
+    # Opened before evaluating, so a bad path fails first, but not truncated
+    # ("a") until the evaluation has succeeded, so a failed one keeps it.
     try:
-        with (_open(args.per_dialogue, "w", ConfigError) if args.per_dialogue
+        with (_open(args.per_dialogue, "a", ConfigError) if args.per_dialogue
               else contextlib.nullcontext()) as fh:
             report, per_dialogue = evaluate_model(model, vocab, corpus,
                                                   sections=sections,
                                                   aggregate=args.aggregate)
             if fh is not None:
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate(0)
                 for row in per_dialogue:
                     fh.write(json.dumps(row) + "\n")
     except OSError as e:  # a write, or the flush when the file closes
@@ -263,8 +267,7 @@ def cmd_predict(args) -> int:
     with model.untaped():
         out = model.forward(session.token_ids, session.roles)
     _emit({"satisfaction_probs": out.satisfaction_probs.data.tolist(),
-           "trace": out.trace(session.roles, model.config.interaction_mode,
-                              model.config.aggregate_mode)})
+           "trace": out.trace(session.roles, model.config.interaction_mode)})
     return EXIT_OK
 
 
@@ -272,7 +275,10 @@ def cmd_synth(args) -> int:
     if args.seed < 0:
         raise ConfigError("--seed must be >= 0")
     spec = load_generator_spec(args.spec) if args.spec else GeneratorSpec()
-    dialogues, report = synthesize_corpus(spec, seed=args.seed)
+    try:
+        dialogues, report = synthesize_corpus(spec, seed=args.seed)
+    except (MemoryError, ValueError) as e:  # numpy's "cannot allocate" errors
+        raise ConfigError(f"cannot generate the specified corpus: {e}") from None
     try:
         save_corpus(dialogues, args.out)
     except (OSError, ValueError) as e:
@@ -356,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list from: mhch,ssa,sentiment")
     p.add_argument("--aggregate", default=None,
                    choices=AGGREGATE_MODES,
-                   help="override the satisfaction aggregation mode")
+                   help="re-pool satisfaction in this mode (default: attention)")
     p.add_argument("--per-dialogue", default=None,
                    help="optional path for the per-dialogue JSONL breakdown")
     p.set_defaults(fn=cmd_eval)

@@ -327,6 +327,8 @@ def split_corpus(
 ) -> tuple[list[Dialogue], list[Dialogue], list[Dialogue]]:
     """Deterministic shuffled partition; floor-sized dev/test, remainder to
     train."""
+    if not all(0.0 <= r <= 1.0 for r in ratios):
+        raise ContractError(f"split ratios {ratios} must lie in [0, 1]")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ContractError(f"split ratios {ratios} do not sum to 1")
     rng = np.random.default_rng(seed)

@@ -7,10 +7,10 @@ prefix.
 Satisfaction: a single causal transformer block refines the fused
 satisfaction rows; each row maps to a local satisfaction distribution, and a
 learned query scores customer positions into importance weights. Agent
-positions receive exactly zero importance. The decoder ends in
-aggregate_variant, which pools the local rows into the dialogue-level
-estimate: the attention mode weights them by importance (the paper's pool),
-and average / voting / last cover the ablation variants.
+positions receive exactly zero importance. The decoder ends in the paper's
+pool, the local rows weighted by importance; aggregate_variant re-pools
+them at evaluation time, in attention mode or in the ablation variants
+average / voting / last.
 
 Both decoders take a batch's (B, L_max, d) rows. The rows past a
 dialogue's end hold finite values that mean nothing (the interaction
@@ -105,11 +105,10 @@ def decode_satisfaction(
     is_customer: np.ndarray,
     params: SatisfactionDecoderParams,
     heads: int,
-    mode: str,
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Returns (dialogue distributions (B, 3), local distributions (B, L_max, 3),
-    importance weights (B, L_max), zero on agent positions), the first pooled
-    by aggregate_variant in mode; is_customer is (B, L_max), False past each
+    importance weights (B, L_max), zero on agent positions), the first the
+    local rows pooled by importance; is_customer is (B, L_max), False past each
     dialogue's end. A position's importance score is its key times the
     learned query, a linear_rows with one output row."""
     is_customer = np.asarray(is_customer, dtype=bool)
@@ -123,7 +122,7 @@ def decode_satisfaction(
     keys = nm.tanh(nm.linear_rows(refined, params.attn_w, params.attn_b))
     scores = nm.linear_rows(keys, nm.row(params.query, (None,)))  # (B, L_max, 1)
     importance = nm.masked_softmax(nm.row(scores, (..., 0)), is_customer)
-    return aggregate_variant(local, is_customer, mode, importance), local, importance
+    return pool(importance, local), local, importance
 
 
 def pool(weights: Tensor, local: Tensor) -> Tensor:

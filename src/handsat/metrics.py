@@ -101,7 +101,7 @@ def evaluate_model(
     exactly, and each dialogue's outputs have the bits of its forward alone.
     A corpus that check_dialogues refuses raises CorpusError before any forward.
 
-    aggregate overrides the model's aggregation mode: aggregate_variant
+    aggregate replaces the model's attention pool: aggregate_variant
     re-pools each batch's local rows and importance in that mode, which
     no other output depends on. mhch's gt (GT-I..III) averages the rows' gt.
     """

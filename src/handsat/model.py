@@ -29,9 +29,8 @@ import numpy as np
 from . import numerics as nm
 from .config import decode_config
 from .corpus import Role, init_embeddings
-from .decoders import (AGGREGATE_MODES, HandoffDecoderParams,
-                       SatisfactionDecoderParams, TransformerParams,
-                       decode_handoff, decode_satisfaction)
+from .decoders import (HandoffDecoderParams, SatisfactionDecoderParams,
+                       TransformerParams, decode_handoff, decode_satisfaction)
 from .encoder import EncoderParams, shared_encode
 from .errors import ConfigError, ContractError
 from .interaction import (INTERACTION_MODES, InteractionOutput, InteractionParams,
@@ -72,7 +71,6 @@ class ModelConfig:
     max_dialogue_len: int
     heads: int                    # transformer heads
     interaction_mode: str
-    aggregate_mode: str
     dropout: float
 
     def validate(self) -> None:
@@ -85,8 +83,6 @@ class ModelConfig:
             raise ConfigError("hidden_size must be divisible by heads")
         if self.interaction_mode not in INTERACTION_MODES:
             raise ConfigError(f"unknown interaction mode {self.interaction_mode!r}")
-        if self.aggregate_mode not in AGGREGATE_MODES:
-            raise ConfigError(f"unknown aggregation mode {self.aggregate_mode!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
 
@@ -117,13 +113,11 @@ class ForwardResult:
     attn_handoff_to_sat: Tensor   # (L, L)
     position_weights: np.ndarray  # (L, L) constant
 
-    def trace(self, roles: Sequence[Role], interaction_mode: str,
-              aggregate_mode: str) -> dict:
+    def trace(self, roles: Sequence[Role], interaction_mode: str) -> dict:
         """JSON-ready snapshot of the outputs and attention matrices."""
         return {
             "roles": [r.value for r in roles],
             "interaction_mode": interaction_mode,
-            "aggregate_mode": aggregate_mode,
             "handoff_probs": self.handoff_probs.data.tolist(),
             "satisfaction_probs": self.satisfaction_probs.data.tolist(),
             "local_satisfaction": self.local_satisfaction.data.tolist(),
@@ -326,7 +320,7 @@ class Model:
         handoff_probs, _ = decode_handoff(inter.handoff_fused, self.handoff_decoder)
         overall, local, importance = decode_satisfaction(
             inter.satisfaction_fused, is_customer, self.satisfaction_decoder,
-            self.config.heads, self.config.aggregate_mode)
+            self.config.heads)
         return BatchResult(**vars(inter), lengths=[len(ids) for ids in token_ids],
                            is_customer=is_customer, handoff_probs=handoff_probs,
                            satisfaction_probs=overall, local_satisfaction=local,
@@ -403,5 +397,5 @@ class Session:
                 return probs.data[0, 0], None
             overall, _, _ = decode_satisfaction(
                 inter.satisfaction_fused, is_customer, model.satisfaction_decoder,
-                cfg.heads, cfg.aggregate_mode)
+                cfg.heads)
         return probs.data[0, 0], overall.data[0]

@@ -54,7 +54,6 @@ class TrainConfig:
     max_dialogue_len: int = 64
     heads: int = 4
     interaction_mode: str = "full"
-    aggregate_mode: str = "attention"
     dropout: float = 0.2
     # optimization
     eta: float = 0.5            # satisfaction loss weight
@@ -81,10 +80,6 @@ class TrainConfig:
             raise ConfigError("seed must be >= 0")
         if self.grad_clip <= 0.0:
             raise ConfigError("grad_clip must be positive")
-        if self.aggregate_mode == "voting":
-            raise ConfigError(
-                "voting aggregation is not differentiable; train with another "
-                "mode and select voting at evaluation time")
         # dimension/mode checks are shared with the model config
         self.model_config(vocab_size=2).validate()
 
@@ -371,7 +366,7 @@ def train(
 #
 # Byte layout (little-endian):
 #   magic   4 bytes  b"HSAT"
-#   version u32      currently 5 (README "Checkpoints" says what 1-4 held)
+#   version u32      currently 6 (README "Checkpoints" says what 1-5 held)
 #   meta    u64 length + UTF-8 JSON: {"model_config": {...}, "vocab": {...},
 #           "extra": {...}, "blocks": [[name, shape], ...]}
 #   body    Model.params' bytes: each block's C-order float64 values, in order
@@ -382,7 +377,7 @@ def train(
 # once and the body needs no per-block headers. Round-trips are bit-exact.
 
 MAGIC = b"HSAT"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 
 def save_checkpoint(model: Model, vocab: Vocabulary, path: str | Path,

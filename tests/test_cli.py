@@ -146,7 +146,8 @@ def test_synth_bad_spec_file_is_config_error(tmp_path, capsys, content, named):
     ({"min_tokens": 0}, "min_tokens"),
     ({"praise_rate": 2}, "praise_rate"),
     ({"filler_vocab_size": 0}, "filler_vocab_size"),
-], ids=["no_dialogues", "no_tokens", "praise_rate", "no_filler"])
+    ({"max_tokens": 2 ** 63 - 1}, "cannot generate the specified corpus"),
+], ids=["no_dialogues", "no_tokens", "praise_rate", "no_filler", "max_tokens_too_big"])
 def test_synth_spec_out_of_range_is_config_error(tmp_path, capsys, spec, named):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
@@ -444,7 +445,7 @@ def test_train_unknown_config_key(workspace, tmp_path, capsys):
     ({"grad_clip": 0}, "grad_clip"),
     ({"dropout": 1.0}, "dropout"),
     ({"embed_dim": 0}, "embed_dim"),
-    ({"aggregate_mode": "bogus"}, "aggregation mode 'bogus'"),
+    ({"aggregate_mode": "average"}, "aggregate_mode"),
 ])
 def test_train_rejects_malformed_config(tmp_path, capsys, train, named):
     paths = {"train_corpus": str(tmp_path / "absent.jsonl"),
@@ -525,6 +526,29 @@ def test_eval_sentiment_without_labels_errors(workspace, trained_run, tmp_path, 
                            "--sections", "sentiment")
     assert code == 3
     assert "sentiment" in err
+
+
+def test_failed_eval_keeps_the_per_dialogue_file(workspace, trained_run, tmp_path,
+                                                 capsys):
+    """An eval that fails on its corpus leaves an existing --per-dialogue
+    file byte-identical: it is emptied only once evaluation succeeds, and
+    then holds only the new rows."""
+    _, _, _, dev_path = workspace
+    bare = tmp_path / "bare.jsonl"
+    save_corpus([d.strip_sentiment() for d in load_corpus(dev_path, 64)], bare)
+    ckpt, target = str(trained_run / "model.ckpt"), tmp_path / "rows.jsonl"
+    target.write_bytes(b'{"id": "old"}\n')
+    code, out, err = run_cli(capsys, "eval", ckpt, str(bare), "--sections",
+                             "sentiment", "--per-dialogue", str(target))
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "sentiment" in err
+    assert target.read_bytes() == b'{"id": "old"}\n'
+    code, _, _ = run_cli(capsys, "eval", ckpt, str(bare), "--per-dialogue",
+                         str(target))
+    assert code == 0
+    model, vocab, _ = load_checkpoint(ckpt)
+    rows = evaluate_model(model, vocab, load_corpus(bare, 64))[1]
+    assert target.read_text() == "".join(json.dumps(row) + "\n" for row in rows)
 
 
 def test_predict_streaming_matches_prefixes(workspace, trained_run, tmp_path, capsys):
@@ -882,6 +906,7 @@ def test_corrupt_checkpoint_is_data_error(tmp_path, capsys, data):
     (lambda data: data[:4] + struct.pack("<I", 2) + data[8:-4], "version 2"),
     (lambda data: data[:4] + struct.pack("<I", 3) + data[8:], "version 3"),
     (lambda data: data[:4] + struct.pack("<I", 4) + data[8:], "version 4"),
+    (lambda data: data[:4] + struct.pack("<I", 5) + data[8:], "version 5"),
     (lambda data: rewrite_meta(data, lambda meta: meta.pop("blocks")), "'blocks'"),
     (lambda data: rewrite_meta(data, widen_second_block),
      "block 'enc.fwd.w': stored shape"),
@@ -891,7 +916,7 @@ def test_corrupt_checkpoint_is_data_error(tmp_path, capsys, data):
     (lambda data: seal(data[:-12] + struct.pack("<d", float("nan"))),
      "block 'dec_s.query' holds a non-finite value"),
 ], ids=["appended", "crc_flipped", "weight_flipped", "sealed_trailing", "format_2",
-        "format_3", "format_4", "blocks_missing", "shape_off_by_one", "blocks_swapped",
+        "format_3", "format_4", "format_5", "blocks_missing", "shape_off_by_one", "blocks_swapped",
         "body_short", "body_long", "body_nan"])
 def test_damaged_checkpoint_is_data_error(trained_run, tmp_path, capsys, damage,
                                           named):

@@ -222,6 +222,16 @@ def test_split_bad_ratios():
         cp.split_corpus([make_dialogue(0, 2)], ratios=(0.5, 0.2, 0.2))
 
 
+@pytest.mark.parametrize("ratios", [(0.5, 0.7, -0.2), (0.5, float("nan"), 0.5)],
+                         ids=["negative", "nan"])
+def test_split_refuses_ratio_outside_unit_interval(ratios):
+    """A negative ratio that the others offset (once a silent 5/5/0 split)
+    and a NaN (once numpy's ValueError) are refused."""
+    corpus = [make_dialogue(i, 2) for i in range(10)]
+    with pytest.raises(ContractError, match=r"must lie in \[0, 1\]"):
+        cp.split_corpus(corpus, ratios=ratios)
+
+
 def test_build_vocab_min_freq():
     d = cp.Dialogue(
         id="v", satisfaction=cp.SatisfactionLabel.MET,

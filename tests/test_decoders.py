@@ -18,7 +18,7 @@ def handoff_params(d, k, rng=None, zero=False):
         out_w=w((2, k)), out_b=w(2))
 
 
-def satisfaction_params(d, k, z, rng, ff_mult=2):
+def satisfaction_params(d, k, z, rng):
     def w(shape):
         return nm.parameter(nm.glorot_uniform(shape, rng))
 
@@ -28,8 +28,8 @@ def satisfaction_params(d, k, z, rng, ff_mult=2):
     trans = dec.TransformerParams(
         wq=w((k, k)), bq=b(k), wk=w((k, k)),
         wv=w((k, k)), bv=b(k), wo=w((k, k)), bo=b(k),
-        ff1_w=w((ff_mult * k, k)), ff1_b=b(ff_mult * k),
-        ff2_w=w((k, ff_mult * k)), ff2_b=b(k),
+        ff1_w=w((2 * k, k)), ff1_b=b(2 * k),
+        ff2_w=w((k, 2 * k)), ff2_b=b(k),
         ln1_gain=nm.parameter(np.ones(k)), ln1_bias=b(k),
         ln2_gain=nm.parameter(np.ones(k)), ln2_bias=b(k))
     return dec.SatisfactionDecoderParams(
@@ -65,8 +65,7 @@ def test_decode_satisfaction_single_customer_one_hot():
     p = satisfaction_params(3, 4, 5, rng)
     q = nm.constant(rng.standard_normal((5, 3)))
     is_customer = np.array([False, False, True, False, False])
-    overall, local, importance = dec.decode_satisfaction(q, is_customer, p, 2,
-                                                         "attention")
+    overall, local, importance = dec.decode_satisfaction(q, is_customer, p, 2)
     np.testing.assert_array_equal(importance.data,
                                   [0.0, 0.0, 1.0, 0.0, 0.0])
     np.testing.assert_allclose(overall.data, local.data[2], atol=1e-12)
@@ -80,8 +79,7 @@ def test_decode_satisfaction_identical_locals_convexity():
     p.local_b.data[:] = np.array([0.3, -0.1, 0.6])
     q = nm.constant(rng.standard_normal((6, 3)))
     is_customer = np.array([True, False, True, False, True, True])
-    overall, local, importance = dec.decode_satisfaction(q, is_customer, p, 2,
-                                                         "attention")
+    overall, local, importance = dec.decode_satisfaction(q, is_customer, p, 2)
     expect = np.exp(p.local_b.data) / np.exp(p.local_b.data).sum()
     np.testing.assert_allclose(local.data, np.tile(expect, (6, 1)), atol=1e-12)
     np.testing.assert_allclose(overall.data, expect, atol=1e-12)
@@ -96,8 +94,7 @@ def test_decode_satisfaction_convex_hull_bound():
         is_customer = rng.random(L) < 0.6
         if not is_customer.any():
             is_customer[0] = True
-        overall, local, importance = dec.decode_satisfaction(q, is_customer, p, 2,
-                                                             "attention")
+        overall, local, importance = dec.decode_satisfaction(q, is_customer, p, 2)
         rows = local.data[is_customer]
         assert np.all(overall.data >= rows.min(axis=0) - 1e-12)
         assert np.all(overall.data <= rows.max(axis=0) + 1e-12)
@@ -242,8 +239,7 @@ def test_satisfaction_decoder_grad_check():
     is_customer = np.array([True, False, True, False, True])
 
     def loss():
-        overall, local, importance = dec.decode_satisfaction(q, is_customer, p, 2,
-                                                             "attention")
+        overall, local, importance = dec.decode_satisfaction(q, is_customer, p, 2)
         return nm.add(nm.sum_all(nm.square(overall)),
                       nm.mean_all(nm.square(local)))
 

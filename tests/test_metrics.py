@@ -120,7 +120,6 @@ SENTIMENT_TO_CLASS = {SentimentLabel.POSITIVE: 0, SentimentLabel.NEUTRAL: 1,
 
 
 class _StubConfig:
-    aggregate_mode = "attention"
     max_dialogue_len = 64
 
 

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handsat import metrics
+from handsat import model as model_module
 from handsat import numerics as nm
 from handsat import training as tr
 from handsat.corpus import PAD_INDEX, Role, build_vocab
 from handsat.encoder import shared_encode
 from handsat.errors import ConfigError, ContractError
-from handsat.decoders import AGGREGATE_MODES, aggregate_variant
+from handsat.decoders import AGGREGATE_MODES, aggregate_variant, decode_satisfaction
 from handsat.interaction import INTERACTION_MODES, task_projections
 from handsat.metrics import SECTIONS, evaluate_model
 from handsat.model import Model, ModelConfig
@@ -155,12 +156,11 @@ def test_prefix_causality_past_one_block(width):
 
 
 @given(mode=st.sampled_from(INTERACTION_MODES),
-       aggregate=st.sampled_from(AGGREGATE_MODES),
        customers=st.lists(st.booleans(), min_size=49, max_size=56),
        agents_first=st.integers(0, 5), seed=st.integers(0, 2 ** 16))
 @settings(max_examples=20, deadline=None)
 def test_session_pushes_have_the_bits_of_each_prefix_forward(
-        mode, aggregate, customers, agents_first, seed):
+        mode, customers, agents_first, seed):
     """Streaming a dialogue of 49-56 utterances (its prefixes cross the 16,
     32 and 48 row-block edges) through a session returns, at every push,
     the bytes of forward(prefix): the last handoff row, and the dialogue
@@ -168,8 +168,8 @@ def test_session_pushes_have_the_bits_of_each_prefix_forward(
     after agents_first agent utterances, so a stream can start, or stay,
     customer-free."""
     rng = np.random.default_rng(seed)
-    model = Model.build(tiny_config(20, max_dialogue_len=56, interaction_mode=mode,
-                                    aggregate_mode=aggregate), rng)
+    model = Model.build(tiny_config(20, max_dialogue_len=56, interaction_mode=mode),
+                        rng)
     roles = [Role.CUSTOMER if c and t >= agents_first else Role.AGENT
              for t, c in enumerate(customers)]
     ids = [[int(i) for i in rng.integers(2, 20, size=rng.integers(1, 5))]
@@ -244,8 +244,7 @@ def test_trace_json_roundtrip(setup):
     model, vocab, dialogues = setup
     d = dialogues[0]
     out = model.forward(vocab.encode_dialogue(d), d.roles)
-    trace = out.trace(d.roles, model.config.interaction_mode,
-                      model.config.aggregate_mode)
+    trace = out.trace(d.roles, model.config.interaction_mode)
     back = json.loads(json.dumps(trace))
     assert back == trace
     np.testing.assert_array_equal(np.asarray(back["handoff_probs"]),
@@ -308,11 +307,12 @@ def test_grad_check_leaves_the_model_its_buffers(setup):
 def test_forward_batch_bits_match_solo(mode, aggregate):
     """Every ForwardResult tensor of each dialogue of a batch of B = 1..16,
     with mixed lengths (across ROW_BLOCK) and roles, some without a
-    customer, and its rows of the padded views and fused rows, have the
-    bytes of the dialogue's forward alone (its batch of one)."""
+    customer, its rows of the padded views and fused rows, and its
+    distribution re-pooled by aggregate_variant in the aggregate mode, have
+    the bytes of the dialogue's forward alone (its batch of one)."""
     rng = np.random.default_rng(17)
-    model = Model.build(tiny_config(30, max_dialogue_len=24, interaction_mode=mode,
-                                    aggregate_mode=aggregate), rng)
+    model = Model.build(tiny_config(30, max_dialogue_len=24, interaction_mode=mode),
+                        rng)
     for batch in range(1, 17):
         dialogues = []
         for _ in range(batch):
@@ -323,8 +323,11 @@ def test_forward_batch_bits_match_solo(mode, aggregate):
                      for c in rng.random(length) < 0.4]
             dialogues.append((ids, roles))
         out = model.forward_batch(*zip(*dialogues))
+        pooled = repool(out, aggregate)
         for b, (ids, roles) in enumerate(dialogues):
             alone = model.forward_batch([ids], [roles])
+            expect = repool(alone, aggregate).data[0]
+            assert pooled.data[b].tobytes() == expect.tobytes(), (batch, b)
             solo = alone[0]
             cut = out[b]
             for f in dataclasses.fields(solo):
@@ -339,24 +342,34 @@ def test_forward_batch_bits_match_solo(mode, aggregate):
                 assert got.tobytes() == expect.tobytes(), (batch, b, name)
 
 
+def repool(batch, aggregate):
+    """A BatchResult's (B, 3) distributions pooled in the aggregate mode."""
+    return aggregate_variant(batch.local_satisfaction, batch.is_customer,
+                             aggregate, importance=batch.importance)
+
+
 @pytest.mark.parametrize("aggregate", AGGREGATE_MODES)
 def test_customer_free_dialogue_gets_zero_satisfaction(aggregate):
     """In a forward_batch, a dialogue without a customer utterance gets an
-    exactly zero dialogue distribution and importance row in every
-    aggregation mode, while the dialogues beside it get distributions."""
+    exactly zero dialogue distribution and importance row, from the
+    model's pool and re-pooled in every aggregation mode, while the
+    dialogues beside it get distributions."""
     rng = np.random.default_rng(29)
-    model = Model.build(tiny_config(20, aggregate_mode=aggregate), rng)
+    model = Model.build(tiny_config(20), rng)
     ids = [[[int(i) for i in rng.integers(2, 20, size=3)] for _ in range(length)]
            for length in (5, 3, 7)]
     roles = [[Role.CUSTOMER, Role.AGENT] * 2 + [Role.CUSTOMER],
              [Role.AGENT] * 3,
              [Role.AGENT, Role.CUSTOMER] * 3 + [Role.AGENT]]
     out = model.forward_batch(ids, roles)
+    pooled = repool(out, aggregate)
     free = out[1]
     assert not free.satisfaction_probs.data.any()
+    assert not pooled.data[1].any()
     assert not free.importance.data.any()
     for b in (0, 2):
         assert out[b].satisfaction_probs.data.sum() == pytest.approx(1.0)
+        assert pooled.data[b].sum() == pytest.approx(1.0)
 
 
 def test_forward_batch_refuses_an_empty_dialogue(setup):
@@ -366,33 +379,35 @@ def test_forward_batch_refuses_an_empty_dialogue(setup):
         model.forward_batch([vocab.encode_dialogue(d), []], [d.roles, []])
 
 
-@pytest.mark.parametrize("aggregate", AGGREGATE_MODES[1:])
-def test_aggregate_override_matches_model_in_that_mode(setup, aggregate):
-    """Two models from one seed, in the attention mode and in another mode,
-    have the same weights. Evaluating the first with that mode as its
-    override scores like evaluating the second, and the second's forward
-    has the bytes of aggregate_variant on the first's cut local rows and
-    importance."""
-    _, vocab, dialogues = setup
-    attention, other = (
-        Model.build(tiny_config(len(vocab), aggregate_mode=mode),
-                    np.random.default_rng(0))
-        for mode in ("attention", aggregate))
-    for name, tensor in attention.blocks.items():
-        assert tensor.data.tobytes() == other.blocks[name].data.tobytes(), name
-
-    overridden = evaluate_model(attention, vocab, dialogues, SECTIONS,
+@pytest.mark.parametrize("aggregate", AGGREGATE_MODES)
+def test_aggregate_override_matches_model_in_that_mode(setup, monkeypatch,
+                                                      aggregate):
+    """Evaluating the model with a mode as its override scores like
+    evaluating it, with no override, with its satisfaction decoder pooling
+    in that mode (attention is the decoder's own pool; another mode
+    replaces it), and that forward has the bytes of aggregate_variant on
+    the attention forward's cut local rows and importance."""
+    model, vocab, dialogues = setup
+    refs = {d.id: model.forward(vocab.encode_dialogue(d), d.roles) for d in dialogues}
+    overridden = evaluate_model(model, vocab, dialogues, SECTIONS,
                                 aggregate=aggregate)
-    own = evaluate_model(other, vocab, dialogues, SECTIONS)
+
+    def in_that_mode(fused, is_customer, params, heads):
+        _, local, importance = decode_satisfaction(fused, is_customer, params, heads)
+        return (aggregate_variant(local, is_customer, aggregate, importance),
+                local, importance)
+
+    if aggregate != "attention":
+        monkeypatch.setattr(model_module, "decode_satisfaction", in_that_mode)
+    own = evaluate_model(model, vocab, dialogues, SECTIONS)
     assert overridden[0].to_json() == own[0].to_json()
     assert overridden[1] == own[1]
     for d in dialogues:
-        ids = vocab.encode_dialogue(d)
-        ref = attention.forward(ids, d.roles)
+        ref = refs[d.id]
         expect = aggregate_variant(ref.local_satisfaction,
                                    [r is Role.CUSTOMER for r in d.roles],
                                    aggregate, importance=ref.importance)
-        got = other.forward(ids, d.roles).satisfaction_probs
+        got = model.forward(vocab.encode_dialogue(d), d.roles).satisfaction_probs
         assert got.data.tobytes() == expect.data.tobytes(), d.id
 
 

@@ -189,8 +189,12 @@ def test_config_rejects_bad_eta():
 
 
 def test_config_rejects_voting_training():
-    with pytest.raises(ConfigError, match="voting"):
-        small_config(aggregate_mode="voting").validate()
+    """Training always pools by attention; voting and the other ablation
+    pools are evaluate_model's aggregate, so the run config has no key for
+    them."""
+    with pytest.raises(ConfigError,
+                       match=r"unknown train config keys: \['aggregate_mode'\]"):
+        tr.TrainConfig.from_json({"aggregate_mode": "voting"})
 
 
 def test_config_rejects_unknown_keys():
@@ -206,13 +210,12 @@ def test_model_config_takes_every_model_field():
     """Each field TrainConfig shares with ModelConfig reaches the model
     config, and the default's stored form is the one checkpoints hold."""
     assert json.dumps(tr.TrainConfig().model_config(50).to_json(), sort_keys=True) == (
-        '{"aggregate_mode": "attention", '
-        '"attention_units": 32, "dense_size": 32, "dropout": 0.2, "embed_dim": 32, '
+        '{"attention_units": 32, "dense_size": 32, "dropout": 0.2, "embed_dim": 32, '
         '"heads": 4, "hidden_size": 32, "interaction_mode": "full", '
         '"max_dialogue_len": 64, "vocab_size": 50}')
     changed = dict(embed_dim=5, hidden_size=6, dense_size=7, attention_units=8,
                    max_dialogue_len=9, heads=3,
-                   interaction_mode="no_select", aggregate_mode="last", dropout=0.3)
+                   interaction_mode="no_select", dropout=0.3)
     assert tr.TrainConfig(**changed).model_config(11) == \
         ModelConfig(vocab_size=11, **changed)
 
